@@ -104,7 +104,6 @@ _CONFIG_KEYS = {
     "encoder",
     "weights",
     "max_tokens",
-    "workers",
     "retrain_private_every_round",
     "dp",
 }
@@ -233,7 +232,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             weights=_parse_weights(config.get("weights")),
             max_tokens=int(config.get("max_tokens", 64)),
             retrain_private_every_round=bool(config.get("retrain_private_every_round", True)),
-            workers=int(config.get("workers", 1)),
             dp_round_budget=dp,
         )
         report = run_session(clients, prompts, rounds, params, private)
@@ -259,7 +257,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         },
         "weights": {"alpha": params.weights.alpha, "beta": params.weights.beta},
         "max_tokens": params.max_tokens,
-        "workers": params.workers,
         "retrain_private_every_round": params.retrain_private_every_round,
         "dp": None if dp is None else {"epsilon": dp[0], "delta": dp[1]},
     }

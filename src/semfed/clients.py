@@ -13,7 +13,6 @@ two are deliberately independent knobs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -21,6 +20,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from .encoder import _text_u64
 
 __all__ = [
     "TrainingWeights",
@@ -117,10 +118,6 @@ class ScriptedClient(Client):
         weights: TrainingWeights,
     ) -> None:
         return None
-
-
-def _text_u64(text: str) -> int:
-    return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "little")
 
 
 class MarkovToyClient(Client):

@@ -14,6 +14,13 @@ Distance comparisons treat differences within TIE_TOL as exact ties so
 the secondary tie-breakers (response byte length, then smallest index)
 fire only on genuinely constructed ties, not on float noise.
 
+Distances come from one matrix product per call, clip(1 - A @ B.T, 0, 2);
+the pairwise matrix is exactly symmetric with an exact zero diagonal.
+Its entries agree with ``encoder.cosine_distance`` to ~1e-14, a gap
+TIE_TOL (1e-12) absorbs in every tie-break.  Whether a pair within
+~1e-14 of eps counts as a DBSCAN neighbour is decided by the matrix
+value.
+
 Degenerate inputs are handled, not hidden:
 
 * every point an outlier: the consensus set falls back to all clients;
@@ -23,14 +30,13 @@ Degenerate inputs are handled, not hidden:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .encoder import ZERO_NORM_EPS, cosine_distance, is_unit, normalize
+from .encoder import ZERO_NORM_EPS, _text_u64, is_unit
 
 __all__ = [
     "OUTLIER",
@@ -74,6 +80,8 @@ class ClusterParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.eps <= 2.0:
             raise ValueError(f"eps must be in (0, 2], got {self.eps}")
+        if isinstance(self.min_pts, bool) or not isinstance(self.min_pts, int):
+            raise ValueError(f"min_pts must be an int, got {self.min_pts!r}")
         if self.min_pts < 1:
             raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
 
@@ -147,15 +155,18 @@ class ConsensusResult:
             raise ValueError("centroid must have unit norm")
 
 
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of cosine distances, exact zeros on the diagonal."""
-    n = points.shape[0]
-    dist = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = cosine_distance(points[i], points[j])
-            dist[i, j] = d
-            dist[j, i] = d
+def _cosine_distances(rows: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
+    """Cosine distances clip(1 - rows @ others.T, 0, 2) between unit rows.
+
+    With ``others`` omitted the result is the pairwise matrix of
+    ``rows``, made exactly symmetric with an exact zero diagonal.
+    """
+    dist = rows @ (rows if others is None else others).T
+    np.subtract(1.0, dist, out=dist)
+    np.clip(dist, 0.0, 2.0, out=dist)
+    if others is None:
+        np.minimum(dist, dist.T, out=dist)
+        np.fill_diagonal(dist, 0.0)
     return dist
 
 
@@ -172,46 +183,37 @@ def dbscan(embeddings: Sequence[np.ndarray], params: ClusterParams) -> Clusterin
     points = np.asarray(embeddings, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("dbscan needs a non-empty sequence of equal-length vectors")
-    n = points.shape[0]
-    dist = _pairwise_distances(points)
-    neighbors = [np.flatnonzero(dist[i] <= params.eps) for i in range(n)]
-    core = [len(nbrs) >= params.min_pts for nbrs in neighbors]
+    within = _cosine_distances(points) <= params.eps
+    core = within.sum(axis=1) >= params.min_pts
 
-    labels = [OUTLIER] * n
+    labels = np.full(points.shape[0], OUTLIER)
     next_id = 0
-    for start in range(n):
-        if not core[start] or labels[start] != OUTLIER:
+    for start in np.flatnonzero(core):
+        if labels[start] != OUTLIER:
             continue
         labels[start] = next_id
         frontier = [start]
         while frontier:
-            here = frontier.pop()
-            for nbr in neighbors[here]:
-                if core[nbr] and labels[nbr] == OUTLIER:
-                    labels[nbr] = next_id
-                    frontier.append(nbr)
+            reached = np.flatnonzero(within[frontier.pop()] & core & (labels == OUTLIER))
+            labels[reached] = next_id
+            frontier.extend(reached)
         next_id += 1
 
-    for i in range(n):
-        if core[i]:
-            continue
-        claims = [labels[j] for j in neighbors[i] if core[j]]
-        labels[i] = min(claims) if claims else OUTLIER
-    return Clustering(tuple(labels), next_id)
+    for i in np.flatnonzero(~core):
+        claims = labels[within[i] & core]
+        labels[i] = claims.min() if claims.size else OUTLIER
+    return Clustering(tuple(labels.tolist()), next_id)
 
 
 def average_pairwise_distance(members: Sequence[int], points: np.ndarray) -> float:
     """Mean cosine distance over unordered member pairs; 0.0 for singletons."""
     members = list(members)
-    if len(members) < 2:
+    n = len(members)
+    if n < 2:
         return 0.0
-    total = 0.0
-    count = 0
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            total += cosine_distance(points[members[a]], points[members[b]])
-            count += 1
-    return total / count
+    # The block is symmetric, so its full sum counts every pair twice.
+    block = _cosine_distances(np.asarray(points, dtype=np.float64)[members])
+    return float(block.sum()) / (n * (n - 1))
 
 
 def select_consensus_cluster(
@@ -268,8 +270,22 @@ def normalized_centroid(members: Sequence[int], embeddings: Sequence[np.ndarray]
     return total / norm
 
 
-def _byte_len(text: str) -> int:
-    return len(text.encode("utf-8"))
+def _closest(members: Sequence[int], scores: np.ndarray, responses: Sequence[str]) -> int:
+    """Member with the lowest score, scanning members in the order given.
+
+    Scores within TIE_TOL of the incumbent's count as ties and prefer
+    the shorter response in UTF-8 bytes; with members in increasing
+    order the incumbent already wins any remaining tie on position.
+    """
+    scores = scores.tolist()
+    best = members[0]
+    best_score = scores[0]
+    best_len = len(responses[best].encode("utf-8"))
+    for m, score in zip(members[1:], scores[1:]):
+        blen = len(responses[m].encode("utf-8"))
+        if score < best_score - TIE_TOL or (abs(score - best_score) <= TIE_TOL and blen < best_len):
+            best, best_score, best_len = m, score, blen
+    return best
 
 
 def select_representative(
@@ -281,22 +297,12 @@ def select_representative(
     """Member position closest to the centroid.
 
     Ties within TIE_TOL prefer the shorter response in UTF-8 bytes, then
-    the smaller position.  Members are scanned in increasing order, so
-    the incumbent already satisfies the index rule.
+    the smaller position.
     """
-    points = np.asarray(embeddings, dtype=np.float64)
-    best: int | None = None
-    best_dist = 0.0
-    best_len = 0
-    for m in sorted(members):
-        d = cosine_distance(points[m], centroid)
-        blen = _byte_len(responses[m])
-        if best is None or d < best_dist - TIE_TOL:
-            best, best_dist, best_len = m, d, blen
-        elif abs(d - best_dist) <= TIE_TOL and blen < best_len:
-            best, best_dist, best_len = m, d, blen
-    assert best is not None
-    return best
+    members = sorted(members)
+    points = np.asarray(embeddings, dtype=np.float64)[members]
+    scores = _cosine_distances(points, np.asarray(centroid, dtype=np.float64)[None, :])[:, 0]
+    return _closest(members, scores, responses)
 
 
 def medoid(
@@ -309,28 +315,12 @@ def medoid(
     Singleton member sets score 0.0 by convention.  Ties use the same
     byte-length-then-index chain as select_representative.
     """
-    points = np.asarray(embeddings, dtype=np.float64)
     members = sorted(members)
-    best: int | None = None
-    best_score = 0.0
-    best_len = 0
-    for m in members:
-        others = [o for o in members if o != m]
-        if others:
-            score = sum(cosine_distance(points[m], points[o]) for o in others) / len(others)
-        else:
-            score = 0.0
-        blen = _byte_len(responses[m])
-        if best is None or score < best_score - TIE_TOL:
-            best, best_score, best_len = m, score, blen
-        elif abs(score - best_score) <= TIE_TOL and blen < best_len:
-            best, best_score, best_len = m, score, blen
-    assert best is not None
-    return best
-
-
-def _stable_u64(text: str) -> int:
-    return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "little")
+    if len(members) == 1:
+        return members[0]
+    block = _cosine_distances(np.asarray(embeddings, dtype=np.float64)[members])
+    scores = block.sum(axis=1) / (len(members) - 1)
+    return _closest(members, scores, responses)
 
 
 def consensus_for_prompt(
@@ -392,7 +382,7 @@ def consensus_for_prompt(
             rep_pos = medoid(member_positions, points, texts)
     elif strategy.rule is SelectionRule.RANDOM_IN_CLUSTER:
         prompt_id = next(iter(prompt_ids))
-        rng = np.random.default_rng([strategy.seed, _stable_u64(prompt_id)])
+        rng = np.random.default_rng([strategy.seed, _text_u64(prompt_id)])
         rep_pos = member_positions[int(rng.integers(len(member_positions)))]
     else:  # GLOBAL_MEDOID
         rep_pos = medoid(member_positions, points, texts)

@@ -66,6 +66,11 @@ class EncoderConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
+def _text_u64(text: str) -> int:
+    """Unkeyed 64-bit blake2b of the UTF-8 text; stable across runs and processes."""
+    return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "little")
+
+
 def _hash_ngram(ngram: str, seed: int, dimension: int) -> tuple[int, float]:
     """Map an n-gram to (bucket, sign) with a keyed 64-bit hash."""
     digest = hashlib.blake2b(

@@ -15,18 +15,17 @@ un-embeddable empty string) never abort the round: the prompt is
 dropped from that round's broadcast and the reason is recorded on the
 transcript.
 
-Determinism: clients are mutated only by their own worker, per-prompt
+Determinism: the phases run in one thread in a fixed order, per-prompt
 consensus is pure, and all transcript collections are sorted before
-emission, so output is byte-identical regardless of the worker count.
+emission, so reruns give byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .clients import Client, PrivateDataset, TrainingWeights
 from .consensus import (
@@ -179,8 +178,7 @@ class SessionParams:
     retrain_private_every_round: when False, the private-only training
     pass before generation runs only in round 1 (later rounds already
     absorbed the private data during the joint pass of the previous
-    round).  workers sets the thread pool size; results do not depend
-    on it.  dp_round_budget, when set, charges every client that
+    round).  dp_round_budget, when set, charges every client that
     (epsilon, delta) per round on its privacy ledger.
     """
 
@@ -190,14 +188,11 @@ class SessionParams:
     weights: TrainingWeights = TrainingWeights()
     max_tokens: int = 64
     retrain_private_every_round: bool = True
-    workers: int = 1
     dp_round_budget: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.max_tokens < 1:
             raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -208,14 +203,6 @@ class SessionReport:
     total_uploaded_bytes: int
     total_downloaded_bytes: int
     ledgers: tuple[PrivacyLedger, ...] | None
-
-
-def _map_maybe_parallel(fn: Callable, items: Sequence, workers: int) -> list:
-    """Apply ``fn`` to items, preserving input order in the result."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _consensus_phase(
@@ -287,34 +274,24 @@ def run_round(
 
     do_private_pass = params.retrain_private_every_round or round_index == 1
 
-    def client_phase(index: int) -> list[ResponseRecord]:
-        client = clients[index]
+    responses: list[ResponseRecord] = []
+    for index, client in enumerate(clients):
         if do_private_pass:
             client.train(private_datasets[index], [], params.weights)
-        records = []
         for prompt in prompts.prompts:
             text = client.generate(prompt.prompt_id, prompt.text, round_index, params.max_tokens)
-            records.append(make_response(index, prompt.prompt_id, text))
-        return records
-
-    per_client = _map_maybe_parallel(client_phase, range(len(clients)), params.workers)
-    responses = sorted(
-        (rec for recs in per_client for rec in recs), key=lambda r: (r.client, r.prompt_id)
-    )
+            responses.append(make_response(index, prompt.prompt_id, text))
+    responses.sort(key=lambda r: (r.client, r.prompt_id))
     uploaded = sum(r.byte_len for r in responses)
 
     by_prompt = {p.prompt_id: [] for p in prompts.prompts}
     for rec in responses:
         by_prompt[rec.prompt_id].append(rec)
 
-    outcomes = _map_maybe_parallel(
-        lambda prompt: _consensus_phase(prompt, by_prompt[prompt.prompt_id], params),
-        prompts.prompts,
-        params.workers,
-    )
     consensus_entries: list[PromptConsensus] = []
     errors: list[PromptError] = []
-    for outcome, errs in outcomes:
+    for prompt in prompts.prompts:
+        outcome, errs = _consensus_phase(prompt, by_prompt[prompt.prompt_id], params)
         errors.extend(errs)
         if outcome is not None:
             consensus_entries.append(outcome)
@@ -327,10 +304,8 @@ def run_round(
     prompt_text = {p.prompt_id: p.text for p in prompts.prompts}
     pseudo_pairs = [(prompt_text[pid], label) for pid, label in broadcast]
 
-    def train_phase(index: int) -> None:
-        clients[index].train(private_datasets[index], pseudo_pairs, params.weights)
-
-    _map_maybe_parallel(train_phase, range(len(clients)), params.workers)
+    for client, private in zip(clients, private_datasets):
+        client.train(private, pseudo_pairs, params.weights)
 
     return RoundTranscript(
         round_index=round_index,

@@ -341,24 +341,6 @@ def test_simulate_reruns_are_byte_identical(tmp_path, capsys):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
-def test_simulate_worker_count_does_not_change_transcripts(tmp_path, capsys):
-    config_path, config = scripted_fixture(tmp_path)
-    transcripts = {}
-    for workers in (1, 3):
-        cfg = dict(config, workers=workers)
-        path = tmp_path / f"config_w{workers}.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
-        out_dir = tmp_path / f"out_w{workers}"
-        code, _, err = run_cli(
-            capsys, "simulate", "--config", str(path), "--output", str(out_dir)
-        )
-        assert code == 0, err
-        transcripts[workers] = [
-            (out_dir / f"round_{r:04d}.json").read_bytes() for r in (1, 2)
-        ]
-    assert transcripts[1] == transcripts[3]
-
-
 def test_simulate_markov_clients_with_private_data(tmp_path, capsys):
     prompts = write_jsonl(
         tmp_path / "prompts.jsonl", [{"prompt_id": "p0", "text": "alpha beta"}]
@@ -393,10 +375,11 @@ def test_simulate_markov_clients_with_private_data(tmp_path, capsys):
 
 def test_simulate_unknown_config_key_fails(tmp_path, capsys):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"clients": 2, "promt_file": "x"}), encoding="utf-8")
-    code, _, err = run_cli(capsys, "simulate", "--config", str(config_path))
-    assert code == 2
-    assert "promt_file" in err
+    for key in ("promt_file", "workers"):
+        config_path.write_text(json.dumps({"clients": 2, key: 1}), encoding="utf-8")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config_path))
+        assert code == 2
+        assert "unknown config keys" in err and key in err
 
 
 def test_simulate_missing_prompt_file_fails(tmp_path, capsys):

@@ -1,13 +1,18 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import reference_consensus, reference_dbscan, reference_global_medoid
 from semfed.consensus import (
     OUTLIER,
+    _cosine_distances,
     ClusterParams,
     Clustering,
     SelectionRule,
@@ -21,7 +26,7 @@ from semfed.consensus import (
     select_consensus_cluster,
     select_representative,
 )
-from semfed.encoder import EncoderConfig, encode_normalized
+from semfed.encoder import EncoderConfig, cosine_distance, encode_normalized
 from semfed.protocol import make_response
 
 CFG = EncoderConfig()
@@ -120,8 +125,9 @@ def test_clustering_validates_labels():
 def test_cluster_params_validation():
     with pytest.raises(ValueError):
         ClusterParams(eps=0.0)
-    with pytest.raises(ValueError):
-        ClusterParams(min_pts=0)
+    for bad in (0, True, 2.5):
+        with pytest.raises(ValueError):
+            ClusterParams(min_pts=bad)
 
 
 # ------------------------------------------------- cluster selection
@@ -364,3 +370,98 @@ def test_raw_embedding_scaling_leaves_result_unchanged(exponent):
     assert scaled.consensus_members == base.consensus_members
     assert scaled.representative == base.representative
     assert np.array_equal(scaled.centroid, base.centroid)
+
+
+# ------------------------------------------------------ matrix path
+
+
+def planted_families(seed, k, families, noise, dup_share, dim=8):
+    """Unit rows around a few family centres, some rows exact copies of earlier ones.
+
+    Texts carry 0-3 bytes of padding so duplicate rows exercise both the
+    byte-length and the position tie-breaks.
+    """
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(size=(families, dim))
+    rows = []
+    for i in range(k):
+        if i and rng.random() < dup_share:
+            rows.append(rows[int(rng.integers(i))].copy())
+            continue
+        row = centres[int(rng.integers(families))] + noise * rng.normal(size=dim)
+        rows.append(row / np.linalg.norm(row))
+    texts = [f"r{i}" + "x" * int(rng.integers(4)) for i in range(k)]
+    return np.array(rows), texts
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 64),
+    families=st.integers(1, 4),
+    noise=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    dup_share=st.sampled_from([0.0, 0.3, 0.7]),
+    eps=st.floats(0.02, 0.9),
+    min_pts=st.integers(1, 4),
+    rule=st.sampled_from([SelectionRule.CENTROID, SelectionRule.GLOBAL_MEDOID]),
+)
+def test_matrix_path_matches_pairwise_reference(
+    seed, k, families, noise, dup_share, eps, min_pts, rule
+):
+    points, texts = planted_families(seed, k, families, noise, dup_share)
+    dist = _cosine_distances(points)
+    assert np.array_equal(dist, dist.T)
+    assert not np.any(np.diag(dist))
+    pairwise = np.array([[cosine_distance(a, b) for b in points] for a in points])
+    off_diagonal = ~np.eye(k, dtype=bool)
+    assert np.all(np.abs(dist - pairwise)[off_diagonal] <= 1e-13)
+    # a pair this close to eps is a neighbour or not by rounding alone
+    assume(not np.any(np.abs(pairwise[off_diagonal] - eps) <= 1e-9))
+
+    rows = [list(map(float, p)) for p in points]
+    params = ClusterParams(eps=eps, min_pts=min_pts)
+    got = consensus_for_prompt(records(texts), list(points), params, SelectionStrategy(rule))
+    if rule is SelectionRule.GLOBAL_MEDOID:
+        assert (got.representative, got.pseudo_label) == reference_global_medoid(
+            list(range(k)), texts, rows
+        )
+        assert got.consensus_members == tuple(range(k))
+        return
+    want = reference_consensus(list(range(k)), texts, rows, eps, min_pts)
+    assert list(got.clustering.labels) == want["labels"]
+    assert list(got.consensus_members) == want["members"]
+    assert got.representative == want["representative"]
+    assert got.fallback_all_outliers == want["fallback"]
+
+
+_CONSENSUS_CHILD = """
+import json, sys
+import numpy as np
+from semfed.consensus import ClusterParams, consensus_for_prompt
+from semfed.protocol import make_response
+
+points = np.load(sys.argv[1])
+texts = json.loads(open(sys.argv[2], encoding="utf-8").read())
+recs = [make_response(i, "p0", t) for i, t in enumerate(texts)]
+r = consensus_for_prompt(recs, list(points), ClusterParams(eps=0.1, min_pts=3))
+print(json.dumps([r.clustering.labels, r.consensus_members, r.representative]))
+"""
+
+
+def test_consensus_is_independent_of_blas_thread_count(tmp_path):
+    points, texts = planted_families(seed=5, k=200, families=4, noise=0.05, dup_share=0.3)
+    points_path, texts_path = tmp_path / "points.npy", tmp_path / "texts.json"
+    np.save(points_path, points)
+    texts_path.write_text(json.dumps(texts), encoding="utf-8")
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CONSENSUS_CHILD, str(points_path), str(texts_path)],
+            capture_output=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
+    labels, members, _ = outputs[0]
+    assert len(members) > 1 and max(labels) >= 1

@@ -185,31 +185,6 @@ def test_session_totals_are_sums_of_rounds():
     assert [t.round_index for t in report.transcripts] == [1, 2]
 
 
-def test_transcripts_identical_across_worker_counts():
-    prompts = prompt_set(5)
-
-    def build():
-        clients = [MarkovToyClient(order=1, seed=i) for i in range(3)]
-        examples = tuple(
-            (f"what color is the sky over the bay {p}", "blue like the sea nearby")
-            for p in range(5)
-        )
-        private = [PrivateDataset(examples=examples, owner=i) for i in range(3)]
-        return clients, private
-
-    serial_clients, serial_private = build()
-    parallel_clients, parallel_private = build()
-    serial = run_session(serial_clients, prompts, 2, SessionParams(workers=1), serial_private)
-    parallel = run_session(
-        parallel_clients, prompts, 2, SessionParams(workers=4), parallel_private
-    )
-    serial_json = json.dumps([transcript_to_dict(t) for t in serial.transcripts], sort_keys=True)
-    parallel_json = json.dumps(
-        [transcript_to_dict(t) for t in parallel.transcripts], sort_keys=True
-    )
-    assert serial_json == parallel_json
-
-
 def test_mixed_client_kinds_produce_identical_transcripts():
     # a markov client trained to echo the scripted answer behaves the
     # same as the scripted client at the protocol layer
