@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -31,12 +32,7 @@ from .clients import (
     load_private_datasets,
     load_scripted_clients,
 )
-from .consensus import (
-    ClusterParams,
-    SelectionRule,
-    SelectionStrategy,
-    consensus_for_prompt,
-)
+from .consensus import ClusterParams, SelectionRule, SelectionStrategy
 from .costmodel import (
     PRESETS,
     CostComparison,
@@ -46,12 +42,14 @@ from .costmodel import (
     text_round_bytes,
     subsample_bytes,
 )
-from .encoder import EncoderConfig, ZeroVectorError, encode, load_embeddings_jsonl, normalize
+from .encoder import EncoderConfig, encode, load_embeddings_jsonl
+from .jsonl import check_value, read_rows
 from .privacy import load_ledgers_csv, total_budget
 from .protocol import (
     ConfigError,
     PublicPromptSet,
     SessionParams,
+    consensus_phase,
     make_response,
     report_to_dict,
     run_session,
@@ -69,8 +67,19 @@ __all__ = ["main"]
 _STRATEGY_NAMES = {rule.value: rule for rule in SelectionRule}
 
 
-def _emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+def _dumps(obj: dict) -> str:
+    """Canonical JSON text of ``obj``; a non-finite number raises ValueError."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _emit(report: dict) -> int:
+    """Print ``report`` as canonical JSON; a non-finite number exits 2 instead."""
+    try:
+        text = _dumps(report)
+    except ValueError as exc:
+        return _fail(f"report is not valid JSON: {exc}")
+    sys.stdout.write(text)
+    return 0
 
 
 def _fail(message: str) -> int:
@@ -109,39 +118,18 @@ _CONFIG_KEYS = {
 }
 
 
-def _parse_encoder(raw: dict | None) -> EncoderConfig:
-    raw = dict(raw or {})
-    allowed = {"dimension", "ngram", "seed", "lowercase"}
-    unknown = set(raw) - allowed
+def _get(raw: dict, key: str, kind: type, default=None):
+    """``raw[key]``, or ``default`` when absent, checked by ``jsonl.check_value``."""
+    return check_value(raw.get(key, default), kind, key)
+
+
+def _object(value, what: str, allowed: set[str]) -> dict:
+    """``value`` when it is a JSON object with no key outside ``allowed``."""
+    check_value(value, dict, what)
+    unknown = set(value) - allowed
     if unknown:
-        raise ConfigError(f"unknown encoder keys: {sorted(unknown)}")
-    return EncoderConfig(
-        dimension=int(raw.get("dimension", 384)),
-        ngram_size=int(raw.get("ngram", 3)),
-        seed=int(raw.get("seed", 0)),
-        lowercase=bool(raw.get("lowercase", False)),
-    )
-
-
-def _parse_weights(raw: dict | None) -> TrainingWeights:
-    raw = dict(raw or {})
-    unknown = set(raw) - {"alpha", "beta"}
-    if unknown:
-        raise ConfigError(f"unknown weights keys: {sorted(unknown)}")
-    return TrainingWeights(
-        alpha=float(raw.get("alpha", 0.5)), beta=float(raw.get("beta", 0.5))
-    )
-
-
-def _parse_strategy(config: dict, seed: int) -> SelectionStrategy:
-    name = config.get("strategy", "centroid")
-    if name not in _STRATEGY_NAMES:
-        raise ConfigError(
-            f"unknown strategy {name!r}; expected one of {sorted(_STRATEGY_NAMES)}"
-        )
-    return SelectionStrategy(
-        rule=_STRATEGY_NAMES[name], seed=int(config.get("strategy_seed", seed))
-    )
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return value
 
 
 def _build_clients(
@@ -151,36 +139,31 @@ def _build_clients(
     raw = config.get("clients")
     if raw is None:
         raise ConfigError("config must declare clients")
-    if isinstance(raw, int):
+    if type(raw) is int:
         raw = {"type": "markov", "count": raw}
     if not isinstance(raw, dict) or "type" not in raw:
         raise ConfigError("clients must be an int or an object with a type field")
     kind = raw["type"]
     if kind == "scripted":
-        unknown = set(raw) - {"type", "path"}
-        if unknown:
-            raise ConfigError(f"unknown scripted-client keys: {sorted(unknown)}")
+        _object(raw, "scripted-client", {"type", "path"})
         if "path" not in raw:
             raise ConfigError("scripted clients need a path")
-        path = base_dir / str(raw["path"])
-        clients = list(load_scripted_clients(path))
-        echo = {"type": "scripted", "path": str(raw["path"]), "count": len(clients)}
+        path = _get(raw, "path", str)
+        clients = list(load_scripted_clients(base_dir / path))
+        echo = {"type": "scripted", "path": path, "count": len(clients)}
         return clients, None, echo
     if kind == "markov":
-        unknown = set(raw) - {"type", "count", "order", "private_file"}
-        if unknown:
-            raise ConfigError(f"unknown markov-client keys: {sorted(unknown)}")
-        count = int(raw.get("count", 0))
+        _object(raw, "markov-client", {"type", "count", "order", "private_file"})
+        count = _get(raw, "count", int, 0)
         if count < 1:
             raise ConfigError(f"markov clients need count >= 1, got {count}")
-        order = int(raw.get("order", 1))
+        order = _get(raw, "order", int, 1)
         clients = [MarkovToyClient(order=order, seed=seed + i) for i in range(count)]
         private = None
-        if "private_file" in raw:
-            private = load_private_datasets(base_dir / str(raw["private_file"]), count)
         echo = {"type": "markov", "count": count, "order": order}
         if "private_file" in raw:
-            echo["private_file"] = str(raw["private_file"])
+            echo["private_file"] = _get(raw, "private_file", str)
+            private = load_private_datasets(base_dir / echo["private_file"], count)
         return list(clients), private, echo
     raise ConfigError(f"unknown client type {kind!r}; expected scripted or markov")
 
@@ -191,14 +174,9 @@ def _load_config(path: Path) -> dict:
             config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(config) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return config
+    return _object(config, "config", _CONFIG_KEYS)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -206,14 +184,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         config = _load_config(config_path)
         base_dir = config_path.parent
-        seed = int(args.seed if args.seed is not None else config.get("seed", 0))
-        rounds = int(config.get("rounds", 1))
+        seed = args.seed if args.seed is not None else _get(config, "seed", int, 0)
+        rounds = _get(config, "rounds", int, 1)
         if "prompt_file" not in config:
             raise ConfigError("config must declare prompt_file")
-        budget = int(config.get("prompt_budget", 500))
+        prompt_file = _get(config, "prompt_file", str)
+        budget = _get(config, "prompt_budget", int, 500)
         if budget < 1:
             raise ConfigError(f"prompt_budget must be >= 1, got {budget}")
-        prompts = PublicPromptSet.from_jsonl(base_dir / str(config["prompt_file"]), limit=budget)
+        prompts = PublicPromptSet.from_jsonl(base_dir / prompt_file, limit=budget)
         if len(prompts) == 0:
             raise ConfigError("prompt file contains no prompts")
         clients, private, clients_echo = _build_clients(config, base_dir, seed)
@@ -222,16 +201,33 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raw_dp = config["dp"]
             if not isinstance(raw_dp, dict) or set(raw_dp) != {"epsilon", "delta"}:
                 raise ConfigError("dp must be an object with exactly epsilon and delta")
-            dp = (float(raw_dp["epsilon"]), float(raw_dp["delta"]))
+            dp = (_get(raw_dp, "epsilon", float), _get(raw_dp, "delta", float))
+        strategy = _get(config, "strategy", str, "centroid")
+        if strategy not in _STRATEGY_NAMES:
+            raise ConfigError(
+                f"unknown strategy {strategy!r}; expected one of {sorted(_STRATEGY_NAMES)}"
+            )
+        encoder_keys = {"dimension", "ngram", "seed", "lowercase"}
+        encoder = _object(config.get("encoder", {}), "encoder", encoder_keys)
+        weights = _object(config.get("weights", {}), "weights", {"alpha", "beta"})
         params = SessionParams(
-            encoder=_parse_encoder(config.get("encoder")),
-            cluster=ClusterParams(
-                eps=float(config.get("eps", 0.3)), min_pts=int(config.get("min_pts", 2))
+            encoder=EncoderConfig(
+                dimension=_get(encoder, "dimension", int, 384),
+                ngram_size=_get(encoder, "ngram", int, 3),
+                seed=_get(encoder, "seed", int, 0),
+                lowercase=_get(encoder, "lowercase", bool, False),
             ),
-            strategy=_parse_strategy(config, seed),
-            weights=_parse_weights(config.get("weights")),
-            max_tokens=int(config.get("max_tokens", 64)),
-            retrain_private_every_round=bool(config.get("retrain_private_every_round", True)),
+            cluster=ClusterParams(
+                eps=_get(config, "eps", float, 0.3), min_pts=_get(config, "min_pts", int, 2)
+            ),
+            strategy=SelectionStrategy(
+                _STRATEGY_NAMES[strategy], _get(config, "strategy_seed", int, seed)
+            ),
+            weights=TrainingWeights(
+                _get(weights, "alpha", float, 0.5), _get(weights, "beta", float, 0.5)
+            ),
+            max_tokens=_get(config, "max_tokens", int, 64),
+            retrain_private_every_round=_get(config, "retrain_private_every_round", bool, True),
             dp_round_budget=dp,
         )
         report = run_session(clients, prompts, rounds, params, private)
@@ -242,7 +238,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "config_file": str(config_path),
         "clients": clients_echo,
         "rounds": rounds,
-        "prompt_file": str(config["prompt_file"]),
+        "prompt_file": prompt_file,
         "prompt_budget": budget,
         "prompts_used": len(prompts),
         "eps": params.cluster.eps,
@@ -262,51 +258,37 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     session = _report("simulate", inputs_echo, report_to_dict(report), seed)
 
-    if args.output is not None:
-        out_dir = Path(args.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for transcript in report.transcripts:
-            path = out_dir / f"round_{transcript.round_index:04d}.json"
-            path.write_text(
-                json.dumps(transcript_to_dict(transcript), sort_keys=True, indent=2) + "\n",
-                encoding="utf-8",
-            )
-        (out_dir / "session.json").write_text(
-            json.dumps(session, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-    _emit(session)
+    # Write every file before printing, so a failed run leaves stdout empty.
+    try:
+        text = _dumps(session)
+        if args.output is not None:
+            out_dir = Path(args.output)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for transcript in report.transcripts:
+                path = out_dir / f"round_{transcript.round_index:04d}.json"
+                path.write_text(_dumps(transcript_to_dict(transcript)), encoding="utf-8")
+            (out_dir / "session.json").write_text(text, encoding="utf-8")
+    except (ValueError, OSError) as exc:
+        return _fail(f"cannot write the report: {exc}")
+    sys.stdout.write(text)
     return 0
 
 
 # ---------------------------------------------------------------- consensus
 
 
-def _read_response_rows(path: Path) -> dict[str, list[tuple[int, str]]]:
-    """Group {prompt_id, client_id, response} JSONL rows by prompt."""
-    grouped: dict[str, list[tuple[int, str]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                prompt_id = str(row["prompt_id"])
-                client_id = int(row["client_id"])
-                response = str(row["response"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: expected prompt_id, client_id, response fields"
-                ) from exc
-            bucket = grouped.setdefault(prompt_id, [])
-            if any(c == client_id for c, _ in bucket):
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate client {client_id} for prompt {prompt_id!r}"
-                )
-            bucket.append((client_id, response))
+def _read_response_rows(path: Path) -> dict[str, dict[int, str]]:
+    """Group {prompt_id, client_id, response} JSONL rows by prompt, then client."""
+    grouped: dict[str, dict[int, str]] = {}
+    for lineno, (prompt_id, client_id, response) in read_rows(
+        path, prompt_id=str, client_id=int, response=str
+    ):
+        bucket = grouped.setdefault(prompt_id, {})
+        if client_id in bucket:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate client {client_id} for prompt {prompt_id!r}"
+            )
+        bucket[client_id] = response
     if not grouped:
         raise ValueError(f"{path}: no response rows found")
     return grouped
@@ -331,47 +313,26 @@ def cmd_consensus(args: argparse.Namespace) -> int:
 
     results = []
     for prompt_id in sorted(grouped):
-        rows = sorted(grouped[prompt_id])
+        rows = sorted(grouped[prompt_id].items())
         records = [make_response(client, prompt_id, text) for client, text in rows]
-        embeddings = []
-        skipped = []
-        kept = []
+        if external is None:
+            raw_vectors = [encode(r.text, encoder_config) for r in records]
+        else:
+            try:
+                raw_vectors = [external[f"{prompt_id}/{r.client}"] for r in records]
+            except KeyError as exc:
+                return _fail(f"missing external embedding for {exc.args[0]!r}")
         try:
-            for record in records:
-                if external is not None:
-                    key = f"{record.prompt_id}/{record.client}"
-                    if key not in external:
-                        return _fail(f"missing external embedding for {key!r}")
-                    embeddings.append(normalize(external[key]))
-                    kept.append(record)
-                else:
-                    try:
-                        embeddings.append(normalize(encode(record.text, encoder_config)))
-                        kept.append(record)
-                    except ZeroVectorError:
-                        skipped.append(record.client)
-            if not kept:
-                results.append(
-                    {
-                        "prompt_id": prompt_id,
-                        "error": "no_embeddable_responses",
-                        "skipped_clients": skipped,
-                    }
-                )
-                continue
-            result = consensus_for_prompt(kept, embeddings, params, strategy)
+            outcome, result, errors = consensus_phase(
+                prompt_id, records, raw_vectors, params, strategy
+            )
         except ValueError as exc:
             return _fail(f"prompt {prompt_id!r}: {exc}")
-        entry = {
-            "prompt_id": prompt_id,
-            "clients": [r.client for r in kept],
-            "labels": list(result.clustering.labels),
-            "members": list(result.consensus_members),
-            "representative": result.representative,
-            "pseudo_label": result.pseudo_label,
-            "fallback_all_outliers": result.fallback_all_outliers,
-            "centroid": [float(x) for x in result.centroid],
-        }
+        skipped = [e.client for e in errors if e.reason == "zero_embedding"]
+        if outcome is None:
+            entry = {"prompt_id": prompt_id, "error": errors[-1].reason}
+        else:
+            entry = dict(asdict(outcome), centroid=[float(x) for x in result.centroid])
         if skipped:
             entry["skipped_clients"] = skipped
         results.append(entry)
@@ -384,8 +345,7 @@ def cmd_consensus(args: argparse.Namespace) -> int:
         "strategy": args.strategy,
         "encoder": {"dimension": args.dimension, "ngram": args.ngram, "seed": args.encoder_seed},
     }
-    _emit(_report("consensus", inputs_echo, {"prompts": results}, args.seed))
-    return 0
+    return _emit(_report("consensus", inputs_echo, {"prompts": results}, args.seed))
 
 
 # ---------------------------------------------------------------- cost
@@ -442,8 +402,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit_cost_csv(outputs)
         return 0
-    _emit(_report("cost", inputs_echo, outputs, None))
-    return 0
+    return _emit(_report("cost", inputs_echo, outputs, None))
 
 
 def _comparison_to_dict(comparison: CostComparison) -> dict:
@@ -542,8 +501,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "heterogeneity": args.heterogeneity,
         "init_gap": args.init_gap,
     }
-    _emit(_report("bound", inputs_echo, outputs, None))
-    return 0
+    return _emit(_report("bound", inputs_echo, outputs, None))
 
 
 # ---------------------------------------------------------------- privacy
@@ -575,8 +533,7 @@ def cmd_privacy(args: argparse.Namespace) -> int:
         "combined": {"epsilon_total": combined_eps, "delta_total": combined_delta},
         "semantics": args.semantics,
     }
-    _emit(_report("privacy", {"csv": str(args.csv), "semantics": args.semantics}, outputs, None))
-    return 0
+    return _emit(_report("privacy", {"csv": str(args.csv), "semantics": args.semantics}, outputs, None))
 
 
 # ---------------------------------------------------------------- parser

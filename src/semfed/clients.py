@@ -13,7 +13,6 @@ two are deliberately independent knobs.
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .encoder import _text_u64
+from .jsonl import read_rows
 
 __all__ = [
     "TrainingWeights",
@@ -208,29 +208,13 @@ def load_scripted_clients(path: str | Path) -> list[ScriptedClient]:
     duplicate (client, round, prompt_id) rows are rejected.
     """
     tables: dict[int, dict[tuple[int, str], str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                client = int(row["client"])
-                round_index = int(row["round"])
-                prompt_id = str(row["prompt_id"])
-                response = str(row["response"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: expected client, round, prompt_id, response fields"
-                ) from exc
-            key = (round_index, prompt_id)
-            table = tables.setdefault(client, {})
-            if key in table:
-                raise ValueError(f"{path}:{lineno}: duplicate row for client={client} {key}")
-            table[key] = response
+    rows = read_rows(path, client=int, round=int, prompt_id=str, response=str)
+    for lineno, (client, round_index, prompt_id, response) in rows:
+        key = (round_index, prompt_id)
+        table = tables.setdefault(client, {})
+        if key in table:
+            raise ValueError(f"{path}:{lineno}: duplicate row for client={client} {key}")
+        table[key] = response
     if not tables:
         raise ValueError(f"{path}: no scripted responses found")
     ids = sorted(tables)
@@ -242,30 +226,16 @@ def load_scripted_clients(path: str | Path) -> list[ScriptedClient]:
 def load_private_datasets(path: str | Path, num_clients: int) -> list[PrivateDataset]:
     """Load per-client private examples from JSONL rows.
 
-    Each line is {"client": int, "prompt": str, "response": str}.
-    Clients without rows get an empty dataset.
+    Each line is {"client": int, "prompt": str, "response": str}, read
+    by ``jsonl.read_rows``.  Clients without rows get an empty dataset.
     """
     examples: dict[int, list[tuple[str, str]]] = {i: [] for i in range(num_clients)}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                client = int(row["client"])
-                prompt = str(row["prompt"])
-                response = str(row["response"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: expected client, prompt, response fields") from exc
-            if client not in examples:
-                raise ValueError(
-                    f"{path}:{lineno}: client {client} outside configured range 0..{num_clients - 1}"
-                )
-            examples[client].append((prompt, response))
+    for lineno, (client, prompt, response) in read_rows(path, client=int, prompt=str, response=str):
+        if client not in examples:
+            raise ValueError(
+                f"{path}:{lineno}: client {client} outside configured range 0..{num_clients - 1}"
+            )
+        examples[client].append((prompt, response))
     return [
         PrivateDataset(examples=tuple(examples[i]), owner=i) for i in range(num_clients)
     ]

@@ -12,11 +12,12 @@ only unit-norm float64 vectors.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .jsonl import read_rows
 
 __all__ = [
     "ZERO_NORM_EPS",
@@ -145,38 +146,28 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
 def load_embeddings_jsonl(path: str | Path, dimension: int | None = None) -> dict[str, np.ndarray]:
     """Load externally computed embeddings from JSONL.
 
-    Each line is an object {"response_id": str, "embedding": [floats]}.
-    Vectors are returned raw (not normalized) so callers decide when to
-    normalize.  All vectors must share one dimension; pass ``dimension``
-    to also pin what that dimension must be.
+    Each line is an object {"response_id": str, "embedding": [numbers]},
+    read by ``jsonl.read_rows``.  Vectors are returned raw (not
+    normalized) so callers decide when to normalize.  All vectors must
+    share one dimension; pass ``dimension`` to also pin what it must be.
     """
     out: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict) or "response_id" not in record or "embedding" not in record:
-                raise ValueError(f"{path}:{lineno}: expected keys response_id and embedding")
-            rid = record["response_id"]
-            if not isinstance(rid, str):
-                raise ValueError(f"{path}:{lineno}: response_id must be a string")
-            if rid in out:
-                raise ValueError(f"{path}:{lineno}: duplicate response_id {rid!r}")
-            vec = np.asarray(record["embedding"], dtype=np.float64)
-            if vec.ndim != 1 or vec.size == 0:
-                raise ValueError(f"{path}:{lineno}: embedding must be a non-empty flat list")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{path}:{lineno}: embedding has non-finite entries")
-            if dimension is None:
-                dimension = int(vec.size)
-            elif vec.size != dimension:
-                raise ValueError(
-                    f"{path}:{lineno}: embedding has dimension {vec.size}, expected {dimension}"
-                )
-            out[rid] = vec
+    for lineno, (rid, embedding) in read_rows(path, response_id=str, embedding=list):
+        where = f"{path}:{lineno}"
+        if rid in out:
+            raise ValueError(f"{where}: duplicate response_id {rid!r}")
+        if not embedding or any(type(x) not in (int, float) for x in embedding):
+            raise ValueError(f"{where}: embedding must be a non-empty flat list of numbers")
+        try:
+            vec = np.array(embedding, dtype=np.float64)
+            finite = bool(np.isfinite(vec).all())
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"{where}: embedding has non-finite entries")
+        if dimension is None:
+            dimension = int(vec.size)
+        elif vec.size != dimension:
+            raise ValueError(f"{where}: embedding has dimension {vec.size}, expected {dimension}")
+        out[rid] = vec
     return out

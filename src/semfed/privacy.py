@@ -14,6 +14,7 @@ mutates its argument.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -48,8 +49,8 @@ class RoundBudget:
     def __post_init__(self) -> None:
         if self.round_index < 1:
             raise ValueError(f"round_index must be >= 1, got {self.round_index}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
 

@@ -22,19 +22,17 @@ emission, so reruns give byte-identical output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .clients import Client, PrivateDataset, TrainingWeights
-from .consensus import (
-    ClusterParams,
-    SelectionStrategy,
-    ZeroSumError,
-    consensus_for_prompt,
-)
+from .consensus import ClusterParams, ConsensusResult, SelectionStrategy, consensus_for_prompt
 from .encoder import EncoderConfig, ZeroVectorError, encode, normalize
+from .jsonl import read_rows
 from .privacy import PrivacyLedger, RoundBudget, record_round, total_budget
 
 __all__ = [
@@ -49,6 +47,7 @@ __all__ = [
     "SessionReport",
     "meter_message",
     "make_response",
+    "consensus_phase",
     "run_round",
     "run_session",
     "transcript_to_dict",
@@ -88,24 +87,12 @@ class PublicPromptSet:
 
     @staticmethod
     def from_jsonl(path: str | Path, limit: int | None = None) -> "PublicPromptSet":
-        """Read {"prompt_id", "text"} rows; ``limit`` caps how many are used."""
-        prompts: list[Prompt] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                try:
-                    prompts.append(Prompt(prompt_id=str(row["prompt_id"]), text=str(row["text"])))
-                except (KeyError, TypeError) as exc:
-                    raise ConfigError(f"{path}:{lineno}: expected prompt_id and text fields") from exc
-                if limit is not None and len(prompts) >= limit:
-                    break
-        return PublicPromptSet(prompts=tuple(prompts))
+        """Read {"prompt_id": str, "text": str} rows with ``jsonl.read_rows``.
+
+        ``limit`` caps how many rows are used; rows past it are never parsed.
+        """
+        rows = islice(read_rows(path, prompt_id=str, text=str), limit)
+        return PublicPromptSet(prompts=tuple(Prompt(pid, text) for _, (pid, text) in rows))
 
 
 @dataclass(frozen=True)
@@ -205,37 +192,36 @@ class SessionReport:
     ledgers: tuple[PrivacyLedger, ...] | None
 
 
-def _consensus_phase(
-    prompt: Prompt,
+def consensus_phase(
+    prompt_id: str,
     records: Sequence[ResponseRecord],
-    params: SessionParams,
-) -> tuple[PromptConsensus | None, list[PromptError]]:
-    """Embed one prompt's responses and run consensus on the usable ones."""
-    errors: list[PromptError] = []
+    raw_vectors: Sequence[np.ndarray],
+    cluster: ClusterParams,
+    strategy: SelectionStrategy,
+) -> tuple[PromptConsensus | None, ConsensusResult | None, list[PromptError]]:
+    """Normalize one prompt's raw response vectors and run consensus.
+
+    A response whose vector is all zero (an empty or too-short text) is
+    dropped with a ``zero_embedding`` error; a prompt left with no
+    response gets a ``no_embeddable_responses`` error and no outcome.
+    Returns the transcript entry, the full result (which also holds the
+    centroid), and the errors.
+    """
     usable: list[ResponseRecord] = []
     embeddings = []
-    for record in records:
+    errors: list[PromptError] = []
+    for record, raw in zip(records, raw_vectors):
         try:
-            embeddings.append(normalize(encode(record.text, params.encoder)))
+            embeddings.append(normalize(raw))
             usable.append(record)
         except ZeroVectorError:
-            errors.append(
-                PromptError(prompt_id=prompt.prompt_id, client=record.client, reason="zero_embedding")
-            )
+            errors.append(PromptError(prompt_id, record.client, "zero_embedding"))
     if not usable:
-        errors.append(
-            PromptError(prompt_id=prompt.prompt_id, client=None, reason="no_embeddable_responses")
-        )
-        return None, errors
-    try:
-        result = consensus_for_prompt(usable, embeddings, params.cluster, params.strategy)
-    except ZeroSumError as exc:
-        # Only reachable through non-CENTROID paths on degenerate
-        # geometry; recorded like any other per-prompt failure.
-        errors.append(PromptError(prompt_id=prompt.prompt_id, client=None, reason=str(exc)))
-        return None, errors
+        errors.append(PromptError(prompt_id, None, "no_embeddable_responses"))
+        return None, None, errors
+    result = consensus_for_prompt(usable, embeddings, cluster, strategy)
     outcome = PromptConsensus(
-        prompt_id=prompt.prompt_id,
+        prompt_id=prompt_id,
         clients=tuple(r.client for r in usable),
         labels=result.clustering.labels,
         members=result.consensus_members,
@@ -243,7 +229,7 @@ def _consensus_phase(
         pseudo_label=result.pseudo_label,
         fallback_all_outliers=result.fallback_all_outliers,
     )
-    return outcome, errors
+    return outcome, result, errors
 
 
 def run_round(
@@ -291,7 +277,11 @@ def run_round(
     consensus_entries: list[PromptConsensus] = []
     errors: list[PromptError] = []
     for prompt in prompts.prompts:
-        outcome, errs = _consensus_phase(prompt, by_prompt[prompt.prompt_id], params)
+        records = by_prompt[prompt.prompt_id]
+        raw_vectors = [encode(r.text, params.encoder) for r in records]
+        outcome, _, errs = consensus_phase(
+            prompt.prompt_id, records, raw_vectors, params.cluster, params.strategy
+        )
         errors.extend(errs)
         if outcome is not None:
             consensus_entries.append(outcome)

@@ -161,6 +161,13 @@ def test_privacy_bad_csv_fails(tmp_path, capsys):
     code, _, err = run_cli(capsys, "privacy", "--csv", str(path))
     assert code == 2
     assert "header" in err
+    # a non-finite budget, or a total that overflows, is not JSON: exit 2, no NaN/Infinity
+    for rows, message in (("0,1,nan,0\n", "finite"), ("0,1,inf,0\n", "finite"),
+                          ("0,1,1e308,0\n0,2,1e308,0\n", "not valid JSON")):
+        path.write_text("client,round,epsilon,delta\n" + rows, encoding="utf-8")
+        code, out, err = run_cli(capsys, "privacy", "--csv", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err
 
 
 # ---------------------------------------------------------------- consensus
@@ -261,6 +268,45 @@ def test_consensus_missing_external_embedding_fails(tmp_path, capsys):
     assert "p/0" in err
 
 
+def test_consensus_malformed_external_embedding_fails(tmp_path, capsys):
+    responses = write_jsonl(
+        tmp_path / "r.jsonl", [{"prompt_id": "p", "client_id": 0, "response": "yes"}]
+    )
+    embeddings = write_jsonl(
+        tmp_path / "e.jsonl", [{"response_id": "p/0", "embedding": {"x": 1}}]
+    )
+    code, out, err = run_cli(
+        capsys, "consensus", "--input", str(responses), "--embeddings", str(embeddings)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {embeddings}:1: embedding")
+
+
+def test_consensus_external_zero_embedding_is_skipped(tmp_path, capsys):
+    responses = write_jsonl(
+        tmp_path / "r.jsonl",
+        [
+            {"prompt_id": "p", "client_id": 0, "response": "yes"},
+            {"prompt_id": "p", "client_id": 1, "response": "yes"},
+            {"prompt_id": "q", "client_id": 0, "response": "no"},
+        ],
+    )
+    embeddings = write_jsonl(
+        tmp_path / "e.jsonl",
+        [
+            {"response_id": "p/0", "embedding": [1.0, 0.0]},
+            {"response_id": "p/1", "embedding": [0.0, 0.0]},
+            {"response_id": "q/0", "embedding": [0, 0]},
+        ],
+    )
+    report = run_json(
+        capsys, "consensus", "--input", str(responses), "--embeddings", str(embeddings)
+    )
+    p, q = report["outputs"]["prompts"]
+    assert p["clients"] == [0] and p["skipped_clients"] == [1]
+    assert q == {"prompt_id": "q", "error": "no_embeddable_responses", "skipped_clients": [0]}
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -341,6 +387,17 @@ def test_simulate_reruns_are_byte_identical(tmp_path, capsys):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
+def test_simulate_unusable_output_path_fails_before_printing(tmp_path, capsys):
+    config_path, _ = scripted_fixture(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(config_path), "--output", str(taken)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_simulate_markov_clients_with_private_data(tmp_path, capsys):
     prompts = write_jsonl(
         tmp_path / "prompts.jsonl", [{"prompt_id": "p0", "text": "alpha beta"}]
@@ -380,6 +437,24 @@ def test_simulate_unknown_config_key_fails(tmp_path, capsys):
         code, _, err = run_cli(capsys, "simulate", "--config", str(config_path))
         assert code == 2
         assert "unknown config keys" in err and key in err
+    # values are checked against their JSON type, never coerced
+    _, base = scripted_fixture(tmp_path)
+    for key, value in (
+        ("rounds", 1.7),
+        ("rounds", True),
+        ("max_tokens", 3.9),
+        ("prompt_budget", "5"),
+        ("seed", None),
+        ("retrain_private_every_round", "false"),
+        ("retrain_private_every_round", 0),
+        ("eps", "0.3"),
+        ("encoder", {"lowercase": 1}),
+        ("prompt_file", 7),
+    ):
+        config_path.write_text(json.dumps({**base, key: value}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config_path))
+        assert (code, out) == (2, ""), (key, value)
+        assert err.startswith("error: ") and "must be a JSON" in err, (key, value, err)
 
 
 def test_simulate_missing_prompt_file_fails(tmp_path, capsys):

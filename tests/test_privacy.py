@@ -60,6 +60,9 @@ def test_budget_validation():
         RoundBudget(0, 0.1, 0.0)
     with pytest.raises(ValueError):
         RoundBudget(1, -0.1, 0.0)
+    for epsilon in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            RoundBudget(1, epsilon, 0.0)
     with pytest.raises(ValueError):
         RoundBudget(1, 0.1, 1.5)
     with pytest.raises(ValueError):

@@ -242,3 +242,9 @@ def test_prompt_set_from_jsonl(tmp_path):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     assert len(PublicPromptSet.from_jsonl(path)) == 5
     assert len(PublicPromptSet.from_jsonl(path, limit=3)) == 3
+    # a malformed row past the budget is never parsed
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"prompt_id": null}\n')
+    assert len(PublicPromptSet.from_jsonl(path, limit=5)) == 5
+    with pytest.raises(ValueError, match=":6: expected keys"):
+        PublicPromptSet.from_jsonl(path)
