@@ -42,7 +42,7 @@ from .costmodel import (
     text_round_bytes,
     subsample_bytes,
 )
-from .encoder import EncoderConfig, encode, load_embeddings_jsonl
+from .encoder import EncoderConfig, load_embeddings_jsonl
 from .jsonl import check_value, read_rows
 from .privacy import load_ledgers_csv, total_budget
 from .protocol import (
@@ -50,6 +50,7 @@ from .protocol import (
     PublicPromptSet,
     SessionParams,
     consensus_phase,
+    encode_responses,
     make_response,
     report_to_dict,
     run_session,
@@ -316,7 +317,7 @@ def cmd_consensus(args: argparse.Namespace) -> int:
         rows = sorted(grouped[prompt_id].items())
         records = [make_response(client, prompt_id, text) for client, text in rows]
         if external is None:
-            raw_vectors = [encode(r.text, encoder_config) for r in records]
+            raw_vectors = encode_responses(records, encoder_config)
         else:
             try:
                 raw_vectors = [external[f"{prompt_id}/{r.client}"] for r in records]
@@ -386,6 +387,8 @@ def cmd_cost(args: argparse.Namespace) -> int:
             outputs["subsample"] = {"total_bytes": subsample_bytes(sub_spec)}
     except ValueError as exc:
         return _fail(str(exc))
+    except OverflowError as exc:
+        return _fail(f"cost does not fit a float: {exc}")
 
     inputs_echo = {
         "clients": args.clients,
@@ -486,6 +489,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
             }
     except ValueError as exc:
         return _fail(str(exc))
+    except OverflowError as exc:
+        return _fail(f"bound does not fit a float: {exc}")
 
     inputs_echo = {
         "grad_bound": args.grad_bound,

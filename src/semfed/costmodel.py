@@ -21,6 +21,7 @@ figure).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -44,6 +45,11 @@ MB = 10**6
 MIB = 2**20
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class TextRoundCostSpec:
     """Text-consensus exchange: clients x prompts x answer bytes.
@@ -65,10 +71,8 @@ class TextRoundCostSpec:
             raise ValueError(f"num_clients must be >= 1, got {self.num_clients}")
         if self.num_prompts < 1:
             raise ValueError(f"num_prompts must be >= 1, got {self.num_prompts}")
-        if self.avg_tokens <= 0.0:
-            raise ValueError(f"avg_tokens must be > 0, got {self.avg_tokens}")
-        if self.bytes_per_token <= 0.0:
-            raise ValueError(f"bytes_per_token must be > 0, got {self.bytes_per_token}")
+        _check_positive("avg_tokens", self.avg_tokens)
+        _check_positive("bytes_per_token", self.bytes_per_token)
 
 
 @dataclass(frozen=True)
@@ -95,8 +99,7 @@ class LoraCostSpec:
         for shape in self.layer_shapes:
             if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
                 raise ValueError(f"invalid layer shape {shape}")
-        if self.bytes_per_param <= 0.0:
-            raise ValueError(f"bytes_per_param must be > 0, got {self.bytes_per_param}")
+        _check_positive("bytes_per_param", self.bytes_per_param)
 
 
 @dataclass(frozen=True)
@@ -115,8 +118,7 @@ class SubsampleCostSpec:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
         if self.total_params < 1:
             raise ValueError(f"total_params must be >= 1, got {self.total_params}")
-        if self.bytes_per_param <= 0.0:
-            raise ValueError(f"bytes_per_param must be > 0, got {self.bytes_per_param}")
+        _check_positive("bytes_per_param", self.bytes_per_param)
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,8 @@ class LoraComparisonEntry:
     in MiB rounded to one decimal, divided by the text-consensus total
     in MB rounded to one decimal, rounded to the nearest integer.  The
     two disagree because the numerator and denominator of the rounded
-    form live in different units.
+    form live in different units.  ratio_rounded is None when the
+    text-consensus total rounds to 0.0 MB, which leaves it undefined.
     """
 
     targets: str
@@ -207,7 +210,7 @@ class LoraComparisonEntry:
     upload_mib: float
     total_mib: float
     ratio_exact: float
-    ratio_rounded: int
+    ratio_rounded: int | None
 
 
 @dataclass(frozen=True)
@@ -231,9 +234,13 @@ def comparison_report(
 
     Adapter totals count upload plus an equal download (the aggregated
     adapter coming back), mirroring the up-plus-down text-consensus
-    figure.
+    figure.  A text-consensus total that rounds to 0 bytes leaves
+    nothing to compare against and raises ValueError.
     """
     text_bytes = text_round_bytes(text_round)
+    if text_bytes == 0:
+        raise ValueError("the text-consensus total rounds to 0 bytes; nothing to compare")
+    text_mb_rounded = round(text_bytes / MB, 1)
     entries = []
     for targets in TARGET_SETS:
         spec = lora_spec_for_preset(
@@ -242,7 +249,6 @@ def comparison_report(
         upload = lora_upload_bytes(spec, per_client=True)
         total = upload * 2
         total_mib = total / MIB
-        text_mb_rounded = round(text_bytes / MB, 1)
         entries.append(
             LoraComparisonEntry(
                 targets=targets,
@@ -251,7 +257,9 @@ def comparison_report(
                 upload_mib=upload / MIB,
                 total_mib=total_mib,
                 ratio_exact=total / text_bytes,
-                ratio_rounded=round(round(total_mib, 1) / text_mb_rounded),
+                ratio_rounded=(
+                    round(round(total_mib, 1) / text_mb_rounded) if text_mb_rounded else None
+                ),
             )
         )
     return CostComparison(

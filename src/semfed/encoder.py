@@ -7,10 +7,19 @@ cheap, dependency free, and bit-reproducible across runs and platforms.
 Real encoder output can be substituted by loading precomputed vectors
 from JSONL (``load_embeddings_jsonl``); everything downstream assumes
 only unit-norm float64 vectors.
+
+Each n-gram's (bucket, sign) is memoised in an LRU memo bounded by
+``NGRAM_MEMO_SIZE`` and keyed by the n-gram, the seed and the dimension,
+and ``encode`` sums the signs with one ``np.bincount``.  The vectors are
+bit-identical to hashing every n-gram afresh and adding the signs one
+at a time: every entry is a sum of +/-1.0, an integer far below 2**53,
+so it is exact in any order.  The server also encodes each distinct
+response text once per prompt (``protocol.encode_responses``).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +68,9 @@ class EncoderConfig:
     lowercase: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("dimension", "ngram_size", "seed"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.dimension < 8:
             raise ValueError(f"encoder dimension must be >= 8, got {self.dimension}")
         if self.ngram_size < 1:
@@ -72,8 +84,17 @@ def _text_u64(text: str) -> int:
     return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "little")
 
 
+# Entries kept by the n-gram memo; full of ASCII trigrams it holds about 18 MB.
+NGRAM_MEMO_SIZE = 1 << 16
+
+
+@functools.lru_cache(maxsize=NGRAM_MEMO_SIZE)
 def _hash_ngram(ngram: str, seed: int, dimension: int) -> tuple[int, float]:
-    """Map an n-gram to (bucket, sign) with a keyed 64-bit hash."""
+    """Map an n-gram to (bucket, sign) with a keyed 64-bit hash.
+
+    Memoised: the key is every input the hash reads.  ``ngram_size``
+    and ``lowercase`` only shape the n-gram string itself.
+    """
     digest = hashlib.blake2b(
         ngram.encode("utf-8"),
         digest_size=8,
@@ -94,12 +115,13 @@ def encode(text: str, config: EncoderConfig) -> np.ndarray:
     """
     if config.lowercase:
         text = text.lower()
-    vec = np.zeros(config.dimension, dtype=np.float64)
-    n = config.ngram_size
-    for start in range(len(text) - n + 1):
-        bucket, sign = _hash_ngram(text[start : start + n], config.seed, config.dimension)
-        vec[bucket] += sign
-    return vec
+    n, seed, dimension = config.ngram_size, config.seed, config.dimension
+    pairs = [_hash_ngram(text[i : i + n], seed, dimension) for i in range(len(text) - n + 1)]
+    if not pairs:
+        return np.zeros(dimension, dtype=np.float64)
+    # Sums of +/-1.0 are exact integers, so the summation order cannot matter.
+    buckets, signs = zip(*pairs)
+    return np.bincount(buckets, weights=signs, minlength=dimension)
 
 
 def normalize(raw: np.ndarray) -> np.ndarray:

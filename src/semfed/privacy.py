@@ -104,9 +104,10 @@ def load_ledgers_csv(path: str | Path) -> list[PrivacyLedger]:
 
     Rows are sorted by (client, round) before recording, so file order
     does not matter; duplicate rounds for a client still fail with
-    NonMonotoneRoundError.
+    NonMonotoneRoundError.  Every error about a row starts with
+    ``path:lineno:``.
     """
-    rows: list[tuple[int, int, float, float]] = []
+    rows: list[tuple[int, str, RoundBudget]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"client", "round", "epsilon", "delta"}
@@ -114,18 +115,25 @@ def load_ledgers_csv(path: str | Path) -> list[PrivacyLedger]:
             raise ValueError(
                 f"{path}: expected header with columns {sorted(required)}, got {reader.fieldnames}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rows.append(
-                    (int(row["client"]), int(row["round"]), float(row["epsilon"]), float(row["delta"]))
-                )
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row {row}") from exc
-    rows.sort(key=lambda r: (r[0], r[1]))
+        try:
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                try:
+                    client = int(row["client"])
+                    budget = RoundBudget(
+                        int(row["round"]), float(row["epsilon"]), float(row["delta"])
+                    )
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{where}: malformed row {row}: {exc}") from exc
+                rows.append((client, where, budget))
+        except csv.Error as exc:  # the record that failed starts on the next line
+            raise ValueError(f"{path}:{reader.line_num + 1}: {exc}") from exc
+    rows.sort(key=lambda r: (r[0], r[2].round_index))  # stable: duplicates keep file order
     ledgers: dict[int, PrivacyLedger] = {}
-    for client, round_index, epsilon, delta in rows:
-        ledger = ledgers.setdefault(client, PrivacyLedger(client=client))
-        ledgers[client] = record_round(
-            ledger, RoundBudget(round_index=round_index, epsilon=epsilon, delta=delta)
-        )
+    for client, where, budget in rows:
+        try:
+            ledger = ledgers[client] if client in ledgers else PrivacyLedger(client=client)
+            ledgers[client] = record_round(ledger, budget)
+        except ValueError as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
     return [ledgers[c] for c in sorted(ledgers)]

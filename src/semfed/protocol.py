@@ -47,6 +47,7 @@ __all__ = [
     "SessionReport",
     "meter_message",
     "make_response",
+    "encode_responses",
     "consensus_phase",
     "run_round",
     "run_session",
@@ -192,6 +193,19 @@ class SessionReport:
     ledgers: tuple[PrivacyLedger, ...] | None
 
 
+def encode_responses(records: Sequence[ResponseRecord], config: EncoderConfig) -> list[np.ndarray]:
+    """One raw vector per record, encoding each distinct text once.
+
+    Records with the same text share one array; nothing downstream
+    mutates raw vectors (``normalize`` returns a new array).
+    """
+    vectors: dict[str, np.ndarray] = {}
+    for record in records:
+        if record.text not in vectors:
+            vectors[record.text] = encode(record.text, config)
+    return [vectors[record.text] for record in records]
+
+
 def consensus_phase(
     prompt_id: str,
     records: Sequence[ResponseRecord],
@@ -278,9 +292,12 @@ def run_round(
     errors: list[PromptError] = []
     for prompt in prompts.prompts:
         records = by_prompt[prompt.prompt_id]
-        raw_vectors = [encode(r.text, params.encoder) for r in records]
         outcome, _, errs = consensus_phase(
-            prompt.prompt_id, records, raw_vectors, params.cluster, params.strategy
+            prompt.prompt_id,
+            records,
+            encode_responses(records, params.encoder),
+            params.cluster,
+            params.strategy,
         )
         errors.extend(errs)
         if outcome is not None:

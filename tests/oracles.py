@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 Everything here re-derives results from the documented rules with
-deliberately different code paths than the package: pure-Python
-distance loops, union-find clustering instead of BFS expansion, and
+deliberately different code paths than the package: an unmemoised
+per-n-gram encoder loop, pure-Python distance loops, union-find
+clustering instead of BFS expansion, and
 high-precision mpmath arithmetic for the closed-form bounds.  Nothing
 imports from the modules under test, so agreement is evidence and not
 tautology.
@@ -10,12 +11,31 @@ tautology.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import mpmath as mp
+import numpy as np
 
 OUTLIER = -1
 TIE_TOL = 1e-12
+
+
+# ------------------------------------------------------------ encoder
+
+
+def reference_encode(text: str, dimension: int, ngram_size: int, seed: int, lowercase: bool):
+    """The hashed n-gram encoder as a plain loop: one keyed blake2b per
+    n-gram, no memo, each (bucket, sign) added in text order."""
+    if lowercase:
+        text = text.lower()
+    vec = np.zeros(dimension, dtype=np.float64)
+    key = seed.to_bytes(8, "little")
+    for start in range(len(text) - ngram_size + 1):
+        ngram = text[start : start + ngram_size].encode("utf-8")
+        value = int.from_bytes(hashlib.blake2b(ngram, digest_size=8, key=key).digest(), "little")
+        vec[(value >> 1) % dimension] += 1.0 if value & 1 else -1.0
+    return vec
 
 
 # ------------------------------------------------------------ geometry

@@ -83,6 +83,38 @@ def test_cost_rejects_invalid_spec(capsys):
     assert "num_clients" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--tokens", "inf"], "avg_tokens must be finite"),
+        (["--tokens", "nan"], "avg_tokens must be finite"),
+        (["--bytes-per-token", "inf"], "bytes_per_token must be finite"),
+        (["--preset", "llama3.1-405b", "--bytes-per-param", "inf"], "bytes_per_param must be finite"),
+        (["--subsample-fraction", "0.5", "--total-params", "10", "--bytes-per-param", "nan"],
+         "bytes_per_param must be finite"),
+        (["--tokens", "1e308", "--prompts", "10000000"], "does not fit a float"),
+        (["--bytes-per-token", "1e-120", "--preset", "llama2-13b"], "rounds to 0 bytes"),
+        (["--preset", "llama2-13b", "--bytes-per-param", "1e300", "--rank", "10" * 10],
+         "does not fit a float"),
+    ],
+)
+def test_cost_non_finite_or_overflowing_input_fails(capsys, argv, message):
+    code, out, err = run_cli(capsys, "cost", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+
+
+def test_cost_comparison_with_a_total_under_a_tenth_of_a_mb(capsys):
+    # the text total rounds to 0.0 MB, so the rounded ratio is undefined
+    report = run_json(capsys, "cost", "--clients", "1", "--prompts", "1", "--tokens", "1",
+                      "--preset", "llama2-13b")
+    comparison = report["outputs"]["comparison"]
+    assert comparison["text_bytes"] == 4
+    for entry in comparison["adapters"]:
+        assert entry["ratio_rounded"] is None
+        assert entry["ratio_exact"] == entry["total_bytes"] / 4
+
+
 # ---------------------------------------------------------------- bound
 
 
@@ -168,6 +200,21 @@ def test_privacy_bad_csv_fails(tmp_path, capsys):
         code, out, err = run_cli(capsys, "privacy", "--csv", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and message in err
+    # every error about a row names its line, also those raised after sorting
+    for rows, message in (
+        ("0,1,1,0\n0,2,nan,0\n", ":3: malformed row"),
+        ("0,1,1,0\n0,2,1,nan\n", ":3: malformed row"),
+        ("0,0,1,0\n", ":2: malformed row"),
+        ("0,1,1,0\n\n-1,1,1,0\n", ":4: client must be >= 0"),
+        ("0,2,1,0\n0,1,1,0\n0,2,1,0\n", ":4: round 2 does not follow round 2"),
+        ("0,1,1,x\n", ":2: malformed row"),
+        ("0,1,1\n", ":2: malformed row"),
+        ("0,1,1," + "9" * 200_000 + "\n", ":2: field larger than field limit"),
+    ):
+        path.write_text("client,round,epsilon,delta\n" + rows, encoding="utf-8")
+        code, out, err = run_cli(capsys, "privacy", "--csv", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}{message}"), err[:200]
 
 
 # ---------------------------------------------------------------- consensus

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import reference_encode
 
 from semfed.encoder import (
     EncoderConfig,
@@ -82,6 +84,44 @@ def test_config_validation():
         EncoderConfig(ngram_size=0)
     with pytest.raises(ValueError):
         EncoderConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed must be an int"):
+        EncoderConfig(seed=1.0)
+    with pytest.raises(ValueError, match="dimension must be an int"):
+        EncoderConfig(dimension=384.0)
+
+
+# Texts mix a small alphabet, so n-grams repeat, with any encodable
+# character: non-ASCII, astral (4 UTF-8 bytes), and letters whose
+# lowercase form is longer ("İ").  Many are shorter than the n-gram.
+TEXTS = st.text(st.sampled_from("ab aé漢İ😀𝔘") | st.characters(codec="utf-8"), max_size=30)
+CONFIGS = st.builds(
+    EncoderConfig,
+    dimension=st.integers(8, 512),
+    ngram_size=st.integers(1, 5),
+    seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+    lowercase=st.booleans(),
+)
+
+
+@given(text=TEXTS, configs=st.lists(CONFIGS, min_size=1, max_size=3))
+def test_encode_matches_reference_loop(text, configs):
+    """Byte-identical to the unmemoised loop.  Configs are interleaved in
+    one process, each followed by the same config under another seed and
+    another dimension, so a memo keyed without either would answer with
+    a stale (bucket, sign)."""
+    for config in configs:
+        variants = (
+            config,
+            replace(config, seed=2**64 - 1 - config.seed),
+            replace(config, dimension=config.dimension % 512 + 8),
+            config,
+        )
+        for variant in variants:
+            expected = reference_encode(
+                text, variant.dimension, variant.ngram_size, variant.seed, variant.lowercase
+            )
+            got = encode(text, variant)
+            assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
 
 
 def test_normalize_examples():

@@ -1,6 +1,7 @@
 """Malformed inputs end in exit 0 with JSON or exit 2 with an error line, never a traceback."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -171,3 +172,87 @@ def test_simulate_never_raises_on_malformed_configs_and_rows(broken, config, pro
             config = VALID_CONFIG
         (tmp / "config.json").write_text(json.dumps(config), encoding="utf-8")
         assert_clean_outcome(*run(["simulate", "--config", str(tmp / "config.json")]))
+
+
+# ----------------------------------------------------------- calculators
+
+# Extreme flag values, passed as --flag=VALUE so a leading "-" is not an option.
+FLOATS = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0", "-1"]) | st.floats().map(
+    repr
+)
+INTS = st.sampled_from(["0", "-1", "9" * 30, "9" * 400]) | st.integers().map(str)
+
+
+@st.composite
+def numeric_flags(draw, floats, ints, required=()):
+    """Valid flag values with one to three set to extremes and up to two
+    optional flags dropped, so later checks and the arithmetic are reached."""
+    values = floats | ints
+    for name in draw(st.lists(st.sampled_from(sorted(values)), unique=True, min_size=1, max_size=3)):
+        values[name] = draw(FLOATS if name in floats else INTS)
+    optional = sorted(set(values) - set(required))
+    for name in draw(st.lists(st.sampled_from(optional), unique=True, max_size=2)):
+        del values[name]
+    return [f"--{name}={value}" for name, value in values.items()]
+
+
+@given(
+    flags=numeric_flags(
+        {"tokens": "128", "bytes-per-token": "2", "bytes-per-param": "2", "subsample-fraction": "0.5"},
+        {"clients": "10", "prompts": "1024", "rank": "32", "total-params": "1000"},
+    ),
+    preset=st.sampled_from([[], ["--preset", "llama2-13b"], ["--preset", "llama3.1-405b"]]),
+    upload_only=st.sampled_from([[], ["--upload-only"]]),
+)
+def test_cost_never_raises_on_extreme_numbers(flags, preset, upload_only):
+    assert_clean_outcome(*run(["cost", *flags, *preset, *upload_only]))
+
+
+@given(
+    flags=numeric_flags(
+        {
+            "grad-bound": "1", "kl-shift": "0.5", "label-noise": "0.1", "confidence": "0.05",
+            "smoothness": "2", "step-size": "0.1", "noise-var": "0.5", "heterogeneity": "1",
+            "init-gap": "1",
+        },
+        {"public-batch": "64", "param-dim": "4", "steps": "100"},
+        required=("grad-bound",),
+    ),
+)
+def test_bound_never_raises_on_extreme_numbers(flags):
+    assert_clean_outcome(*run(["bound", *flags]))
+
+
+# A CSV cell: mostly a plausible value for its column, else junk, or a huge
+# or non-finite number.
+JUNK_CELL = st.sampled_from(["", "-1", "nan", "inf", "1e308", "1e400", "1.0", "x", "9" * 5000]) | st.text(
+    st.characters(codec="utf-8"), max_size=4
+)
+HEADER = ["client", "round", "epsilon", "delta"]
+PLAUSIBLE = {
+    "client": ["0", "1", "2"],
+    "round": ["1", "2", "3"],
+    "epsilon": ["0", "0.5"],
+    "delta": ["0", "1e-6"],
+}
+ROW = st.fixed_dictionaries(
+    {name: st.one_of([st.sampled_from(values)] * 5 + [JUNK_CELL]) for name, values in PLAUSIBLE.items()}
+)
+
+
+@given(
+    header=st.sampled_from([HEADER] * 4 + [HEADER[::-1], HEADER + ["note"], HEADER[:3], []]),
+    rows=st.lists(ROW | ROW | st.lists(JUNK_CELL, max_size=6), max_size=4),
+    raw=st.none() | st.none() | RAW_LINES,
+)
+def test_privacy_never_raises_on_malformed_rows(header, rows, raw):
+    text = io.StringIO()
+    writer = csv.writer(text)
+    if header:
+        writer.writerow(header)
+    for row in rows:
+        writer.writerow([row.get(c, "") for c in header or HEADER] if isinstance(row, dict) else row)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.csv"
+        path.write_bytes(text.getvalue().encode("utf-8") + (raw or b""))
+        assert_clean_outcome(*run(["privacy", "--csv", str(path)]))

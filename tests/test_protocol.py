@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+from semfed import cli, protocol
 from semfed.clients import (
     Client,
     MarkovToyClient,
@@ -234,6 +236,71 @@ def test_dp_hook_records_one_budget_per_client_per_round():
         assert all(b.epsilon == 0.5 and b.delta == 1e-6 for b in ledger.rounds)
     summary = report_to_dict(report)
     assert summary["privacy"][0]["epsilon_total"] == 1.0
+
+
+# ------------------------------------------------------- encode once
+
+
+ANSWERS = ["the sky is blue", "the sky is blue", "the sky is grey", "", "the sky is blue today"]
+
+
+def counting_encode(monkeypatch):
+    """Replace ``protocol.encode`` with a wrapper that records each text."""
+    calls = Counter()
+    real = protocol.encode
+
+    def encode(text, config):
+        calls[text] += 1
+        return real(text, config)
+
+    monkeypatch.setattr(protocol, "encode", encode)
+    return calls
+
+
+def per_record_encode(records, config):
+    return [protocol.encode(r.text, config) for r in records]
+
+
+def test_round_encodes_each_distinct_text_once_per_prompt(monkeypatch):
+    # 7 clients rotate through repeated answers, one of them empty, and
+    # the same texts recur under every prompt
+    prompts = prompt_set(3)
+    clients = [
+        ScriptedClient(
+            {(1, p.prompt_id): ANSWERS[(c + i) % len(ANSWERS)] for i, p in enumerate(prompts.prompts)}
+        )
+        for c in range(7)
+    ]
+    calls = counting_encode(monkeypatch)
+    transcript = run_round(clients, prompts, SessionParams(), 1)
+    distinct = {(r.prompt_id, r.text) for r in transcript.responses}
+    assert calls == Counter(text for _, text in distinct)
+    assert sum(calls.values()) == len(distinct) < len(transcript.responses)
+    assert any(e.reason == "zero_embedding" for e in transcript.errors)
+
+    monkeypatch.setattr(protocol, "encode_responses", per_record_encode)
+    reference = run_round(clients, prompts, SessionParams(), 1)
+    assert transcript_to_dict(transcript) == transcript_to_dict(reference)
+
+
+def test_consensus_cli_encodes_each_distinct_text_once_per_prompt(monkeypatch, tmp_path, capsys):
+    rows = [
+        {"prompt_id": pid, "client_id": c, "response": ANSWERS[(c + i) % len(ANSWERS)]}
+        for i, pid in enumerate(["p0", "p1"])
+        for c in range(6)
+    ]
+    path = tmp_path / "responses.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    calls = counting_encode(monkeypatch)
+    assert cli.main(["consensus", "--input", str(path)]) == 0
+    deduped = capsys.readouterr().out
+    distinct = {(r["prompt_id"], r["response"]) for r in rows}
+    assert calls == Counter(text for _, text in distinct)
+    assert sum(calls.values()) < len(rows)
+
+    monkeypatch.setattr(cli, "encode_responses", per_record_encode)
+    assert cli.main(["consensus", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == deduped
 
 
 def test_prompt_set_from_jsonl(tmp_path):
