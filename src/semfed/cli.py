@@ -41,6 +41,7 @@ from .costmodel import (
     comparison_report,
     text_round_bytes,
     subsample_bytes,
+    _check_positive,
 )
 from .encoder import EncoderConfig, load_embeddings_jsonl
 from .jsonl import check_value, read_rows
@@ -352,6 +353,18 @@ def cmd_consensus(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- cost
 
 
+def _check_echoed_cost_flags(args: argparse.Namespace) -> None:
+    """Check the flags only some outputs use; the report echoes them all."""
+    if args.rank < 1:
+        raise ValueError(f"rank must be >= 1, got {args.rank}")
+    _check_positive("bytes_per_param", args.bytes_per_param)
+    fraction = args.subsample_fraction
+    if fraction is not None and not 0.0 < fraction <= 1.0:
+        raise ValueError(f"subsample_fraction must be in (0, 1], got {fraction}")
+    if args.total_params is not None and args.total_params < 1:
+        raise ValueError(f"total_params must be >= 1, got {args.total_params}")
+
+
 def cmd_cost(args: argparse.Namespace) -> int:
     try:
         text_spec = TextRoundCostSpec(
@@ -361,6 +374,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
             bytes_per_token=args.bytes_per_token,
             include_download=not args.upload_only,
         )
+        _check_echoed_cost_flags(args)
         outputs: dict = {
             "text_round": {
                 "total_bytes": text_round_bytes(text_spec),

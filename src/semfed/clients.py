@@ -13,8 +13,11 @@ two are deliberately independent knobs.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -38,14 +41,16 @@ __all__ = [
 class TrainingWeights:
     """Relative weight of private vs pseudo-labeled examples.
 
-    Both weights are non-negative and sum to one; the default is the
-    even split used throughout.
+    Both weights are finite, non-negative and sum to one; the default is
+    the even split used throughout.
     """
 
     alpha: float = 0.5
     beta: float = 0.5
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"weights must be finite, got {self.alpha}, {self.beta}")
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ValueError(f"weights must be non-negative, got {self.alpha}, {self.beta}")
         if abs(self.alpha + self.beta - 1.0) > 1e-9:
@@ -129,28 +134,34 @@ class MarkovToyClient(Client):
     lower-order counts are always available.  Generation seeds the
     context with the tail of the prompt, then repeatedly samples the
     next word proportionally to the accumulated weights, preferring the
-    longest recorded context suffix and stopping when no suffix matches.
+    longest recorded context suffix and stopping when no suffix matches
+    or the matched weights sum to at most zero.
 
     Output is a pure function of (model state, prompt text, seed): each
     generate call derives a fresh RNG from the seed and the prompt text,
-    and candidate words are scanned in sorted order.  An untrained
-    client generates the empty string.
+    step k uses the k-th uniform draw of that RNG (drawn even when the
+    context has a single next word), and candidate words are scanned in
+    sorted order.  An untrained client generates the empty string.
     """
 
     def __init__(self, order: int = 1, seed: int = 0):
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
+        if type(order) is not int or order < 1:
+            raise ValueError(f"order must be an integer >= 1, got {order!r}")
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self.order = order
         self.seed = seed
         self.transitions: dict[tuple[str, ...], dict[str, float]] = {}
 
     def _absorb(self, prompt: str, response: str, weight: float) -> None:
+        # One pass per context length; each (context, next) pair is still
+        # added to in stream order, so every float sum is unchanged.
         stream = prompt.split() + response.split()
-        for i in range(len(stream) - 1):
-            nxt = stream[i + 1]
-            for length in range(1, min(self.order, i + 1) + 1):
-                context = tuple(stream[i - length + 1 : i + 1])
-                bucket = self.transitions.setdefault(context, {})
+        transitions = self.transitions
+        for length in range(1, min(self.order, len(stream) - 1) + 1):
+            contexts = zip(*(stream[k:] for k in range(length)))
+            for context, nxt in zip(contexts, stream[length:]):
+                bucket = transitions.setdefault(context, {})
                 bucket[nxt] = bucket.get(nxt, 0.0) + weight
 
     def train(
@@ -164,7 +175,7 @@ class MarkovToyClient(Client):
         for prompt, response in pseudo:
             self._absorb(prompt, response, weights.beta)
 
-    def _next_word(self, context: list[str], rng: np.random.Generator) -> str | None:
+    def _next_word(self, context: list[str], uniform: float) -> str | None:
         # Longest recorded suffix of the context wins; no match means stop.
         for lo in range(max(0, len(context) - self.order), len(context)):
             candidates = self.transitions.get(tuple(context[lo:]))
@@ -172,32 +183,40 @@ class MarkovToyClient(Client):
                 break
         else:
             return None
+        if len(candidates) == 1:
+            # The draw cannot change the outcome; a NaN weight is kept,
+            # as the general rule below keeps it.
+            ((word, weight),) = candidates.items()
+            return None if weight <= 0.0 else word
         words = sorted(candidates)
-        weights = np.array([candidates[w] for w in words], dtype=np.float64)
-        total = float(weights.sum())
+        weights = [candidates[w] for w in words]
+        total = float(np.array(weights, dtype=np.float64).sum())
         if total <= 0.0:
             return None
-        draw = float(rng.random()) * total
-        cumulative = 0.0
-        for word, w in zip(words, weights):
-            cumulative += float(w)
-            if draw < cumulative:
-                return word
-        return words[-1]
+        # The first word whose running total exceeds the draw, else the
+        # last word; training adds only finite non-negative weights, so
+        # the running totals are sorted.
+        index = bisect_right(list(accumulate(weights)), uniform * total)
+        return words[min(index, len(words) - 1)]
 
     def generate(self, prompt_id: str, prompt_text: str, round_index: int, max_tokens: int) -> str:
         if max_tokens < 1:
             return ""
         rng = np.random.default_rng([self.seed, _text_u64(prompt_text)])
         context = prompt_text.split()
-        produced: list[str] = []
-        while len(produced) < max_tokens:
-            word = self._next_word(context, rng)
+        start = len(context)
+        uniforms: list[float] = []
+        for step in range(max_tokens):
+            if step == len(uniforms):
+                # rng.random(n) yields the doubles of n scalar calls; the
+                # batch doubles with the output, so memory stays O(output)
+                # however large max_tokens is.
+                uniforms += rng.random(min(max(step, 32), max_tokens - step)).tolist()
+            word = self._next_word(context, uniforms[step])
             if word is None:
                 break
-            produced.append(word)
             context.append(word)
-        return " ".join(produced)
+        return " ".join(context[start:])
 
 
 def load_scripted_clients(path: str | Path) -> list[ScriptedClient]:

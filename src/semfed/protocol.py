@@ -179,8 +179,8 @@ class SessionParams:
     dp_round_budget: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.max_tokens < 1:
-            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if type(self.max_tokens) is not int or self.max_tokens < 1:
+            raise ConfigError(f"max_tokens must be an integer >= 1, got {self.max_tokens!r}")
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,12 @@ class StepTooLargeError(ValueError):
     """Raised when the step size exceeds the smoothness-imposed cap."""
 
 
+def _check_finite(name: str, value: float, positive: bool = False) -> None:
+    """Raise unless ``value`` is finite and >= 0 (> 0 when ``positive``)."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+
+
 @dataclass(frozen=True)
 class GapParams:
     """Inputs to the pseudo-label gradient-gap bound.
@@ -84,10 +90,8 @@ class GapParams:
     confidence: float
 
     def __post_init__(self) -> None:
-        if self.grad_bound < 0.0:
-            raise ValueError(f"grad_bound must be >= 0, got {self.grad_bound}")
-        if self.kl_shift < 0.0:
-            raise ValueError(f"kl_shift must be >= 0, got {self.kl_shift}")
+        _check_finite("grad_bound", self.grad_bound)
+        _check_finite("kl_shift", self.kl_shift)
         if not 0.0 <= self.label_noise <= 1.0:
             raise ValueError(f"label_noise must be in [0, 1], got {self.label_noise}")
         if self.public_batch < 1:
@@ -138,16 +142,11 @@ class StationarityParams:
     init_gap: float
 
     def __post_init__(self) -> None:
-        if self.smoothness <= 0.0:
-            raise ValueError(f"smoothness must be > 0, got {self.smoothness}")
-        if self.step_size <= 0.0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
-        if self.noise_var < 0.0:
-            raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
-        if self.heterogeneity < 0.0:
-            raise ValueError(f"heterogeneity must be >= 0, got {self.heterogeneity}")
-        if self.init_gap < 0.0:
-            raise ValueError(f"init_gap must be >= 0, got {self.init_gap}")
+        _check_finite("smoothness", self.smoothness, positive=True)
+        _check_finite("step_size", self.step_size, positive=True)
+        _check_finite("noise_var", self.noise_var)
+        _check_finite("heterogeneity", self.heterogeneity)
+        _check_finite("init_gap", self.init_gap)
 
 
 @dataclass(frozen=True)

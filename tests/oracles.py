@@ -2,9 +2,10 @@
 
 Everything here re-derives results from the documented rules with
 deliberately different code paths than the package: an unmemoised
-per-n-gram encoder loop, pure-Python distance loops, union-find
-clustering instead of BFS expansion, and
-high-precision mpmath arithmetic for the closed-form bounds.  Nothing
+per-n-gram encoder loop, a Markov client that trains position by
+position and samples with a linear scan, pure-Python distance loops,
+union-find clustering instead of BFS expansion, and high-precision
+mpmath arithmetic for the closed-form bounds.  Nothing
 imports from the modules under test, so agreement is evidence and not
 tautology.
 """
@@ -36,6 +37,71 @@ def reference_encode(text: str, dimension: int, ngram_size: int, seed: int, lowe
         value = int.from_bytes(hashlib.blake2b(ngram, digest_size=8, key=key).digest(), "little")
         vec[(value >> 1) % dimension] += 1.0 if value & 1 else -1.0
     return vec
+
+
+# ------------------------------------------------------------ markov client
+
+
+class ReferenceMarkovClient:
+    """The word-level Markov client as plain loops: training visits every
+    stream position and every context length there; sampling sums the
+    sorted candidates' weights with numpy and scans for the first running
+    total above ``rng.random() * total``, one scalar draw per step."""
+
+    def __init__(self, order: int, seed: int):
+        self.order = order
+        self.seed = seed
+        self.transitions: dict[tuple[str, ...], dict[str, float]] = {}
+
+    def _absorb(self, prompt: str, response: str, weight: float) -> None:
+        stream = prompt.split() + response.split()
+        for i in range(len(stream) - 1):
+            nxt = stream[i + 1]
+            for length in range(1, min(self.order, i + 1) + 1):
+                context = tuple(stream[i - length + 1 : i + 1])
+                bucket = self.transitions.setdefault(context, {})
+                bucket[nxt] = bucket.get(nxt, 0.0) + weight
+
+    def train(self, private_examples, pseudo, alpha: float, beta: float) -> None:
+        for prompt, response in private_examples:
+            self._absorb(prompt, response, alpha)
+        for prompt, response in pseudo:
+            self._absorb(prompt, response, beta)
+
+    def _next_word(self, context: list[str], rng: np.random.Generator) -> str | None:
+        for lo in range(max(0, len(context) - self.order), len(context)):
+            candidates = self.transitions.get(tuple(context[lo:]))
+            if candidates:
+                break
+        else:
+            return None
+        words = sorted(candidates)
+        weights = np.array([candidates[w] for w in words], dtype=np.float64)
+        total = float(weights.sum())
+        if total <= 0.0:
+            return None
+        draw = float(rng.random()) * total
+        cumulative = 0.0
+        for word, w in zip(words, weights):
+            cumulative += float(w)
+            if draw < cumulative:
+                return word
+        return words[-1]
+
+    def generate(self, prompt_text: str, max_tokens: int) -> str:
+        if max_tokens < 1:
+            return ""
+        text_hash = hashlib.blake2b(prompt_text.encode("utf-8"), digest_size=8).digest()
+        rng = np.random.default_rng([self.seed, int.from_bytes(text_hash, "little")])
+        context = prompt_text.split()
+        produced: list[str] = []
+        while len(produced) < max_tokens:
+            word = self._next_word(context, rng)
+            if word is None:
+                break
+            produced.append(word)
+            context.append(word)
+        return " ".join(produced)
 
 
 # ------------------------------------------------------------ geometry

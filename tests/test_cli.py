@@ -96,6 +96,12 @@ def test_cost_rejects_invalid_spec(capsys):
         (["--bytes-per-token", "1e-120", "--preset", "llama2-13b"], "rounds to 0 bytes"),
         (["--preset", "llama2-13b", "--bytes-per-param", "1e300", "--rank", "10" * 10],
          "does not fit a float"),
+        # flags no output uses are still echoed, so still checked
+        (["--rank", "0"], "rank must be >= 1"),
+        (["--bytes-per-param", "nan", "--format", "csv"], "bytes_per_param must be finite"),
+        (["--bytes-per-param", "-1"], "bytes_per_param must be finite"),
+        (["--total-params", "0"], "total_params must be >= 1"),
+        (["--subsample-fraction", "nan", "--total-params", "10"], "subsample_fraction must be in"),
     ],
 )
 def test_cost_non_finite_or_overflowing_input_fails(capsys, argv, message):
@@ -154,6 +160,24 @@ def test_bound_step_cap_violation_fails(capsys):
     )
     assert code == 2
     assert "step_size" in err
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--grad-bound", "nan"], "grad_bound"),
+        (["--grad-bound", "inf"], "grad_bound"),
+        (["--grad-bound", "1", "--kl-shift", "nan"], "kl_shift"),
+        (["--grad-bound", "1", "--smoothness", "nan", "--step-size", "0.1", "--noise-var", "0",
+          "--heterogeneity", "0", "--init-gap", "0"], "smoothness"),
+        (["--grad-bound", "1", "--smoothness", "1", "--step-size", "0.1", "--noise-var", "inf",
+          "--heterogeneity", "0", "--init-gap", "0"], "noise_var"),
+    ],
+)
+def test_bound_non_finite_input_names_the_field(capsys, flags, field):
+    code, out, err = run_cli(capsys, "bound", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field} must be finite")
 
 
 # ---------------------------------------------------------------- privacy
@@ -475,6 +499,17 @@ def test_simulate_markov_clients_with_private_data(tmp_path, capsys):
     privacy = {row["client"]: row for row in outputs["privacy"]}
     assert privacy[0]["epsilon_total"] == 1.0
     assert privacy[1]["delta_total"] == pytest.approx(2e-6, rel=1e-12)
+
+
+def test_simulate_negative_seed_with_markov_clients_fails_naming_it(tmp_path, capsys):
+    prompts = write_jsonl(tmp_path / "prompts.jsonl", [{"prompt_id": "p0", "text": "a b"}])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps({"clients": 2, "prompt_file": prompts.name, "seed": -1}), encoding="utf-8"
+    )
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: seed must be a non-negative integer")
 
 
 def test_simulate_unknown_config_key_fails(tmp_path, capsys):

@@ -1,6 +1,10 @@
 import json
+import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from oracles import ReferenceMarkovClient
 
 from semfed.clients import (
     MarkovToyClient,
@@ -31,6 +35,9 @@ def test_weights_validation():
         TrainingWeights(alpha=-0.1, beta=1.1)
     with pytest.raises(ValueError):
         TrainingWeights(alpha=0.7, beta=0.7)
+    for alpha, beta in ((math.nan, math.nan), (math.nan, 0.5), (math.inf, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            TrainingWeights(alpha=alpha, beta=beta)
     TrainingWeights(alpha=1.0, beta=0.0)  # boundary is fine
 
 
@@ -151,6 +158,65 @@ def test_markov_sampling_follows_weights():
 def test_markov_order_validation():
     with pytest.raises(ValueError):
         MarkovToyClient(order=0)
+    for order in (1.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="order"):
+            MarkovToyClient(order=order)
+    for seed in (-1, True, 1.0, None):
+        with pytest.raises(ValueError, match="seed"):
+            MarkovToyClient(order=1, seed=seed)
+    MarkovToyClient(order=3, seed=2**64 - 1)
+
+
+# A few words, so contexts repeat and many have several next words; "z"
+# never appears in training.
+WORDS = st.lists(st.sampled_from(["a", "b", "c", "d", "é"]), max_size=8).map(" ".join)
+EXAMPLES = st.lists(st.tuples(WORDS, WORDS), max_size=6)
+# alpha 0 or 1 leaves zero-weight candidates; 5e-324 makes subnormal
+# totals, where a scaled draw can land exactly on a running total.
+ALPHAS = st.sampled_from([0.0, 1.0, 0.5, 1 / 3, 5e-324])
+PROMPTS = st.lists(st.sampled_from(["a", "b", "c", "é", "z"]), max_size=4).map(" ".join)
+
+
+@given(
+    order=st.integers(1, 3),
+    seed=st.sampled_from([0, 2**64 - 1]),
+    rounds=st.lists(st.tuples(EXAMPLES, EXAMPLES, ALPHAS), min_size=1, max_size=3),
+    prompts=st.lists(PROMPTS, min_size=1, max_size=4),
+    max_tokens=st.integers(1, 64),
+)
+# a draw equal to the first running total must pass that word by ("b a"
+# draws 0.385, which scales to exactly 5e-324)
+@example(order=1, seed=0, rounds=[([("", "a b"), ("", "a c")], [], 5e-324)],
+         prompts=["a", "b a"], max_tokens=1)
+# a lone next word of weight 0 stops the chain
+@example(order=1, seed=0, rounds=[([("", "a b")], [("", "b a")], 0.0)],
+         prompts=["a", "b"], max_tokens=8)
+def test_markov_matches_reference_client(order, seed, rounds, prompts, max_tokens):
+    """Same transitions, float for float, and the same text as the plain
+    per-position, per-draw client, after every one of repeated trainings."""
+    client = MarkovToyClient(order=order, seed=seed)
+    reference = ReferenceMarkovClient(order=order, seed=seed)
+    for private_examples, pseudo, alpha in rounds:
+        weights = TrainingWeights(alpha=alpha, beta=1.0 - alpha)
+        client.train(private(0, *private_examples), pseudo, weights)
+        reference.train(private_examples, pseudo, weights.alpha, weights.beta)
+        assert client.transitions == reference.transitions
+        for prompt in prompts:
+            expected = reference.generate(prompt, max_tokens)
+            assert client.generate("p", prompt, 1, max_tokens) == expected
+
+
+def test_markov_huge_token_budget_stops_with_the_chain():
+    # the draws come in batches sized by the output, never by the budget
+    client = MarkovToyClient(order=2, seed=0)
+    reference = ReferenceMarkovClient(order=2, seed=0)
+    examples = [("", "a b c d"), ("", "a b d"), ("", "b c e")]
+    client.train(private(0, *examples), [], EVEN)
+    reference.train(examples, [], EVEN.alpha, EVEN.beta)
+    for prompt in ("a", "b", "a b"):
+        expected = reference.generate(prompt, 10**12)
+        assert expected
+        assert client.generate("p", prompt, 1, 10**12) == expected
 
 
 # ------------------------------------------------------------ loaders

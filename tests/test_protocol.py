@@ -174,6 +174,9 @@ def test_round_and_session_validation():
         run_round(clients, prompts, SessionParams(), 1, private_datasets=[])
     with pytest.raises(ConfigError):
         PublicPromptSet(prompts=(Prompt("a", "x"), Prompt("a", "y")))
+    for max_tokens in (0, 2.5, True):
+        with pytest.raises(ConfigError, match="max_tokens"):
+            SessionParams(max_tokens=max_tokens)
 
 
 def test_session_totals_are_sums_of_rounds():
