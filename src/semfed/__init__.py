@@ -26,6 +26,7 @@ from .consensus import (
     SelectionStrategy,
     ZeroSumError,
     consensus_for_prompt,
+    cosine_distances,
     dbscan,
 )
 from .costmodel import (
@@ -42,7 +43,6 @@ from .costmodel import (
 from .encoder import (
     EncoderConfig,
     ZeroVectorError,
-    cosine_distance,
     encode,
     encode_normalized,
     load_embeddings_jsonl,
@@ -98,6 +98,7 @@ __all__ = [
     "SelectionStrategy",
     "ZeroSumError",
     "consensus_for_prompt",
+    "cosine_distances",
     "dbscan",
     "PRESETS",
     "LoraCostSpec",
@@ -110,7 +111,6 @@ __all__ = [
     "subsample_bytes",
     "EncoderConfig",
     "ZeroVectorError",
-    "cosine_distance",
     "encode",
     "encode_normalized",
     "load_embeddings_jsonl",

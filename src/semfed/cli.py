@@ -89,6 +89,11 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _flags(args: argparse.Namespace, *omit: str) -> dict:
+    """The parsed flags of a subcommand, keyed by destination, for its inputs echo."""
+    return {k: v for k, v in vars(args).items() if k not in {"command", "func", *omit}}
+
+
 def _report(command: str, inputs: dict, outputs: dict, seed: int | None) -> dict:
     return {
         "command": command,
@@ -404,22 +409,10 @@ def cmd_cost(args: argparse.Namespace) -> int:
     except OverflowError as exc:
         return _fail(f"cost does not fit a float: {exc}")
 
-    inputs_echo = {
-        "clients": args.clients,
-        "prompts": args.prompts,
-        "tokens": args.tokens,
-        "bytes_per_token": args.bytes_per_token,
-        "upload_only": args.upload_only,
-        "preset": args.preset,
-        "rank": args.rank,
-        "bytes_per_param": args.bytes_per_param,
-        "subsample_fraction": args.subsample_fraction,
-        "total_params": args.total_params,
-    }
     if args.format == "csv":
         _emit_cost_csv(outputs)
         return 0
-    return _emit(_report("cost", inputs_echo, outputs, None))
+    return _emit(_report("cost", _flags(args, "format"), outputs, None))
 
 
 def _comparison_to_dict(comparison: CostComparison) -> dict:
@@ -506,21 +499,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     except OverflowError as exc:
         return _fail(f"bound does not fit a float: {exc}")
 
-    inputs_echo = {
-        "grad_bound": args.grad_bound,
-        "kl_shift": args.kl_shift,
-        "label_noise": args.label_noise,
-        "public_batch": args.public_batch,
-        "param_dim": args.param_dim,
-        "steps": args.steps,
-        "confidence": args.confidence,
-        "smoothness": args.smoothness,
-        "step_size": args.step_size,
-        "noise_var": args.noise_var,
-        "heterogeneity": args.heterogeneity,
-        "init_gap": args.init_gap,
-    }
-    return _emit(_report("bound", inputs_echo, outputs, None))
+    return _emit(_report("bound", _flags(args), outputs, None))
 
 
 # ---------------------------------------------------------------- privacy
@@ -552,7 +531,7 @@ def cmd_privacy(args: argparse.Namespace) -> int:
         "combined": {"epsilon_total": combined_eps, "delta_total": combined_delta},
         "semantics": args.semantics,
     }
-    return _emit(_report("privacy", {"csv": str(args.csv), "semantics": args.semantics}, outputs, None))
+    return _emit(_report("privacy", _flags(args), outputs, None))
 
 
 # ---------------------------------------------------------------- parser

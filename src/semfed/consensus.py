@@ -14,12 +14,13 @@ Distance comparisons treat differences within TIE_TOL as exact ties so
 the secondary tie-breakers (response byte length, then smallest index)
 fire only on genuinely constructed ties, not on float noise.
 
-Distances come from one matrix product per call, clip(1 - A @ B.T, 0, 2);
-the pairwise matrix is exactly symmetric with an exact zero diagonal.
-Its entries agree with ``encoder.cosine_distance`` to ~1e-14, a gap
-TIE_TOL (1e-12) absorbs in every tie-break.  Whether a pair within
-~1e-14 of eps counts as a DBSCAN neighbour is decided by the matrix
-value.
+``cosine_distances`` is the one distance rule, clip(1 - A @ B.T, 0, 2),
+computed as a single matrix product.  ``consensus_for_prompt`` builds
+the pairwise matrix once per prompt, exactly symmetric with an exact
+zero diagonal, and DBSCAN, the cluster choice and the medoid all read
+it; only the distance to the centroid is a separate members x 1
+product.  Whether a pair near eps counts as a DBSCAN neighbour is
+decided by the matrix value.
 
 Degenerate inputs are handled, not hidden:
 
@@ -47,6 +48,7 @@ __all__ = [
     "SelectionRule",
     "SelectionStrategy",
     "ConsensusResult",
+    "cosine_distances",
     "dbscan",
     "average_pairwise_distance",
     "select_consensus_cluster",
@@ -155,13 +157,16 @@ class ConsensusResult:
             raise ValueError("centroid must have unit norm")
 
 
-def _cosine_distances(rows: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
+def cosine_distances(
+    rows: Sequence[np.ndarray], others: Sequence[np.ndarray] | None = None
+) -> np.ndarray:
     """Cosine distances clip(1 - rows @ others.T, 0, 2) between unit rows.
 
     With ``others`` omitted the result is the pairwise matrix of
     ``rows``, made exactly symmetric with an exact zero diagonal.
     """
-    dist = rows @ (rows if others is None else others).T
+    rows = np.asarray(rows, dtype=np.float64)
+    dist = rows @ (rows if others is None else np.asarray(others, dtype=np.float64)).T
     np.subtract(1.0, dist, out=dist)
     np.clip(dist, 0.0, 2.0, out=dist)
     if others is None:
@@ -170,23 +175,24 @@ def _cosine_distances(rows: np.ndarray, others: np.ndarray | None = None) -> np.
     return dist
 
 
-def dbscan(embeddings: Sequence[np.ndarray], params: ClusterParams) -> Clustering:
-    """Deterministic DBSCAN under cosine distance.
+def dbscan(dist: np.ndarray, params: ClusterParams) -> Clustering:
+    """Deterministic DBSCAN over a pairwise cosine-distance matrix.
 
-    A point is core when at least min_pts points (itself included) lie
-    within eps.  Clusters are the connected components of core points
-    under the within-eps relation, discovered in index order so cluster
-    k has the k-th smallest leading core point.  Non-core points within
-    eps of a core point join the lowest-numbered such cluster; the rest
-    are outliers.
+    ``dist`` is the K x K matrix from ``cosine_distances``.  A point is
+    core when at least min_pts points (itself included) lie within eps.
+    Clusters are the connected components of core points under the
+    within-eps relation, discovered in index order so cluster k has the
+    k-th smallest leading core point.  Non-core points within eps of a
+    core point join the lowest-numbered such cluster; the rest are
+    outliers.
     """
-    points = np.asarray(embeddings, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError("dbscan needs a non-empty sequence of equal-length vectors")
-    within = _cosine_distances(points) <= params.eps
+    dist = np.asarray(dist, dtype=np.float64)
+    if dist.ndim != 2 or dist.shape[0] == 0 or dist.shape[0] != dist.shape[1]:
+        raise ValueError(f"dbscan needs a non-empty square distance matrix, got shape {dist.shape}")
+    within = dist <= params.eps
     core = within.sum(axis=1) >= params.min_pts
 
-    labels = np.full(points.shape[0], OUTLIER)
+    labels = np.full(dist.shape[0], OUTLIER)
     next_id = 0
     for start in np.flatnonzero(core):
         if labels[start] != OUTLIER:
@@ -205,30 +211,31 @@ def dbscan(embeddings: Sequence[np.ndarray], params: ClusterParams) -> Clusterin
     return Clustering(tuple(labels.tolist()), next_id)
 
 
-def average_pairwise_distance(members: Sequence[int], points: np.ndarray) -> float:
-    """Mean cosine distance over unordered member pairs; 0.0 for singletons."""
+def average_pairwise_distance(members: Sequence[int], dist: np.ndarray) -> float:
+    """Mean distance over unordered member pairs; 0.0 for singletons.
+
+    ``dist`` is the pairwise matrix of all points; the members' block is
+    read from it.
+    """
     members = list(members)
     n = len(members)
     if n < 2:
         return 0.0
     # The block is symmetric, so its full sum counts every pair twice.
-    block = _cosine_distances(np.asarray(points, dtype=np.float64)[members])
-    return float(block.sum()) / (n * (n - 1))
+    return float(dist[np.ix_(members, members)].sum()) / (n * (n - 1))
 
 
-def select_consensus_cluster(
-    clustering: Clustering, embeddings: Sequence[np.ndarray]
-) -> tuple[int, ...]:
+def select_consensus_cluster(clustering: Clustering, dist: np.ndarray) -> tuple[int, ...]:
     """Pick the consensus cluster's member positions.
 
     Largest cluster wins; equal sizes compare average pairwise distance
-    (smaller is better, ties within TIE_TOL); remaining ties go to the
-    cluster containing the smallest position.  Clusters are examined in
-    id order, challengers replacing the incumbent only when strictly
-    better under that chain.  When everything is an outlier the
-    consensus set falls back to all positions.
+    (smaller is better, ties within TIE_TOL) read from the pairwise
+    matrix ``dist``; remaining ties go to the cluster containing the
+    smallest position.  Clusters are examined in id order, challengers
+    replacing the incumbent only when strictly better under that chain.
+    When everything is an outlier the consensus set falls back to all
+    positions.
     """
-    points = np.asarray(embeddings, dtype=np.float64)
     if clustering.num_clusters == 0:
         return tuple(range(len(clustering.labels)))
 
@@ -236,7 +243,7 @@ def select_consensus_cluster(
     best_spread = 0.0
     for cluster in range(clustering.num_clusters):
         members = clustering.members(cluster)
-        spread = average_pairwise_distance(members, points)
+        spread = average_pairwise_distance(members, dist)
         if best_members is None:
             best_members, best_spread = members, spread
             continue
@@ -301,25 +308,21 @@ def select_representative(
     """
     members = sorted(members)
     points = np.asarray(embeddings, dtype=np.float64)[members]
-    scores = _cosine_distances(points, np.asarray(centroid, dtype=np.float64)[None, :])[:, 0]
+    scores = cosine_distances(points, np.asarray(centroid, dtype=np.float64)[None, :])[:, 0]
     return _closest(members, scores, responses)
 
 
-def medoid(
-    members: Sequence[int],
-    embeddings: Sequence[np.ndarray],
-    responses: Sequence[str],
-) -> int:
+def medoid(members: Sequence[int], dist: np.ndarray, responses: Sequence[str]) -> int:
     """Member with the smallest mean distance to the other members.
 
-    Singleton member sets score 0.0 by convention.  Ties use the same
+    Distances are read from the pairwise matrix ``dist``.  Singleton
+    member sets score 0.0 by convention.  Ties use the same
     byte-length-then-index chain as select_representative.
     """
     members = sorted(members)
     if len(members) == 1:
         return members[0]
-    block = _cosine_distances(np.asarray(embeddings, dtype=np.float64)[members])
-    scores = block.sum(axis=1) / (len(members) - 1)
+    scores = dist[np.ix_(members, members)].sum(axis=1) / (len(members) - 1)
     return _closest(members, scores, responses)
 
 
@@ -363,11 +366,13 @@ def consensus_for_prompt(
         raise ValueError(f"responses span multiple prompts: {sorted(prompt_ids)}")
     texts = [r.text for r in responses]
 
-    clustering = dbscan(points, params)
+    dist = cosine_distances(points)
+    clustering = dbscan(dist, params)
     fallback = clustering.num_clusters == 0
-    member_positions = select_consensus_cluster(clustering, points)
     if strategy.rule is SelectionRule.GLOBAL_MEDOID:
         member_positions = tuple(range(len(responses)))
+    else:
+        member_positions = select_consensus_cluster(clustering, dist)
 
     centroid: np.ndarray | None
     try:
@@ -379,13 +384,13 @@ def consensus_for_prompt(
         if centroid is not None:
             rep_pos = select_representative(member_positions, points, texts, centroid)
         else:
-            rep_pos = medoid(member_positions, points, texts)
+            rep_pos = medoid(member_positions, dist, texts)
     elif strategy.rule is SelectionRule.RANDOM_IN_CLUSTER:
         prompt_id = next(iter(prompt_ids))
         rng = np.random.default_rng([strategy.seed, _text_u64(prompt_id)])
         rep_pos = member_positions[int(rng.integers(len(member_positions)))]
     else:  # GLOBAL_MEDOID
-        rep_pos = medoid(member_positions, points, texts)
+        rep_pos = medoid(member_positions, dist, texts)
     if centroid is None:
         centroid = points[rep_pos]
 

@@ -1,4 +1,4 @@
-"""Deterministic text embeddings and the cosine geometry used downstream.
+"""Deterministic text embeddings, normalized to the unit vectors consensus compares.
 
 The reference encoder hashes character n-grams into a fixed number of
 signed buckets (feature hashing with a +/-1 sign bit derived from the
@@ -15,6 +15,10 @@ bit-identical to hashing every n-gram afresh and adding the signs one
 at a time: every entry is a sum of +/-1.0, an integer far below 2**53,
 so it is exact in any order.  The server also encodes each distinct
 response text once per prompt (``protocol.encode_responses``).
+
+Distances between the unit vectors are not computed here: one
+pairwise matrix per prompt, built by ``consensus.cosine_distances``,
+serves DBSCAN, the cluster choice and the medoid.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ __all__ = [
     "normalize",
     "encode_normalized",
     "is_unit",
-    "cosine_distance",
     "load_embeddings_jsonl",
 ]
 
@@ -149,20 +152,6 @@ def encode_normalized(text: str, config: EncoderConfig) -> np.ndarray:
 def is_unit(vec: np.ndarray) -> bool:
     """True when ``vec`` has unit norm within UNIT_NORM_TOL."""
     return abs(float(np.linalg.norm(vec)) - 1.0) <= UNIT_NORM_TOL
-
-
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - <a, b> for unit vectors, clamped to [0, 2] against float error.
-
-    Symmetric exactly: the elementwise products commute and are summed
-    in the same order either way.
-    """
-    d = 1.0 - float(np.dot(a, b))
-    if d < 0.0:
-        return 0.0
-    if d > 2.0:
-        return 2.0
-    return d
 
 
 def load_embeddings_jsonl(path: str | Path, dimension: int | None = None) -> dict[str, np.ndarray]:

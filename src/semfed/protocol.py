@@ -335,10 +335,6 @@ def run_session(
     """Run ``num_rounds`` rounds and accumulate byte totals and ledgers."""
     if num_rounds < 1:
         raise ConfigError(f"num_rounds must be >= 1, got {num_rounds}")
-    if len(clients) == 0:
-        raise ConfigError("at least one client is required")
-    if len(prompts) == 0:
-        raise ConfigError("prompt set must be non-empty")
 
     ledgers: list[PrivacyLedger] | None = None
     if params.dp_round_budget is not None:

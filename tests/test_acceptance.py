@@ -29,6 +29,7 @@ from semfed.consensus import (
     SelectionRule,
     SelectionStrategy,
     consensus_for_prompt,
+    cosine_distances,
     dbscan,
 )
 from semfed.costmodel import (
@@ -249,7 +250,7 @@ def test_criterion_3_clustering_matches_independent_reference(criterion):
             points = raw / np.linalg.norm(raw, axis=1, keepdims=True)
             eps = float(rng.uniform(0.05, 0.8))
             min_pts = int(rng.integers(1, 5))
-            got = dbscan([points[i] for i in range(k)], ClusterParams(eps=eps, min_pts=min_pts))
+            got = dbscan(cosine_distances(points), ClusterParams(eps=eps, min_pts=min_pts))
             want = reference_dbscan([list(map(float, p)) for p in points], eps, min_pts)
             assert list(got.labels) == want, ("random", case)
             checked += 1
@@ -266,7 +267,7 @@ def test_criterion_3_clustering_matches_independent_reference(criterion):
             points = structured_points[case % len(structured_points)]
             eps = float(rng.uniform(0.05, 1.95))
             min_pts = int(rng.integers(1, 5))
-            got = dbscan(points, ClusterParams(eps=eps, min_pts=min_pts))
+            got = dbscan(cosine_distances(points), ClusterParams(eps=eps, min_pts=min_pts))
             want = reference_dbscan([list(map(float, p)) for p in points], eps, min_pts)
             assert list(got.labels) == want, ("structured", case)
             checked += 1

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from semfed.cli import main
+from semfed.cli import build_parser, main
 from semfed.privacy import PrivacyWarning
 
 
@@ -239,6 +239,20 @@ def test_privacy_bad_csv_fails(tmp_path, capsys):
         code, out, err = run_cli(capsys, "privacy", "--csv", str(path))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}{message}"), err[:200]
+
+
+def test_calculator_echo_lists_every_parser_destination(tmp_path, capsys):
+    path = tmp_path / "ledger.csv"
+    path.write_text("client,round,epsilon,delta\n", encoding="utf-8")
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    for argv, unechoed in (
+        (["cost"], {"format"}),
+        (["bound", "--grad-bound", "1.0"], set()),
+        (["privacy", "--csv", str(path)], set()),
+    ):
+        actions = subparsers.choices[argv[0]]._actions
+        dests = {a.dest for a in actions if a.dest != "help"} - unechoed
+        assert set(run_json(capsys, *argv)["inputs"]) == dests, argv[0]
 
 
 # ---------------------------------------------------------------- consensus

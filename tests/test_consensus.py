@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import reference_consensus, reference_dbscan, reference_global_medoid
+import semfed.consensus as consensus
+from oracles import cosine_dist, reference_consensus, reference_dbscan, reference_global_medoid
 from semfed.consensus import (
     OUTLIER,
-    _cosine_distances,
     ClusterParams,
     Clustering,
     SelectionRule,
@@ -20,13 +20,14 @@ from semfed.consensus import (
     ZeroSumError,
     average_pairwise_distance,
     consensus_for_prompt,
+    cosine_distances,
     dbscan,
     medoid,
     normalized_centroid,
     select_consensus_cluster,
     select_representative,
 )
-from semfed.encoder import EncoderConfig, cosine_distance, encode_normalized
+from semfed.encoder import EncoderConfig, encode_normalized
 from semfed.protocol import make_response
 
 CFG = EncoderConfig()
@@ -52,21 +53,21 @@ def records(texts, prompt_id="p0", clients=None):
 
 def test_identical_points_form_one_cluster():
     points = [unit(1, 0, 0)] * 4
-    clustering = dbscan(points, ClusterParams(eps=0.3, min_pts=2))
+    clustering = dbscan(cosine_distances(points), ClusterParams(eps=0.3, min_pts=2))
     assert clustering.labels == (0, 0, 0, 0)
     assert clustering.num_clusters == 1
 
 
 def test_far_apart_points_are_outliers():
     points = [unit(1, 0, 0), unit(0, 1, 0), unit(-1, 0, 0)]
-    clustering = dbscan(points, ClusterParams(eps=0.3, min_pts=2))
+    clustering = dbscan(cosine_distances(points), ClusterParams(eps=0.3, min_pts=2))
     assert clustering.labels == (OUTLIER, OUTLIER, OUTLIER)
     assert clustering.num_clusters == 0
 
 
 def test_min_pts_one_makes_singletons_clusters():
     points = [unit(1, 0, 0), unit(0, 1, 0)]
-    clustering = dbscan(points, ClusterParams(eps=0.1, min_pts=1))
+    clustering = dbscan(cosine_distances(points), ClusterParams(eps=0.1, min_pts=1))
     assert clustering.labels == (0, 1)
 
 
@@ -78,7 +79,7 @@ def test_cluster_numbering_follows_smallest_core_index():
         on_circle(0.02),
         on_circle(math.pi / 2 + 0.02),
     ]
-    clustering = dbscan(points, ClusterParams(eps=0.05, min_pts=2))
+    clustering = dbscan(cosine_distances(points), ClusterParams(eps=0.05, min_pts=2))
     assert clustering.labels == (0, 1, 0, 1)
 
 
@@ -91,7 +92,7 @@ def test_border_point_joins_lowest_numbered_cluster():
     left = [on_circle(a) for a in (-0.45, -0.85, -0.87, -0.89)]
     right = [on_circle(a) for a in (0.45, 0.85, 0.87, 0.89)]
     points = [mid] + left + right
-    clustering = dbscan(points, ClusterParams(eps=0.12, min_pts=4))
+    clustering = dbscan(cosine_distances(points), ClusterParams(eps=0.12, min_pts=4))
     assert clustering.labels[1:5] == (0, 0, 0, 0)
     assert clustering.labels[5:9] == (1, 1, 1, 1)
     assert clustering.labels[0] == 0
@@ -112,9 +113,15 @@ def test_dbscan_matches_reference_on_random_instances():
         points = [p / np.linalg.norm(p) for p in points]
         eps = float(rng.uniform(0.05, 0.8))
         min_pts = int(rng.integers(1, 4))
-        got = dbscan(points, ClusterParams(eps=eps, min_pts=min_pts))
+        got = dbscan(cosine_distances(points), ClusterParams(eps=eps, min_pts=min_pts))
         want = reference_dbscan(points, eps, min_pts)
         assert list(got.labels) == want
+
+
+def test_dbscan_rejects_empty_or_non_square_matrix():
+    for bad in (np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(3), []):
+        with pytest.raises(ValueError, match="non-empty square distance matrix"):
+            dbscan(bad, ClusterParams())
 
 
 def test_clustering_validates_labels():
@@ -137,39 +144,39 @@ def test_larger_cluster_wins():
     points = [on_circle(a) for a in (0.0, 0.02, 0.04)] + [
         on_circle(a) for a in (2.0, 2.02)
     ]
-    clustering = dbscan(points, ClusterParams(eps=0.1, min_pts=2))
+    clustering = dbscan(cosine_distances(points), ClusterParams(eps=0.1, min_pts=2))
     assert clustering.num_clusters == 2
-    assert select_consensus_cluster(clustering, points) == (0, 1, 2)
+    assert select_consensus_cluster(clustering, cosine_distances(points)) == (0, 1, 2)
 
 
 def test_size_tie_broken_by_compactness():
     tight = [on_circle(0.0), on_circle(math.acos(0.95))]  # pairwise 0.05
     loose = [on_circle(2.0), on_circle(2.0 + math.acos(0.80))]  # pairwise 0.20
     points = tight + loose
-    clustering = dbscan(points, ClusterParams(eps=0.3, min_pts=2))
+    clustering = dbscan(cosine_distances(points), ClusterParams(eps=0.3, min_pts=2))
     assert clustering.num_clusters == 2
-    assert select_consensus_cluster(clustering, points) == (0, 1)
+    assert select_consensus_cluster(clustering, cosine_distances(points)) == (0, 1)
     # flip the order: the tighter pair still wins
     points = loose + tight
-    clustering = dbscan(points, ClusterParams(eps=0.3, min_pts=2))
-    assert select_consensus_cluster(clustering, points) == (2, 3)
+    clustering = dbscan(cosine_distances(points), ClusterParams(eps=0.3, min_pts=2))
+    assert select_consensus_cluster(clustering, cosine_distances(points)) == (2, 3)
 
 
 def test_full_tie_broken_by_smallest_index():
     # two identical-shape singleton clusters
     points = [unit(1, 0, 0), unit(0, 1, 0)]
-    clustering = dbscan(points, ClusterParams(eps=0.1, min_pts=1))
-    assert select_consensus_cluster(clustering, points) == (0,)
+    clustering = dbscan(cosine_distances(points), ClusterParams(eps=0.1, min_pts=1))
+    assert select_consensus_cluster(clustering, cosine_distances(points)) == (0,)
 
 
 def test_all_outliers_falls_back_to_everyone():
     points = [unit(1, 0, 0), unit(0, 1, 0), unit(-1, 0, 0)]
-    clustering = dbscan(points, ClusterParams(eps=0.3, min_pts=2))
-    assert select_consensus_cluster(clustering, points) == (0, 1, 2)
+    clustering = dbscan(cosine_distances(points), ClusterParams(eps=0.3, min_pts=2))
+    assert select_consensus_cluster(clustering, cosine_distances(points)) == (0, 1, 2)
 
 
 def test_average_pairwise_distance_singleton_is_zero():
-    assert average_pairwise_distance([3], np.eye(4)) == 0.0
+    assert average_pairwise_distance([3], cosine_distances(np.eye(4))) == 0.0
 
 
 # ------------------------------------------- centroid and selection
@@ -197,7 +204,7 @@ def test_representative_distance_tie_prefers_shorter_bytes():
 
 
 def test_medoid_singleton():
-    assert medoid([2], np.eye(3), ["x", "y", "z"]) == 2
+    assert medoid([2], cosine_distances(np.eye(3)), ["x", "y", "z"]) == 2
 
 
 # ---------------------------------------------- consensus_for_prompt
@@ -281,6 +288,41 @@ def test_input_validation():
     mixed = records(texts[:1]) + records(texts[1:], prompt_id="p1", clients=[1])
     with pytest.raises(ValueError, match="multiple prompts"):
         consensus_for_prompt(mixed, embs, ClusterParams())
+
+
+def test_consensus_builds_one_pairwise_matrix_per_prompt(monkeypatch):
+    shapes, choices = [], []
+    distances, choose = consensus.cosine_distances, consensus.select_consensus_cluster
+
+    def counted_distances(*args):
+        dist = distances(*args)
+        shapes.append(dist.shape)
+        return dist
+
+    def counted_choice(*args):
+        choices.append(args)
+        return choose(*args)
+
+    monkeypatch.setattr(consensus, "cosine_distances", counted_distances)
+    monkeypatch.setattr(consensus, "select_consensus_cluster", counted_choice)
+    points = [on_circle(a) for a in (0.0, 0.02, 0.04, 2.0, 2.02)]
+    recs = records([f"answer {i}" for i in range(5)])
+    params = ClusterParams(eps=0.1, min_pts=2)
+
+    result = consensus_for_prompt(recs, points, params)
+    assert result.clustering.num_clusters == 2
+    assert result.consensus_members == (0, 1, 2)
+    # the K x K matrix, then the members x 1 distances to the centroid
+    assert shapes == [(5, 5), (3, 1)]
+    assert len(choices) == 1
+
+    shapes.clear()
+    choices.clear()
+    medoid_rule = SelectionStrategy(rule=SelectionRule.GLOBAL_MEDOID)
+    result = consensus_for_prompt(recs, points, params, medoid_rule)
+    assert result.consensus_members == tuple(range(5))
+    assert shapes == [(5, 5)]
+    assert choices == []
 
 
 # ------------------------------------------------------- strategies
@@ -408,10 +450,10 @@ def test_matrix_path_matches_pairwise_reference(
     seed, k, families, noise, dup_share, eps, min_pts, rule
 ):
     points, texts = planted_families(seed, k, families, noise, dup_share)
-    dist = _cosine_distances(points)
+    dist = cosine_distances(points)
     assert np.array_equal(dist, dist.T)
     assert not np.any(np.diag(dist))
-    pairwise = np.array([[cosine_distance(a, b) for b in points] for a in points])
+    pairwise = np.array([[cosine_dist(a, b) for b in points] for a in points])
     off_diagonal = ~np.eye(k, dtype=bool)
     assert np.all(np.abs(dist - pairwise)[off_diagonal] <= 1e-13)
     # a pair this close to eps is a neighbour or not by rounding alone

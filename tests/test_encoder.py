@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import reference_encode
 
+from semfed.consensus import cosine_distances
 from semfed.encoder import (
     EncoderConfig,
     ZeroVectorError,
-    cosine_distance,
     encode,
     encode_normalized,
     is_unit,
@@ -151,9 +151,11 @@ def test_normalize_power_of_two_scaling_is_exact():
 def test_cosine_distance_examples():
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0])
-    assert cosine_distance(e1, e1) == 0.0
-    assert cosine_distance(e1, e2) == 1.0
-    assert cosine_distance(e1, -e1) == 2.0
+    dist = cosine_distances([e1, e2, -e1])
+    assert dist[0, 0] == 0.0
+    assert dist[0, 1] == 1.0
+    assert dist[0, 2] == 2.0
+    assert np.array_equal(dist, dist.T)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -161,10 +163,9 @@ def test_cosine_distance_symmetric_and_bounded(seed):
     rng = np.random.default_rng(seed)
     a = normalize(rng.normal(size=12))
     b = normalize(rng.normal(size=12))
-    d_ab = cosine_distance(a, b)
-    d_ba = cosine_distance(b, a)
-    assert d_ab == d_ba
-    assert 0.0 <= d_ab <= 2.0
+    dist = cosine_distances([a, b])
+    assert dist[0, 1] == dist[1, 0]
+    assert 0.0 <= dist[0, 1] <= 2.0
 
 
 def test_encode_normalized_rejects_empty():

@@ -164,8 +164,10 @@ def test_round_and_session_validation():
     clients = scripted_uniform(1, prompts, 1, "answer text here")
     with pytest.raises(ConfigError):
         run_session(clients, prompts, 0, SessionParams())
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="at least one client is required"):
         run_session([], prompts, 1, SessionParams())
+    with pytest.raises(ConfigError, match="prompt set must be non-empty"):
+        run_session(clients, PublicPromptSet(prompts=()), 1, SessionParams())
     with pytest.raises(ConfigError):
         run_round(clients, PublicPromptSet(prompts=()), SessionParams(), 1)
     with pytest.raises(ConfigError):
