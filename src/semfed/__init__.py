@@ -44,6 +44,7 @@ from .encoder import (
     EncoderConfig,
     ZeroVectorError,
     encode,
+    encode_batch,
     encode_normalized,
     load_embeddings_jsonl,
     normalize,
@@ -112,6 +113,7 @@ __all__ = [
     "EncoderConfig",
     "ZeroVectorError",
     "encode",
+    "encode_batch",
     "encode_normalized",
     "load_embeddings_jsonl",
     "normalize",

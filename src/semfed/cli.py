@@ -320,18 +320,19 @@ def cmd_consensus(args: argparse.Namespace) -> int:
 
     results = []
     for prompt_id in sorted(grouped):
-        rows = sorted(grouped[prompt_id].items())
-        records = [make_response(client, prompt_id, text) for client, text in rows]
+        answers = sorted(grouped[prompt_id].items())
+        records = [make_response(client, prompt_id, text) for client, text in answers]
         if external is None:
-            raw_vectors = encode_responses(records, encoder_config)
+            raw_vectors, rows = encode_responses(records, encoder_config)
         else:
             try:
                 raw_vectors = [external[f"{prompt_id}/{r.client}"] for r in records]
             except KeyError as exc:
                 return _fail(f"missing external embedding for {exc.args[0]!r}")
+            rows = range(len(records))
         try:
             outcome, result, errors = consensus_phase(
-                prompt_id, records, raw_vectors, params, strategy
+                prompt_id, records, raw_vectors, rows, params, strategy
             )
         except ValueError as exc:
             return _fail(f"prompt {prompt_id!r}: {exc}")

@@ -8,13 +8,18 @@ Real encoder output can be substituted by loading precomputed vectors
 from JSONL (``load_embeddings_jsonl``); everything downstream assumes
 only unit-norm float64 vectors.
 
-Each n-gram's (bucket, sign) is memoised in an LRU memo bounded by
-``NGRAM_MEMO_SIZE`` and keyed by the n-gram, the seed and the dimension,
-and ``encode`` sums the signs with one ``np.bincount``.  The vectors are
+``encode_batch`` embeds a list of texts as one matrix.  It reads every
+code point at once, packs each n-gram of up to three code points into
+one integer (21 bits per code point) and finds the distinct keys with
+one ``np.unique``; longer n-grams are keyed by their string.  Each
+distinct key's (bucket, sign) comes from a table bounded by
+``NGRAM_MEMO_SIZE`` entries and keyed by (seed, dimension, n-gram
+size); only keys missing from it go through the keyed hash.  One
+``np.bincount`` then sums the signs of every text.  The vectors are
 bit-identical to hashing every n-gram afresh and adding the signs one
 at a time: every entry is a sum of +/-1.0, an integer far below 2**53,
-so it is exact in any order.  The server also encodes each distinct
-response text once per prompt (``protocol.encode_responses``).
+so it is exact in any order.  The server encodes each prompt's
+distinct response texts in one batch (``protocol.encode_responses``).
 
 Distances between the unit vectors are not computed here: one
 pairwise matrix per prompt, built by ``consensus.cosine_distances``,
@@ -23,10 +28,10 @@ serves DBSCAN, the cluster choice and the medoid.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,6 +43,7 @@ __all__ = [
     "ZeroVectorError",
     "EncoderConfig",
     "encode",
+    "encode_batch",
     "normalize",
     "encode_normalized",
     "is_unit",
@@ -87,44 +93,112 @@ def _text_u64(text: str) -> int:
     return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "little")
 
 
-# Entries kept by the n-gram memo; full of ASCII trigrams it holds about 18 MB.
+# Entries kept by the n-gram table, summed over every config; full of
+# packed trigram keys it holds about 6 MB.
 NGRAM_MEMO_SIZE = 1 << 16
 
+# N-grams of up to _PACKED_MAX code points are packed into one int64 key.
+_POINT_BITS = 21
+_POINT_MASK = (1 << _POINT_BITS) - 1
+_PACKED_MAX = 3
 
-@functools.lru_cache(maxsize=NGRAM_MEMO_SIZE)
-def _hash_ngram(ngram: str, seed: int, dimension: int) -> tuple[int, float]:
-    """Map an n-gram to (bucket, sign) with a keyed 64-bit hash.
+# (seed, dimension, ngram_size) -> {n-gram key: bucket * 2 + sign bit}.
+# The n-gram size is part of the config key because a 2-gram and a
+# 3-gram that starts with "\x00" pack to the same integer.
+_TABLES: dict[tuple[int, int, int], dict] = {}
 
-    Memoised: the key is every input the hash reads.  ``ngram_size``
-    and ``lowercase`` only shape the n-gram string itself.
+
+def _hash_ngram(ngram: str, key: bytes, dimension: int) -> int:
+    """The n-gram's bucket * 2 + sign bit, from a 64-bit blake2b keyed by the seed."""
+    value = int.from_bytes(
+        hashlib.blake2b(ngram.encode("utf-8"), digest_size=8, key=key).digest(), "little"
+    )
+    return (value >> 1) % dimension << 1 | value & 1
+
+
+def _codes(keys: list, ngram_of: Callable, config: EncoderConfig) -> np.ndarray:
+    """Table codes of the distinct n-gram ``keys``; ``ngram_of(key)`` is the n-gram.
+
+    Keys missing from the table are hashed and added.  When the table
+    would outgrow NGRAM_MEMO_SIZE it is emptied first.
     """
-    digest = hashlib.blake2b(
-        ngram.encode("utf-8"),
-        digest_size=8,
-        key=seed.to_bytes(8, "little"),
-    ).digest()
-    value = int.from_bytes(digest, "little")
-    sign = 1.0 if value & 1 else -1.0
-    return (value >> 1) % dimension, sign
+    config_key = (config.seed, config.dimension, config.ngram_size)
+    table = _TABLES.get(config_key, {})
+    codes = list(map(table.get, keys))
+    misses = [i for i, code in enumerate(codes) if code is None]
+    if misses:
+        seed_key = config.seed.to_bytes(8, "little")
+        for i in misses:
+            codes[i] = _hash_ngram(ngram_of(keys[i]), seed_key, config.dimension)
+        if sum(map(len, _TABLES.values())) + len(misses) > NGRAM_MEMO_SIZE:
+            _TABLES.clear()
+            table = {}
+        table.update((keys[i], codes[i]) for i in misses[:NGRAM_MEMO_SIZE])
+        _TABLES[config_key] = table
+    return np.array(codes, dtype=np.int64)
+
+
+def encode_batch(texts: Sequence[str], config: EncoderConfig) -> np.ndarray:
+    """Embed each text as signed hashed n-gram counts, one row per text.
+
+    Returns a (len(texts), dimension) float64 matrix, not normalized;
+    row i is ``encode(texts[i], config)``.  N-grams never cross from one
+    text into the next.  A text shorter than the n-gram size gets the
+    all-zero row.  An n-gram holding a lone surrogate cannot be hashed
+    and raises UnicodeEncodeError.
+    """
+    if config.lowercase:
+        texts = [text.lower() for text in texts]
+    n, dimension = config.ngram_size, config.dimension
+    joined = "".join(texts)
+    # The row of every code point; an n-gram stays inside one text when
+    # its first and last code points share a row.
+    row_of = np.repeat(np.arange(len(texts)), [len(text) for text in texts])
+    count = max(len(joined) - n + 1, 0)
+    starts = np.flatnonzero(row_of[:count] == row_of[n - 1 : n - 1 + count])
+
+    if n <= _PACKED_MAX:
+        points = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        packed = points[starts].astype(np.int64)
+        for offset in range(1, n):
+            packed = packed << _POINT_BITS | points[starts + offset]
+        distinct, inverse = np.unique(packed, return_inverse=True)
+        keys = distinct.tolist()
+        shifts = range(_POINT_BITS * (n - 1), -1, -_POINT_BITS)
+
+        def ngram_of(key: int) -> str:
+            return "".join(chr(key >> shift & _POINT_MASK) for shift in shifts)
+
+    else:
+        index: dict[str, int] = {}
+        ngrams = (joined[i : i + n] for i in starts.tolist())
+        inverse = np.fromiter(
+            (index.setdefault(ngram, len(index)) for ngram in ngrams), np.int64, len(starts)
+        )
+        keys = list(index)
+        ngram_of = str
+
+    codes = _codes(keys, ngram_of, config)[inverse]
+    flat = np.bincount(
+        row_of[starts] * dimension + (codes >> 1),
+        weights=(codes & 1) * 2.0 - 1.0,
+        minlength=len(texts) * dimension,
+    )
+    # Sums of +/-1.0 are exact integers, so the summation order cannot matter;
+    # bincount gives int64 when there is no n-gram at all.
+    return flat.astype(np.float64, copy=False).reshape(len(texts), dimension)
 
 
 def encode(text: str, config: EncoderConfig) -> np.ndarray:
     """Embed ``text`` as signed hashed n-gram counts (not normalized).
 
-    Pure function of (text, config).  Texts shorter than the n-gram
-    size, including the empty string, produce the all-zero vector;
-    ``normalize`` refuses those, which is how empty generations surface
-    as errors instead of silently entering consensus.
+    ``encode_batch([text], config)[0]``: a pure function of (text,
+    config).  Texts shorter than the n-gram size, including the empty
+    string, produce the all-zero vector; ``normalize`` refuses those,
+    which is how empty generations surface as errors instead of
+    silently entering consensus.
     """
-    if config.lowercase:
-        text = text.lower()
-    n, seed, dimension = config.ngram_size, config.seed, config.dimension
-    pairs = [_hash_ngram(text[i : i + n], seed, dimension) for i in range(len(text) - n + 1)]
-    if not pairs:
-        return np.zeros(dimension, dtype=np.float64)
-    # Sums of +/-1.0 are exact integers, so the summation order cannot matter.
-    buckets, signs = zip(*pairs)
-    return np.bincount(buckets, weights=signs, minlength=dimension)
+    return encode_batch([text], config)[0]
 
 
 def normalize(raw: np.ndarray) -> np.ndarray:

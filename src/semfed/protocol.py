@@ -31,7 +31,9 @@ import numpy as np
 
 from .clients import Client, PrivateDataset, TrainingWeights
 from .consensus import ClusterParams, ConsensusResult, SelectionStrategy, consensus_for_prompt
-from .encoder import EncoderConfig, ZeroVectorError, encode, normalize
+# ``encode`` is not called here; it stays importable from this module,
+# next to ``normalize``, for tools that wrap the encoder by that name.
+from .encoder import EncoderConfig, ZeroVectorError, encode, encode_batch, normalize
 from .jsonl import read_rows
 from .privacy import PrivacyLedger, RoundBudget, record_round, total_budget
 
@@ -193,43 +195,54 @@ class SessionReport:
     ledgers: tuple[PrivacyLedger, ...] | None
 
 
-def encode_responses(records: Sequence[ResponseRecord], config: EncoderConfig) -> list[np.ndarray]:
-    """One raw vector per record, encoding each distinct text once.
+def encode_responses(
+    records: Sequence[ResponseRecord], config: EncoderConfig
+) -> tuple[np.ndarray, list[int]]:
+    """Encode one prompt's distinct response texts in one batch.
 
-    Records with the same text share one array; nothing downstream
-    mutates raw vectors (``normalize`` returns a new array).
+    Returns the raw (not normalized) matrix with one row per distinct
+    text, in order of first appearance, and each record's row in it.
     """
-    vectors: dict[str, np.ndarray] = {}
-    for record in records:
-        if record.text not in vectors:
-            vectors[record.text] = encode(record.text, config)
-    return [vectors[record.text] for record in records]
+    row_of: dict[str, int] = {}
+    rows = [row_of.setdefault(record.text, len(row_of)) for record in records]
+    return encode_batch(list(row_of), config), rows
 
 
 def consensus_phase(
     prompt_id: str,
     records: Sequence[ResponseRecord],
     raw_vectors: Sequence[np.ndarray],
+    rows: Sequence[int],
     cluster: ClusterParams,
     strategy: SelectionStrategy,
 ) -> tuple[PromptConsensus | None, ConsensusResult | None, list[PromptError]]:
-    """Normalize one prompt's raw response vectors and run consensus.
+    """Normalize one prompt's raw vectors and run consensus.
 
-    A response whose vector is all zero (an empty or too-short text) is
-    dropped with a ``zero_embedding`` error; a prompt left with no
-    response gets a ``no_embeddable_responses`` error and no outcome.
-    Returns the transcript entry, the full result (which also holds the
-    centroid), and the errors.
+    Record i's raw vector is ``raw_vectors[rows[i]]``: either the matrix
+    and row index from ``encode_responses``, or one vector per record
+    with ``rows = range(len(records))``.  Each raw vector is normalized
+    once, however many records share it.  A record whose vector is all
+    zero (an empty or too-short text) is dropped with a
+    ``zero_embedding`` error; a prompt left with no response gets a
+    ``no_embeddable_responses`` error and no outcome.  Returns the
+    transcript entry, the full result (which also holds the centroid),
+    and the errors.
     """
+    units: list[np.ndarray | None] = []
+    for raw in raw_vectors:
+        try:
+            units.append(normalize(raw))
+        except ZeroVectorError:
+            units.append(None)
     usable: list[ResponseRecord] = []
     embeddings = []
     errors: list[PromptError] = []
-    for record, raw in zip(records, raw_vectors):
-        try:
-            embeddings.append(normalize(raw))
-            usable.append(record)
-        except ZeroVectorError:
+    for record, row in zip(records, rows):
+        if units[row] is None:
             errors.append(PromptError(prompt_id, record.client, "zero_embedding"))
+        else:
+            embeddings.append(units[row])
+            usable.append(record)
     if not usable:
         errors.append(PromptError(prompt_id, None, "no_embeddable_responses"))
         return None, None, errors
@@ -292,12 +305,9 @@ def run_round(
     errors: list[PromptError] = []
     for prompt in prompts.prompts:
         records = by_prompt[prompt.prompt_id]
+        raw, rows = encode_responses(records, params.encoder)
         outcome, _, errs = consensus_phase(
-            prompt.prompt_id,
-            records,
-            encode_responses(records, params.encoder),
-            params.cluster,
-            params.strategy,
+            prompt.prompt_id, records, raw, rows, params.cluster, params.strategy
         )
         errors.extend(errs)
         if outcome is not None:

@@ -1,11 +1,11 @@
 """Independent reference implementations used only by the tests.
 
 Everything here re-derives results from the documented rules with
-deliberately different code paths than the package: an unmemoised
-per-n-gram encoder loop, a Markov client that trains position by
-position and samples with a linear scan, pure-Python distance loops,
-union-find clustering instead of BFS expansion, and high-precision
-mpmath arithmetic for the closed-form bounds.  Nothing
+deliberately different code paths than the package: a per-text,
+per-n-gram encoder loop with no table, a Markov client that trains
+position by position and samples with a linear scan, pure-Python
+distance loops, union-find clustering instead of BFS expansion, and
+high-precision mpmath arithmetic for the closed-form bounds.  Nothing
 imports from the modules under test, so agreement is evidence and not
 tautology.
 """
@@ -37,6 +37,12 @@ def reference_encode(text: str, dimension: int, ngram_size: int, seed: int, lowe
         value = int.from_bytes(hashlib.blake2b(ngram, digest_size=8, key=key).digest(), "little")
         vec[(value >> 1) % dimension] += 1.0 if value & 1 else -1.0
     return vec
+
+
+def reference_encode_batch(texts, dimension: int, ngram_size: int, seed: int, lowercase: bool):
+    """``reference_encode`` of each text, stacked as a (len(texts), dimension) matrix."""
+    rows = [reference_encode(text, dimension, ngram_size, seed, lowercase) for text in texts]
+    return np.stack(rows) if rows else np.zeros((0, dimension), dtype=np.float64)
 
 
 # ------------------------------------------------------------ markov client

@@ -290,6 +290,21 @@ def test_input_validation():
         consensus_for_prompt(mixed, embs, ClusterParams())
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0 + 1e-6, math.nan])
+def test_unit_norm_error_names_first_offending_position(bad):
+    texts = ["alpha bravo", "charlie delta", "echo foxtrot", "golf hotel", "india juliet"]
+    embs = [encode_normalized(t, CFG) for t in texts]
+    # position 3 is the first bad row; position 4 is bad as well
+    embs[3] = embs[3] * bad
+    embs[4] = embs[4] * 2.0
+    with pytest.raises(ValueError, match="^embedding at position 3 is not unit norm$"):
+        consensus_for_prompt(records(texts), embs, ClusterParams())
+    # within UNIT_NORM_TOL still counts as unit
+    embs = [encode_normalized(t, CFG) for t in texts]
+    embs[3] = embs[3] * (1.0 + 1e-12)
+    consensus_for_prompt(records(texts), embs, ClusterParams())
+
+
 def test_consensus_builds_one_pairwise_matrix_per_prompt(monkeypatch):
     shapes, choices = [], []
     distances, choose = consensus.cosine_distances, consensus.select_consensus_cluster

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import reference_encode
+import semfed.encoder as encoder
+from oracles import reference_encode, reference_encode_batch
 
 from semfed.consensus import cosine_distances
 from semfed.encoder import (
+    NGRAM_MEMO_SIZE,
     EncoderConfig,
     ZeroVectorError,
     encode,
+    encode_batch,
     encode_normalized,
     is_unit,
     load_embeddings_jsonl,
@@ -91,9 +94,12 @@ def test_config_validation():
 
 
 # Texts mix a small alphabet, so n-grams repeat, with any encodable
-# character: non-ASCII, astral (4 UTF-8 bytes), and letters whose
-# lowercase form is longer ("İ").  Many are shorter than the n-gram.
-TEXTS = st.text(st.sampled_from("ab aé漢İ😀𝔘") | st.characters(codec="utf-8"), max_size=30)
+# character: non-ASCII, astral (4 UTF-8 bytes), "\x00" (whose packed
+# code point is all zero bits), and letters whose lowercase form is
+# longer ("İ").  Many are shorter than the n-gram.
+TEXTS = st.text(
+    st.sampled_from("ab aé漢İ😀𝔘\x00") | st.characters(codec="utf-8"), max_size=30
+)
 CONFIGS = st.builds(
     EncoderConfig,
     dimension=st.integers(8, 512),
@@ -105,9 +111,9 @@ CONFIGS = st.builds(
 
 @given(text=TEXTS, configs=st.lists(CONFIGS, min_size=1, max_size=3))
 def test_encode_matches_reference_loop(text, configs):
-    """Byte-identical to the unmemoised loop.  Configs are interleaved in
+    """Byte-identical to the reference loop.  Configs are interleaved in
     one process, each followed by the same config under another seed and
-    another dimension, so a memo keyed without either would answer with
+    another dimension, so a table keyed without either would answer with
     a stale (bucket, sign)."""
     for config in configs:
         variants = (
@@ -122,6 +128,77 @@ def test_encode_matches_reference_loop(text, configs):
             )
             got = encode(text, variant)
             assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+
+
+def config_variants(config):
+    """The config, then its neighbours under another seed, another
+    dimension and another n-gram size, then the config again."""
+    return (
+        config,
+        replace(config, seed=2**64 - 1 - config.seed),
+        replace(config, dimension=config.dimension % 512 + 8),
+        replace(config, ngram_size=config.ngram_size % 5 + 1),
+        config,
+    )
+
+
+def table_entries():
+    return sum(len(table) for table in encoder._TABLES.values())
+
+
+@given(
+    batches=st.lists(st.lists(TEXTS, max_size=8), min_size=1, max_size=3),
+    configs=st.lists(CONFIGS, min_size=1, max_size=3),
+)
+def test_encode_batch_matches_reference_stack(batches, configs):
+    """Each batch, the empty one included, is byte-identical to the
+    reference loop stacked row by row.  N-grams never cross from one
+    text into the next, so a batch is not the encoding of its join."""
+    for config in configs:
+        for variant in config_variants(config):
+            for texts in batches:
+                expected = reference_encode_batch(
+                    texts, variant.dimension, variant.ngram_size, variant.seed, variant.lowercase
+                )
+                got = encode_batch(texts, variant)
+                assert got.dtype == np.float64 and got.shape == (len(texts), variant.dimension)
+                assert got.tobytes() == expected.tobytes()
+    assert table_entries() <= NGRAM_MEMO_SIZE
+
+
+@pytest.mark.parametrize("ngram_size", [1, 2, 3, 4, 5])
+def test_lone_surrogate_raises_only_inside_an_ngram(ngram_size):
+    config = EncoderConfig(dimension=64, ngram_size=ngram_size)
+    for text in ["\ud800", "a\udfff", "ab\ud800cd", "\udc00" * 6, "😀\ud800"]:
+        if len(text) >= ngram_size:
+            with pytest.raises(UnicodeEncodeError):
+                reference_encode(text, 64, ngram_size, 0, False)
+            with pytest.raises(UnicodeEncodeError):
+                encode(text, config)
+            with pytest.raises(UnicodeEncodeError):
+                encode_batch(["hello there", text], config)
+        else:
+            # too short for an n-gram: the zero vector, as in the reference
+            assert not encode(text, config).any()
+            got = encode_batch(["hello there", text, ""], config)
+            expected = reference_encode_batch(["hello there", text, ""], 64, ngram_size, 0, False)
+            assert got.tobytes() == expected.tobytes()
+    # a failed batch leaves nothing wrong behind in the table
+    expected = reference_encode("hello there", 64, ngram_size, 0, False)
+    assert encode("hello there", config).tobytes() == expected.tobytes()
+
+
+def test_ngram_table_stays_bounded():
+    config = EncoderConfig(dimension=64, ngram_size=1)
+    # more distinct 1-grams than the table holds: first in one batch,
+    # then spread over a full table
+    points = [chr(0x10000 + i) for i in range(NGRAM_MEMO_SIZE + 1000)]
+    texts = ["".join(points), "".join(points[:500]), "".join(reversed(points[-3000:]))]
+    for batch in ([texts[0]], texts[1:], texts):
+        got = encode_batch(batch, config)
+        assert table_entries() <= NGRAM_MEMO_SIZE
+        expected = reference_encode_batch(batch, 64, 1, 0, False)
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_normalize_examples():

@@ -250,20 +250,21 @@ ANSWERS = ["the sky is blue", "the sky is blue", "the sky is grey", "", "the sky
 
 
 def counting_encode(monkeypatch):
-    """Replace ``protocol.encode`` with a wrapper that records each text."""
+    """Wrap ``protocol.encode_batch`` to count every text that reaches it."""
     calls = Counter()
-    real = protocol.encode
+    real = protocol.encode_batch
 
-    def encode(text, config):
-        calls[text] += 1
-        return real(text, config)
+    def encode_batch(texts, config):
+        calls.update(texts)
+        return real(texts, config)
 
-    monkeypatch.setattr(protocol, "encode", encode)
+    monkeypatch.setattr(protocol, "encode_batch", encode_batch)
     return calls
 
 
 def per_record_encode(records, config):
-    return [protocol.encode(r.text, config) for r in records]
+    """One separately encoded vector per record: no dedup, no batch."""
+    return [protocol.encode(r.text, config) for r in records], range(len(records))
 
 
 def test_round_encodes_each_distinct_text_once_per_prompt(monkeypatch):
