@@ -4,8 +4,8 @@ Clients are black boxes that generate text for shared public prompts;
 a server embeds the responses, density-clusters them, and broadcasts
 the most central response of the consensus cluster as a pseudo-label
 for joint training.  Companion modules provide exact communication
-cost calculators, convergence-bound evaluation with an empirical
-harness, and a per-client differential-privacy ledger.
+cost calculators, the two closed-form convergence bounds, and a
+per-client differential-privacy ledger.
 """
 
 __version__ = "0.1.0"
@@ -65,6 +65,7 @@ from .protocol import (
     RoundTranscript,
     SessionParams,
     SessionReport,
+    make_response,
     meter_message,
     run_round,
     run_session,
@@ -73,15 +74,8 @@ from .theory import (
     GapParams,
     StationarityParams,
     StepTooLargeError,
-    SyntheticProblem,
-    client_variance_check,
     delta_T,
-    empirical_bound_check,
-    kl_divergence,
-    make_quadratic_problem,
     stationarity_rhs,
-    total_variation,
-    tv_pinsker_check,
 )
 
 __all__ = [
@@ -130,19 +124,13 @@ __all__ = [
     "RoundTranscript",
     "SessionParams",
     "SessionReport",
+    "make_response",
     "meter_message",
     "run_round",
     "run_session",
     "GapParams",
     "StationarityParams",
     "StepTooLargeError",
-    "SyntheticProblem",
-    "client_variance_check",
     "delta_T",
-    "empirical_bound_check",
-    "kl_divergence",
-    "make_quadratic_problem",
     "stationarity_rhs",
-    "total_variation",
-    "tv_pinsker_check",
 ]

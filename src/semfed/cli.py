@@ -35,7 +35,6 @@ from .clients import (
 from .consensus import ClusterParams, SelectionRule, SelectionStrategy
 from .costmodel import (
     PRESETS,
-    CostComparison,
     TextRoundCostSpec,
     SubsampleCostSpec,
     comparison_report,
@@ -322,18 +321,17 @@ def cmd_consensus(args: argparse.Namespace) -> int:
     for prompt_id in sorted(grouped):
         answers = sorted(grouped[prompt_id].items())
         records = [make_response(client, prompt_id, text) for client, text in answers]
-        if external is None:
-            raw_vectors, rows = encode_responses(records, encoder_config)
-        else:
-            try:
-                raw_vectors = [external[f"{prompt_id}/{r.client}"] for r in records]
-            except KeyError as exc:
-                return _fail(f"missing external embedding for {exc.args[0]!r}")
-            rows = range(len(records))
         try:
+            if external is None:
+                raw_vectors, rows = encode_responses(records, encoder_config)
+            else:
+                raw_vectors = [external[f"{prompt_id}/{r.client}"] for r in records]
+                rows = range(len(records))
             outcome, result, errors = consensus_phase(
                 prompt_id, records, raw_vectors, rows, params, strategy
             )
+        except KeyError as exc:
+            return _fail(f"missing external embedding for {exc.args[0]!r}")
         except ValueError as exc:
             return _fail(f"prompt {prompt_id!r}: {exc}")
         skipped = [e.client for e in errors if e.reason == "zero_embedding"]
@@ -394,7 +392,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
             comparison = comparison_report(
                 preset, text_spec, rank=args.rank, bytes_per_param=args.bytes_per_param
             )
-            outputs["comparison"] = _comparison_to_dict(comparison)
+            outputs["comparison"] = asdict(comparison)
         if args.subsample_fraction is not None:
             if args.total_params is None:
                 return _fail("--subsample-fraction requires --total-params")
@@ -414,29 +412,6 @@ def cmd_cost(args: argparse.Namespace) -> int:
         _emit_cost_csv(outputs)
         return 0
     return _emit(_report("cost", _flags(args, "format"), outputs, None))
-
-
-def _comparison_to_dict(comparison: CostComparison) -> dict:
-    return {
-        "preset": comparison.preset,
-        "rank": comparison.rank,
-        "bytes_per_param": comparison.bytes_per_param,
-        "text_bytes": comparison.text_bytes,
-        "text_mb": comparison.text_mb,
-        "text_mib": comparison.text_mib,
-        "adapters": [
-            {
-                "targets": e.targets,
-                "upload_bytes": e.upload_bytes,
-                "total_bytes": e.total_bytes,
-                "upload_mib": e.upload_mib,
-                "total_mib": e.total_mib,
-                "ratio_exact": e.ratio_exact,
-                "ratio_rounded": e.ratio_rounded,
-            }
-            for e in comparison.entries
-        ],
-    }
 
 
 def _emit_cost_csv(outputs: dict) -> None:

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import UNIT_NORM_TOL, ZERO_NORM_EPS, _text_u64, is_unit
+from .encoder import ZERO_NORM_EPS, _text_u64, is_unit
 
 __all__ = [
     "OUTLIER",
@@ -355,8 +355,7 @@ def consensus_for_prompt(
     points = np.asarray(embeddings, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("embeddings must be equal-length vectors")
-    # Written as "not within tolerance" so that a NaN norm is refused too.
-    off_unit = np.flatnonzero(~(np.abs(np.linalg.norm(points, axis=1) - 1.0) <= UNIT_NORM_TOL))
+    off_unit = np.flatnonzero(~is_unit(points))
     if off_unit.size:
         raise ValueError(f"embedding at position {off_unit[0]} is not unit norm")
     clients = [r.client for r in responses]

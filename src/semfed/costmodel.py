@@ -179,11 +179,10 @@ def text_round_bytes(spec: TextRoundCostSpec) -> int:
     return upload * 2 if spec.include_download else upload
 
 
-def lora_upload_bytes(spec: LoraCostSpec, per_client: bool = False) -> int:
-    """Adapter upload bytes: bytes/param * sum over matrices of r*(d_in+d_out)."""
+def lora_upload_bytes(spec: LoraCostSpec) -> int:
+    """Adapter upload bytes: K * bytes/param * sum over matrices of r*(d_in+d_out)."""
     params = spec.rank * sum(d_in + d_out for d_in, d_out in spec.layer_shapes)
-    clients = 1 if per_client else spec.num_clients
-    return round(spec.bytes_per_param * params * clients)
+    return round(spec.bytes_per_param * params * spec.num_clients)
 
 
 def subsample_bytes(spec: SubsampleCostSpec) -> int:
@@ -221,7 +220,7 @@ class CostComparison:
     text_bytes: int
     text_mb: float
     text_mib: float
-    entries: tuple[LoraComparisonEntry, ...]
+    adapters: tuple[LoraComparisonEntry, ...]
 
 
 def comparison_report(
@@ -241,15 +240,15 @@ def comparison_report(
     if text_bytes == 0:
         raise ValueError("the text-consensus total rounds to 0 bytes; nothing to compare")
     text_mb_rounded = round(text_bytes / MB, 1)
-    entries = []
+    adapters = []
     for targets in TARGET_SETS:
         spec = lora_spec_for_preset(
             preset, targets, num_clients=1, rank=rank, bytes_per_param=bytes_per_param
         )
-        upload = lora_upload_bytes(spec, per_client=True)
+        upload = lora_upload_bytes(spec)
         total = upload * 2
         total_mib = total / MIB
-        entries.append(
+        adapters.append(
             LoraComparisonEntry(
                 targets=targets,
                 upload_bytes=upload,
@@ -269,5 +268,5 @@ def comparison_report(
         text_bytes=text_bytes,
         text_mb=text_bytes / MB,
         text_mib=text_bytes / MIB,
-        entries=tuple(entries),
+        adapters=tuple(adapters),
     )

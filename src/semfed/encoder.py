@@ -54,6 +54,8 @@ __all__ = [
 ZERO_NORM_EPS = 1e-12
 # Tolerance when checking that a vector claiming to be normalized is unit.
 UNIT_NORM_TOL = 1e-9
+# Widest embedding the encoder builds; a batch holds texts x dimension float64s.
+MAX_DIMENSION = 1 << 16
 
 
 class ZeroVectorError(ValueError):
@@ -64,7 +66,8 @@ class ZeroVectorError(ValueError):
 class EncoderConfig:
     """Settings for the hashed character n-gram encoder.
 
-    dimension: number of hash buckets, i.e. the embedding width.
+    dimension: number of hash buckets, i.e. the embedding width, from 8
+        to MAX_DIMENSION (65,536).
     ngram_size: character n-gram length fed to the hash.
     seed: key for the hash; different seeds give unrelated embeddings.
     lowercase: optional preprocessing, off by default so the encoder
@@ -80,8 +83,8 @@ class EncoderConfig:
         for name in ("dimension", "ngram_size", "seed"):
             if not isinstance(getattr(self, name), int):
                 raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if self.dimension < 8:
-            raise ValueError(f"encoder dimension must be >= 8, got {self.dimension}")
+        if not 8 <= self.dimension <= MAX_DIMENSION:
+            raise ValueError(f"encoder dimension must be in [8, {MAX_DIMENSION}], got {self.dimension}")
         if self.ngram_size < 1:
             raise ValueError(f"ngram_size must be >= 1, got {self.ngram_size}")
         if not 0 <= self.seed < 2**64:
@@ -223,20 +226,24 @@ def encode_normalized(text: str, config: EncoderConfig) -> np.ndarray:
     return normalize(encode(text, config))
 
 
-def is_unit(vec: np.ndarray) -> bool:
-    """True when ``vec`` has unit norm within UNIT_NORM_TOL."""
-    return abs(float(np.linalg.norm(vec)) - 1.0) <= UNIT_NORM_TOL
+def is_unit(vectors: np.ndarray) -> np.bool_ | np.ndarray:
+    """Whether each vector along the last axis has unit norm within UNIT_NORM_TOL.
+
+    One bool for a vector, one per row for a matrix.  A NaN norm is not unit.
+    """
+    return np.abs(np.linalg.norm(vectors, axis=-1) - 1.0) <= UNIT_NORM_TOL
 
 
-def load_embeddings_jsonl(path: str | Path, dimension: int | None = None) -> dict[str, np.ndarray]:
+def load_embeddings_jsonl(path: str | Path) -> dict[str, np.ndarray]:
     """Load externally computed embeddings from JSONL.
 
     Each line is an object {"response_id": str, "embedding": [numbers]},
     read by ``jsonl.read_rows``.  Vectors are returned raw (not
     normalized) so callers decide when to normalize.  All vectors must
-    share one dimension; pass ``dimension`` to also pin what it must be.
+    share one dimension.
     """
     out: dict[str, np.ndarray] = {}
+    dimension = None
     for lineno, (rid, embedding) in read_rows(path, response_id=str, embedding=list):
         where = f"{path}:{lineno}"
         if rid in out:

@@ -22,6 +22,7 @@ emission, so reruns give byte-identical output.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -80,9 +81,8 @@ class PublicPromptSet:
     prompts: tuple[Prompt, ...]
 
     def __post_init__(self) -> None:
-        ids = [p.prompt_id for p in self.prompts]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted(i for i, n in Counter(p.prompt_id for p in self.prompts).items() if n > 1)
+        if dupes:
             raise ConfigError(f"duplicate prompt ids: {dupes}")
 
     def __len__(self) -> int:

@@ -17,6 +17,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from bound_harness import (
+    client_variance_check,
+    empirical_bound_check,
+    make_quadratic_problem,
+    random_distribution_pairs,
+    tv_pinsker_check,
+)
 from oracles import (
     mp_delta,
     mp_stationarity,
@@ -49,17 +56,7 @@ from semfed.protocol import (
     make_response,
     run_session,
 )
-from semfed.theory import (
-    GapParams,
-    StationarityParams,
-    client_variance_check,
-    delta_T,
-    empirical_bound_check,
-    make_quadratic_problem,
-    random_distribution_pairs,
-    stationarity_rhs,
-    tv_pinsker_check,
-)
+from semfed.theory import GapParams, StationarityParams, delta_T, stationarity_rhs
 
 
 @pytest.fixture
@@ -107,7 +104,7 @@ def test_criterion_1_exact_communication_costs(criterion):
             assert lora_upload_bytes(spec) == want, (preset_name, targets)
 
         report = comparison_report(PRESETS["llama3.1-405b"], text_spec)
-        by_targets = {e.targets: e for e in report.entries}
+        by_targets = {e.targets: e for e in report.adapters}
         assert math.isclose(by_targets["qv"].ratio_exact, 201.6, rel_tol=1e-12)
         assert math.isclose(by_targets["attn_mlp"].ratio_exact, 1045.8, rel_tol=1e-12)
         assert by_targets["qv"].ratio_rounded == 194

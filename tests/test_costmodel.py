@@ -110,13 +110,12 @@ def test_preset_upload_golden_values():
     ]
     for preset_name, targets, expected in cases:
         spec = lora_spec_for_preset(PRESETS[preset_name], targets)
-        assert lora_upload_bytes(spec, per_client=True) == expected
+        assert lora_upload_bytes(spec) == expected
 
 
 def test_upload_scales_with_clients_unless_per_client():
-    spec = lora_spec_for_preset(PRESETS["llama2-13b"], "qv", num_clients=7)
-    per_client = lora_upload_bytes(spec, per_client=True)
-    assert lora_upload_bytes(spec) == 7 * per_client
+    one, seven = (lora_spec_for_preset(PRESETS["llama2-13b"], "qv", num_clients=k) for k in (1, 7))
+    assert lora_upload_bytes(seven) == 7 * lora_upload_bytes(one)
 
 
 def test_lora_validation():
@@ -160,7 +159,7 @@ def test_comparison_report_405b():
     assert report.text_bytes == 5_242_880
     assert report.text_mb == 5.24288
     assert report.text_mib == 5.0
-    by_targets = {e.targets: e for e in report.entries}
+    by_targets = {e.targets: e for e in report.adapters}
     qv = by_targets["qv"]
     assert qv.total_bytes == 1_056_964_608
     assert qv.total_mib == 1008.0
@@ -175,7 +174,7 @@ def test_comparison_report_405b():
 
 def test_comparison_report_13b_upload_mib():
     report = comparison_report(PRESETS["llama2-13b"], TEXT_ROUND_REFERENCE)
-    by_targets = {e.targets: e for e in report.entries}
+    by_targets = {e.targets: e for e in report.adapters}
     assert by_targets["qv"].upload_bytes == 52_428_800
     assert by_targets["qv"].upload_mib == 50.0
     assert by_targets["attn_mlp"].upload_bytes == 250_347_520
@@ -194,10 +193,10 @@ def test_exact_ratio_invariant_under_joint_scaling_but_rounded_is_not():
     scaled = comparison_report(
         PRESETS["llama3.1-405b"], scaled_sc, bytes_per_param=6.0
     )
-    for b, s in zip(base.entries, scaled.entries):
+    for b, s in zip(base.adapters, scaled.adapters):
         assert abs(b.ratio_exact - s.ratio_exact) < 1e-9
-    assert [e.ratio_rounded for e in scaled.entries] != [
-        e.ratio_rounded for e in base.entries
+    assert [e.ratio_rounded for e in scaled.adapters] != [
+        e.ratio_rounded for e in base.adapters
     ]
 
 

@@ -8,7 +8,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from semfed.cli import main
 
@@ -221,6 +221,21 @@ def test_cost_never_raises_on_extreme_numbers(flags, preset, upload_only):
 )
 def test_bound_never_raises_on_extreme_numbers(flags):
     assert_clean_outcome(*run(["bound", *flags]))
+
+
+@given(
+    flags=numeric_flags(
+        {"eps": "0.3"},
+        {"dimension": "64", "ngram": "3", "min-pts": "2", "encoder-seed": "0", "seed": "0"},
+    ),
+)
+@example(flags=[f"--dimension={2**62}"])
+@example(flags=[f"--dimension={2**40}"])
+def test_consensus_never_raises_on_extreme_numbers(flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.jsonl"
+        write_lines(path, [{"prompt_id": "p0", "client_id": c, "response": f"answer {c}"} for c in range(2)])
+        assert_clean_outcome(*run(["consensus", "--input", str(path), *flags]))
 
 
 # A CSV cell: mostly a plausible value for its column, else junk, or a huge

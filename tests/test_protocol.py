@@ -181,6 +181,12 @@ def test_round_and_session_validation():
             SessionParams(max_tokens=max_tokens)
 
 
+def test_duplicate_prompt_ids_are_each_listed_once():
+    ids = [f"p{i}" for i in range(100_000)] + ["p99999", "p7", "p7"]
+    with pytest.raises(ConfigError, match=r"^duplicate prompt ids: \['p7', 'p99999'\]$"):
+        PublicPromptSet(prompts=tuple(Prompt(i, "x") for i in ids))
+
+
 def test_session_totals_are_sums_of_rounds():
     prompts = prompt_set(3)
     clients = scripted_uniform(4, prompts, 2, "an answer of fixed length!!")

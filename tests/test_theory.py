@@ -5,21 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import mp_delta, mp_stationarity
-from semfed.theory import (
-    GapParams,
-    StationarityParams,
-    StepTooLargeError,
+from bound_harness import (
     client_variance_check,
-    delta_T,
     empirical_bound_check,
     kl_divergence,
     make_quadratic_problem,
     random_distribution_pairs,
-    stationarity_rhs,
     total_variation,
     tv_pinsker_check,
 )
+from oracles import mp_delta, mp_stationarity
+from semfed.theory import GapParams, StationarityParams, StepTooLargeError, delta_T, stationarity_rhs
 
 
 def gap(**overrides):
