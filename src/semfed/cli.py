@@ -106,22 +106,26 @@ def _report(command: str, inputs: dict, outputs: dict, seed: int | None) -> dict
 # ---------------------------------------------------------------- simulate
 
 
-_CONFIG_KEYS = {
-    "clients",
-    "rounds",
-    "prompt_file",
-    "prompt_budget",
-    "eps",
-    "min_pts",
-    "strategy",
-    "strategy_seed",
-    "seed",
-    "encoder",
-    "weights",
-    "max_tokens",
-    "retrain_private_every_round",
-    "dp",
+# Each optional config key: its JSON type and default, or a nested table
+# for an object key.  Resolved, this is both the session's settings and
+# the report's inputs echo; defaults come from the dataclasses that own them.
+_SETTINGS: dict = {
+    "rounds": (int, 1),
+    "prompt_budget": (int, 500),
+    "eps": (float, ClusterParams().eps),
+    "min_pts": (int, ClusterParams().min_pts),
+    "strategy": (str, SelectionStrategy().rule.value),
+    "encoder": {
+        "dimension": (int, EncoderConfig().dimension),
+        "ngram": (int, EncoderConfig().ngram_size),
+        "seed": (int, EncoderConfig().seed),
+        "lowercase": (bool, EncoderConfig().lowercase),
+    },
+    "weights": {"alpha": (float, TrainingWeights().alpha), "beta": (float, TrainingWeights().beta)},
+    "max_tokens": (int, SessionParams().max_tokens),
+    "retrain_private_every_round": (bool, SessionParams().retrain_private_every_round),
 }
+_CONFIG_KEYS = {*_SETTINGS, "clients", "prompt_file", "seed", "strategy_seed", "dp"}
 
 
 def _get(raw: dict, key: str, kind: type, default=None):
@@ -136,6 +140,17 @@ def _object(value, what: str, allowed: set[str]) -> dict:
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     return value
+
+
+def _resolve(raw: dict, table: dict) -> dict:
+    """Every key of ``table`` read from ``raw`` or defaulted, and type-checked."""
+    resolved = {}
+    for key, spec in table.items():
+        if isinstance(spec, dict):
+            resolved[key] = _resolve(_object(raw.get(key, {}), key, set(spec)), spec)
+        else:
+            resolved[key] = _get(raw, key, *spec)
+    return resolved
 
 
 def _build_clients(
@@ -190,12 +205,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         config = _load_config(config_path)
         base_dir = config_path.parent
-        seed = args.seed if args.seed is not None else _get(config, "seed", int, 0)
-        rounds = _get(config, "rounds", int, 1)
+        settings = _resolve(config, _SETTINGS)
+        seed = _get(config, "seed", int, 0)
+        if args.seed is not None:
+            seed = args.seed
         if "prompt_file" not in config:
             raise ConfigError("config must declare prompt_file")
         prompt_file = _get(config, "prompt_file", str)
-        budget = _get(config, "prompt_budget", int, 500)
+        budget = settings["prompt_budget"]
         if budget < 1:
             raise ConfigError(f"prompt_budget must be >= 1, got {budget}")
         prompts = PublicPromptSet.from_jsonl(base_dir / prompt_file, limit=budget)
@@ -207,60 +224,40 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raw_dp = config["dp"]
             if not isinstance(raw_dp, dict) or set(raw_dp) != {"epsilon", "delta"}:
                 raise ConfigError("dp must be an object with exactly epsilon and delta")
-            dp = (_get(raw_dp, "epsilon", float), _get(raw_dp, "delta", float))
-        strategy = _get(config, "strategy", str, "centroid")
+            dp = {key: _get(raw_dp, key, float) for key in ("epsilon", "delta")}
+        strategy = settings["strategy"]
         if strategy not in _STRATEGY_NAMES:
             raise ConfigError(
                 f"unknown strategy {strategy!r}; expected one of {sorted(_STRATEGY_NAMES)}"
             )
-        encoder_keys = {"dimension", "ngram", "seed", "lowercase"}
-        encoder = _object(config.get("encoder", {}), "encoder", encoder_keys)
-        weights = _object(config.get("weights", {}), "weights", {"alpha", "beta"})
+        strategy_seed = _get(config, "strategy_seed", int, seed)
+        encoder = settings["encoder"]
         params = SessionParams(
             encoder=EncoderConfig(
-                dimension=_get(encoder, "dimension", int, 384),
-                ngram_size=_get(encoder, "ngram", int, 3),
-                seed=_get(encoder, "seed", int, 0),
-                lowercase=_get(encoder, "lowercase", bool, False),
+                dimension=encoder["dimension"],
+                ngram_size=encoder["ngram"],
+                seed=encoder["seed"],
+                lowercase=encoder["lowercase"],
             ),
-            cluster=ClusterParams(
-                eps=_get(config, "eps", float, 0.3), min_pts=_get(config, "min_pts", int, 2)
-            ),
-            strategy=SelectionStrategy(
-                _STRATEGY_NAMES[strategy], _get(config, "strategy_seed", int, seed)
-            ),
-            weights=TrainingWeights(
-                _get(weights, "alpha", float, 0.5), _get(weights, "beta", float, 0.5)
-            ),
-            max_tokens=_get(config, "max_tokens", int, 64),
-            retrain_private_every_round=_get(config, "retrain_private_every_round", bool, True),
-            dp_round_budget=dp,
+            cluster=ClusterParams(eps=settings["eps"], min_pts=settings["min_pts"]),
+            strategy=SelectionStrategy(_STRATEGY_NAMES[strategy], strategy_seed),
+            weights=TrainingWeights(**settings["weights"]),
+            max_tokens=settings["max_tokens"],
+            retrain_private_every_round=settings["retrain_private_every_round"],
+            dp_round_budget=None if dp is None else (dp["epsilon"], dp["delta"]),
         )
-        report = run_session(clients, prompts, rounds, params, private)
+        report = run_session(clients, prompts, settings["rounds"], params, private)
     except (ConfigError, ValueError, OSError, KeyError) as exc:
         return _fail(str(exc))
 
     inputs_echo = {
+        **settings,
         "config_file": str(config_path),
         "clients": clients_echo,
-        "rounds": rounds,
         "prompt_file": prompt_file,
-        "prompt_budget": budget,
         "prompts_used": len(prompts),
-        "eps": params.cluster.eps,
-        "min_pts": params.cluster.min_pts,
-        "strategy": params.strategy.rule.value,
-        "strategy_seed": params.strategy.seed,
-        "encoder": {
-            "dimension": params.encoder.dimension,
-            "ngram": params.encoder.ngram_size,
-            "seed": params.encoder.seed,
-            "lowercase": params.encoder.lowercase,
-        },
-        "weights": {"alpha": params.weights.alpha, "beta": params.weights.beta},
-        "max_tokens": params.max_tokens,
-        "retrain_private_every_round": params.retrain_private_every_round,
-        "dp": None if dp is None else {"epsilon": dp[0], "delta": dp[1]},
+        "strategy_seed": strategy_seed,
+        "dp": dp,
     }
     session = _report("simulate", inputs_echo, report_to_dict(report), seed)
 
@@ -309,7 +306,7 @@ def cmd_consensus(args: argparse.Namespace) -> int:
         params = ClusterParams(eps=args.eps, min_pts=args.min_pts)
         strategy = SelectionStrategy(
             rule=_STRATEGY_NAMES[args.strategy],
-            seed=args.seed if args.seed is not None else 0,
+            seed=SelectionStrategy().seed if args.seed is None else args.seed,
         )
         external = None
         if args.embeddings is not None:
@@ -338,7 +335,7 @@ def cmd_consensus(args: argparse.Namespace) -> int:
         if outcome is None:
             entry = {"prompt_id": prompt_id, "error": errors[-1].reason}
         else:
-            entry = dict(asdict(outcome), centroid=[float(x) for x in result.centroid])
+            entry = dict(vars(outcome), centroid=[float(x) for x in result.centroid])
         if skipped:
             entry["skipped_clients"] = skipped
         results.append(entry)
@@ -530,13 +527,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_con = sub.add_parser("consensus", help="run per-prompt consensus on a JSONL dump")
     p_con.add_argument("--input", required=True, help="JSONL rows with prompt_id, client_id, response")
-    p_con.add_argument("--eps", type=float, default=0.3)
-    p_con.add_argument("--min-pts", type=int, default=2)
-    p_con.add_argument("--strategy", choices=sorted(_STRATEGY_NAMES), default="centroid")
+    p_con.add_argument("--eps", type=float, default=ClusterParams().eps)
+    p_con.add_argument("--min-pts", type=int, default=ClusterParams().min_pts)
+    p_con.add_argument(
+        "--strategy", choices=sorted(_STRATEGY_NAMES), default=SelectionStrategy().rule.value
+    )
     p_con.add_argument("--seed", type=int, default=None, help="seed for the randomized strategy")
-    p_con.add_argument("--dimension", type=int, default=384)
-    p_con.add_argument("--ngram", type=int, default=3)
-    p_con.add_argument("--encoder-seed", type=int, default=0)
+    p_con.add_argument("--dimension", type=int, default=EncoderConfig().dimension)
+    p_con.add_argument("--ngram", type=int, default=EncoderConfig().ngram_size)
+    p_con.add_argument("--encoder-seed", type=int, default=EncoderConfig().seed)
     p_con.add_argument(
         "--embeddings",
         default=None,

@@ -133,6 +133,10 @@ class SelectionStrategy:
     rule: SelectionRule = SelectionRule.CENTROID
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"strategy seed must be a non-negative integer, got {self.seed!r}")
+
 
 @dataclass(frozen=True)
 class ConsensusResult:

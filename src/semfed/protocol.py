@@ -367,39 +367,21 @@ def run_session(
 
 
 def transcript_to_dict(transcript: RoundTranscript) -> dict:
-    """JSON-ready view of a round transcript, already canonically ordered."""
+    """JSON-ready view of a round transcript, already canonically ordered.
+
+    Each response, consensus entry and error is written as its own
+    fields; their tuples serialize as JSON arrays.
+    """
     return {
         "round": transcript.round_index,
-        "responses": [
-            {
-                "client": r.client,
-                "prompt_id": r.prompt_id,
-                "text": r.text,
-                "byte_len": r.byte_len,
-            }
-            for r in transcript.responses
-        ],
-        "consensus": [
-            {
-                "prompt_id": c.prompt_id,
-                "clients": list(c.clients),
-                "labels": list(c.labels),
-                "members": list(c.members),
-                "representative": c.representative,
-                "pseudo_label": c.pseudo_label,
-                "fallback_all_outliers": c.fallback_all_outliers,
-            }
-            for c in transcript.consensus
-        ],
+        "responses": [dict(vars(r)) for r in transcript.responses],
+        "consensus": [dict(vars(c)) for c in transcript.consensus],
         "broadcast": [
             {"prompt_id": pid, "pseudo_label": label} for pid, label in transcript.broadcast
         ],
         "uploaded_bytes": transcript.uploaded_bytes,
         "downloaded_bytes": transcript.downloaded_bytes,
-        "errors": [
-            {"prompt_id": e.prompt_id, "client": e.client, "reason": e.reason}
-            for e in transcript.errors
-        ],
+        "errors": [dict(vars(e)) for e in transcript.errors],
     }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,11 @@ import sys
 import pytest
 
 from semfed.cli import build_parser, main
+from semfed.clients import TrainingWeights
+from semfed.consensus import ClusterParams, SelectionStrategy
+from semfed.encoder import EncoderConfig
 from semfed.privacy import PrivacyWarning
+from semfed.protocol import SessionParams
 
 
 def run_cli(capsys, *argv):
@@ -392,6 +397,51 @@ def test_consensus_external_zero_embedding_is_skipped(tmp_path, capsys):
     assert q == {"prompt_id": "q", "error": "no_embeddable_responses", "skipped_clients": [0]}
 
 
+def test_consensus_flag_defaults_are_the_dataclass_defaults():
+    args = build_parser().parse_args(["consensus", "--input", "r.jsonl"])
+    cluster, encoder = ClusterParams(), EncoderConfig()
+    assert (args.eps, args.min_pts, args.strategy, args.seed) == (
+        cluster.eps,
+        cluster.min_pts,
+        SelectionStrategy().rule.value,
+        None,
+    )
+    assert (args.dimension, args.ngram, args.encoder_seed) == (
+        encoder.dimension,
+        encoder.ngram_size,
+        encoder.seed,
+    )
+
+
+def test_negative_strategy_seed_fails_naming_it(tmp_path, capsys):
+    responses = write_jsonl(
+        tmp_path / "r.jsonl",
+        [{"prompt_id": "p0", "client_id": c, "response": "the same answer"} for c in range(3)],
+    )
+    for strategy in ("centroid", "random_in_cluster"):
+        code, out, err = run_cli(
+            capsys, "consensus", "--input", str(responses), "--strategy", strategy, "--seed=-1"
+        )
+        assert (code, out) == (2, ""), strategy
+        assert err.startswith("error: strategy seed must be a non-negative integer"), err
+    config_path, base = scripted_fixture(tmp_path)
+    for config in (
+        {**base, "strategy": "random_in_cluster", "strategy_seed": -1},
+        {**base, "seed": -1},  # the strategy seed defaults to the seed
+    ):
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config_path))
+        assert (code, out) == (2, ""), config
+        assert err.startswith("error: strategy seed must be a non-negative integer"), err
+    # no upper bound
+    report = run_json(
+        capsys, "consensus", "--input", str(responses), "--strategy", "random_in_cluster",
+        f"--seed={2**70}",
+    )
+    assert report["seed"] == 2**70
+    assert report["outputs"]["prompts"][0]["members"] == [0, 1, 2]
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -562,9 +612,102 @@ def test_simulate_missing_prompt_file_fails(tmp_path, capsys):
 
 
 def test_simulate_seed_override_is_echoed(tmp_path, capsys):
-    config_path, _ = scripted_fixture(tmp_path)
+    config_path, config = scripted_fixture(tmp_path)
     report = run_json(capsys, "simulate", "--config", str(config_path), "--seed", "9")
     assert report["seed"] == 9
+    # the config seed is checked even when --seed overrides it
+    config_path.write_text(json.dumps({**config, "seed": "oops"}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config_path), "--seed", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: seed must be a JSON integer, got string"), err
+
+
+CONFIG_KEYS = {
+    "clients", "rounds", "prompt_file", "prompt_budget", "eps", "min_pts", "strategy",
+    "strategy_seed", "seed", "encoder", "weights", "max_tokens", "retrain_private_every_round",
+    "dp",
+}
+
+
+def test_simulate_echo_holds_every_config_key_with_the_dataclass_defaults(tmp_path, capsys):
+    config_path, config = scripted_fixture(tmp_path)
+    report = run_json(capsys, "simulate", "--config", str(config_path))
+    inputs = report["inputs"]
+    assert set(inputs) == CONFIG_KEYS - {"seed"} | {"config_file", "prompts_used"}
+    cluster, encoder, weights, session = (
+        ClusterParams(), EncoderConfig(), TrainingWeights(), SessionParams()
+    )
+    assert inputs == {
+        **config,
+        "clients": {**config["clients"], "count": 3},
+        "config_file": str(config_path),
+        "prompts_used": 2,
+        "prompt_budget": 500,
+        "eps": cluster.eps,
+        "min_pts": cluster.min_pts,
+        "strategy": session.strategy.rule.value,
+        "strategy_seed": report["seed"],
+        "encoder": {
+            "dimension": encoder.dimension,
+            "ngram": encoder.ngram_size,
+            "seed": encoder.seed,
+            "lowercase": encoder.lowercase,
+        },
+        "weights": {"alpha": weights.alpha, "beta": weights.beta},
+        "max_tokens": session.max_tokens,
+        "retrain_private_every_round": session.retrain_private_every_round,
+        "dp": None,
+    }
+    assert report["seed"] == 0
+
+
+# A config that sets every key, and the sha256 of stdout and of each file
+# of its --output run.  Any drift in the echo or the transcripts moves them.
+GOLDEN_CONFIG = {
+    "clients": {"type": "markov", "count": 3, "order": 2, "private_file": "private.jsonl"},
+    "rounds": 2,
+    "prompt_file": "prompts.jsonl",
+    "prompt_budget": 3,
+    "eps": 1,
+    "min_pts": 1,
+    "strategy": "random_in_cluster",
+    "strategy_seed": 7,
+    "seed": 4,
+    "encoder": {"dimension": 64, "ngram": 2, "seed": 9, "lowercase": True},
+    "weights": {"alpha": 0.25, "beta": 0.75},
+    "max_tokens": 6,
+    "retrain_private_every_round": False,
+    "dp": {"epsilon": 0.5, "delta": 1e-6},
+}
+GOLDEN_PROMPTS = ["what color is the sky", "is water wet", "name a fruit", "the quick brown fox"]
+GOLDEN_SHA256 = {
+    "round_0001.json": "84e0590f29dfae067e43b771f61f04d740d1ea8e80be65edf78109c3cbe13ecd",
+    "round_0002.json": "4564a3bb171cccc2586cb212be54052f8183a70d8adcd36a009030c4a0c9195f",
+    "session.json": "bb9b4ccb3f50671e1efc18206e38989188a0d0e25b655e0ba58db1007381f500",
+    "stdout": "bb9b4ccb3f50671e1efc18206e38989188a0d0e25b655e0ba58db1007381f500",
+}
+
+
+def test_simulate_golden_output_with_every_key_set(tmp_path, capsys, monkeypatch):
+    assert set(GOLDEN_CONFIG) == CONFIG_KEYS
+    monkeypatch.chdir(tmp_path)
+    prompts = [{"prompt_id": f"p{i}", "text": t} for i, t in enumerate(GOLDEN_PROMPTS)]
+    write_jsonl(tmp_path / "prompts.jsonl", prompts)
+    write_jsonl(
+        tmp_path / "private.jsonl",
+        [
+            {"client": c, "prompt": p["text"], "response": f"answer {c} to {p['prompt_id']}"}
+            for c in range(3)
+            for p in prompts
+        ],
+    )
+    (tmp_path / "config.json").write_text(json.dumps(GOLDEN_CONFIG), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--config", "config.json", "--output", "out")
+    assert code == 0, err
+    digests = {"stdout": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+    for path in sorted((tmp_path / "out").iterdir()):
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == GOLDEN_SHA256
 
 
 # ---------------------------------------------------------------- process

@@ -386,6 +386,15 @@ def test_random_in_cluster_is_deterministic_and_in_members():
     assert len(reps) > 1
 
 
+@pytest.mark.parametrize("rule", list(SelectionRule))
+@pytest.mark.parametrize("seed", [-1, True, 1.0, None])
+def test_selection_strategy_seed_must_be_a_non_negative_int(rule, seed):
+    with pytest.raises(ValueError, match="strategy seed must be a non-negative integer"):
+        SelectionStrategy(rule, seed=seed)
+    # no upper bound: the seed only keys the RNG
+    SelectionStrategy(rule, seed=2**70)
+
+
 # ------------------------------------------------------- properties
 
 
