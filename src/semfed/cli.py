@@ -209,6 +209,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed = _get(config, "seed", int, 0)
         if args.seed is not None:
             seed = args.seed
+        if seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
         if "prompt_file" not in config:
             raise ConfigError("config must declare prompt_file")
         prompt_file = _get(config, "prompt_file", str)

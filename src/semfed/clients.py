@@ -125,6 +125,49 @@ class ScriptedClient(Client):
         return None
 
 
+# Bound on the (context, next) pairs held by _PAIRS, over every entry.
+PAIR_MEMO_SIZE = 1 << 18
+
+# (order, prompt, response) -> (contexts, nexts), shared by every client;
+# _pair_count is the number of pairs it holds.
+_PAIRS: dict[tuple[int, str, str], tuple[tuple[tuple[str, ...], ...], tuple[str, ...]]] = {}
+_pair_count = 0
+
+
+def _pairs(
+    prompt: str, response: str, order: int
+) -> tuple[tuple[tuple[str, ...], ...], tuple[str, ...]]:
+    """The (context, next word) pairs one example adds to, as parallel tuples.
+
+    The stream is the prompt's words followed by the response's.  Contexts
+    of length 1 come first, then length 2, ... up to ``order``; within one
+    length the pairs follow the stream.  The result is memoised in
+    ``_PAIRS``: when a new entry would take the memo past PAIR_MEMO_SIZE
+    pairs it is emptied first, and an example with no pairs or with more
+    than PAIR_MEMO_SIZE is never stored.
+    """
+    global _pair_count
+    key = (order, prompt, response)
+    found = _PAIRS.get(key)
+    if found is not None:
+        return found
+    stream = prompt.split() + response.split()
+    n = len(stream)
+    contexts: list[tuple[str, ...]] = []
+    nexts: list[str] = []
+    for length in range(1, min(order, n - 1) + 1):
+        contexts += zip(*(stream[k : n - length + k] for k in range(length)))
+        nexts += stream[length:]
+    pairs = (tuple(contexts), tuple(nexts))
+    if 0 < len(nexts) <= PAIR_MEMO_SIZE:
+        if _pair_count + len(nexts) > PAIR_MEMO_SIZE:
+            _PAIRS.clear()
+            _pair_count = 0
+        _PAIRS[key] = pairs
+        _pair_count += len(nexts)
+    return pairs
+
+
 class MarkovToyClient(Client):
     """Word-level Markov chain with weighted transition counts.
 
@@ -142,6 +185,11 @@ class MarkovToyClient(Client):
     step k uses the k-th uniform draw of that RNG (drawn even when the
     context has a single next word), and candidate words are scanned in
     sorted order.  An untrained client generates the empty string.
+
+    Each example's (context, next word) pairs are built once per process
+    and order and read from a bounded memo shared by every client
+    (``_pairs``); each transition still receives its additions in stream
+    order, so every float sum is the one the per-example walk gives.
     """
 
     def __init__(self, order: int = 1, seed: int = 0):
@@ -154,14 +202,13 @@ class MarkovToyClient(Client):
         self.transitions: dict[tuple[str, ...], dict[str, float]] = {}
 
     def _absorb(self, prompt: str, response: str, weight: float) -> None:
-        # One pass per context length; each (context, next) pair is still
-        # added to in stream order, so every float sum is unchanged.
-        stream = prompt.split() + response.split()
         transitions = self.transitions
-        for length in range(1, min(self.order, len(stream) - 1) + 1):
-            contexts = zip(*(stream[k:] for k in range(length)))
-            for context, nxt in zip(contexts, stream[length:]):
-                bucket = transitions.setdefault(context, {})
+        for context, nxt in zip(*_pairs(prompt, response, self.order)):
+            bucket = transitions.get(context)
+            if bucket is None:
+                # 0.0 + weight, as in the sum below: -0.0 is stored as 0.0.
+                transitions[context] = {nxt: 0.0 + weight}
+            else:
                 bucket[nxt] = bucket.get(nxt, 0.0) + weight
 
     def train(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -426,8 +427,8 @@ def test_negative_strategy_seed_fails_naming_it(tmp_path, capsys):
         assert err.startswith("error: strategy seed must be a non-negative integer"), err
     config_path, base = scripted_fixture(tmp_path)
     for config in (
+        {**base, "strategy_seed": -1},
         {**base, "strategy": "random_in_cluster", "strategy_seed": -1},
-        {**base, "seed": -1},  # the strategy seed defaults to the seed
     ):
         config_path.write_text(json.dumps(config), encoding="utf-8")
         code, out, err = run_cli(capsys, "simulate", "--config", str(config_path))
@@ -576,6 +577,19 @@ def test_simulate_negative_seed_with_markov_clients_fails_naming_it(tmp_path, ca
     assert err.startswith("error: seed must be a non-negative integer")
 
 
+def test_simulate_negative_seed_with_scripted_clients_fails_naming_it(tmp_path, capsys):
+    # the strategy seed defaults to the seed, but the error names the key set
+    config_path, base = scripted_fixture(tmp_path)
+    config_path.write_text(json.dumps({**base, "seed": -1}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: seed must be a non-negative integer, got -1"), err
+    config_path.write_text(json.dumps(base), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config_path), "--seed=-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: seed must be a non-negative integer, got -1"), err
+
+
 def test_simulate_unknown_config_key_fails(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     for key in ("promt_file", "workers"):
@@ -708,6 +722,62 @@ def test_simulate_golden_output_with_every_key_set(tmp_path, capsys, monkeypatch
     for path in sorted((tmp_path / "out").iterdir()):
         digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == GOLDEN_SHA256
+
+
+# A Markov session that retrains on its private set every round under
+# weights that are not dyadic, so each transition's float sum depends on
+# the order of its additions; the sha256 of each round file it writes.
+RETRAIN_CONFIG = {
+    "clients": {"type": "markov", "count": 4, "order": 2, "private_file": "private.jsonl"},
+    "rounds": 2,
+    "prompt_file": "prompts.jsonl",
+    "weights": {"alpha": 0.3, "beta": 0.7},
+    "max_tokens": 12,
+    "retrain_private_every_round": True,
+}
+RETRAIN_FACTS = [
+    "the sky is blue and the sea is blue",
+    "the sea is wide and the sky is wide",
+    "water is wet and the sea is water",
+    "a fruit is sweet and the apple is a fruit",
+    "the fox is quick and the dog is lazy",
+]
+RETRAIN_SHA256 = {
+    "round_0001.json": "4087644cf9af26fe38c7ffe4a5214efcd6eaa0b679e18744aa096e25a5ac4f97",
+    "round_0002.json": "376ffc79110e4d7ce8e9dc8ce0077a71d07144d6eb7ac861d2882b08fcbbedab",
+}
+
+
+def test_simulate_golden_rounds_with_private_retraining_and_non_dyadic_weights(tmp_path):
+    prompts = [{"prompt_id": f"p{i}", "text": t} for i, t in enumerate(GOLDEN_PROMPTS)]
+    write_jsonl(tmp_path / "prompts.jsonl", prompts)
+    write_jsonl(
+        tmp_path / "private.jsonl",
+        [
+            {"client": c, "prompt": fact.rsplit(" and ", 1)[0], "response": fact}
+            for c in range(4)
+            for fact in RETRAIN_FACTS[c:] + RETRAIN_FACTS[:c]
+        ],
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(RETRAIN_CONFIG), encoding="utf-8")
+    runs = []
+    for hash_seed in ("0", "1"):
+        out_dir = tmp_path / f"out{hash_seed}"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "semfed.cli", "simulate",
+                "--config", str(config), "--output", str(out_dir),
+            ],
+            capture_output=True,
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        runs.append({name: (out_dir / name).read_bytes() for name in RETRAIN_SHA256})
+    assert runs[0] == runs[1]
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in runs[0].items()}
+    assert digests == RETRAIN_SHA256
 
 
 # ---------------------------------------------------------------- process

@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import ReferenceMarkovClient
 
+import semfed.clients as clients_module
 from semfed.clients import (
     MarkovToyClient,
     PrivateDataset,
@@ -217,6 +218,122 @@ def test_markov_huge_token_budget_stops_with_the_chain():
         expected = reference.generate(prompt, 10**12)
         assert expected
         assert client.generate("p", prompt, 1, 10**12) == expected
+
+
+# ------------------------------------------------------------ pair memo
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty pair memo for one test; the process's memo is restored after."""
+    monkeypatch.setattr(clients_module, "_PAIRS", {})
+    monkeypatch.setattr(clients_module, "_pair_count", 0)
+
+
+def memo_pairs():
+    """The pairs the memo holds, checked against its running count and bound."""
+    held = sum(len(nexts) for _, nexts in clients_module._PAIRS.values())
+    assert held == clients_module._pair_count <= clients_module.PAIR_MEMO_SIZE
+    return held
+
+
+OVERLAPPING = [
+    ("the sky is", "blue and the sky is wide"),
+    ("is the sky", "the sky is blue"),
+    ("", "a b a b a b"),
+    ("a b", "a b c a b"),
+]
+
+
+def test_memo_clients_of_every_order_interleaved_match_reference(fresh_memo):
+    weights = TrainingWeights(alpha=0.3, beta=0.7)
+    models = [
+        (MarkovToyClient(order=order, seed=order), ReferenceMarkovClient(order=order, seed=order))
+        for order in (1, 2, 3)
+    ]
+    for turn in range(4):
+        for client, reference in models[turn % 3 :] + models[: turn % 3]:
+            pseudo = OVERLAPPING[turn:] + OVERLAPPING[:turn]
+            client.train(private(0, *OVERLAPPING[1:]), pseudo, weights)
+            reference.train(OVERLAPPING[1:], pseudo, weights.alpha, weights.beta)
+            assert client.transitions == reference.transitions
+            memo_pairs()
+    # each order keeps its own entries for the same example
+    assert {order for order, _, _ in clients_module._PAIRS} == {1, 2, 3}
+
+
+def test_memo_repeated_non_dyadic_weights_sum_in_reference_order(fresh_memo):
+    weights = TrainingWeights(alpha=0.3, beta=0.7)
+    client = MarkovToyClient(order=2, seed=0)
+    reference = ReferenceMarkovClient(order=2, seed=0)
+    example = ("a b", "a b a c a b")
+    for _ in range(7):
+        client.train(private(0, example, example), [example, example, example], weights)
+        reference.train([example, example], [example, example, example], 0.3, 0.7)
+        assert client.transitions == reference.transitions
+    # a -> b gets 0.3 three times per private copy and 0.7 three times per
+    # pseudo copy; another addition order gives another float
+    additions = ([0.3] * 6 + [0.7] * 9) * 7
+    total = 0.0
+    for weight in additions:
+        total += weight
+    assert client.transitions[("a",)]["b"] == total != math.fsum(additions)
+    assert memo_pairs() == 7 + 6  # 8 words: 7 pairs of length 1, 6 of length 2
+
+
+def test_memo_evicts_under_a_tiny_bound_and_never_stores_an_oversized_example(
+    fresh_memo, monkeypatch
+):
+    monkeypatch.setattr(clients_module, "PAIR_MEMO_SIZE", 5)
+    weights = TrainingWeights(alpha=0.3, beta=0.7)
+    client = MarkovToyClient(order=2, seed=0)
+    reference = ReferenceMarkovClient(order=2, seed=0)
+    small = [("", "a b"), ("", "b c"), ("a", "c"), ("", "c a b")]  # 1, 1, 1, 3 pairs
+    big = ("a b c", "a b c a")  # 7 words: 11 pairs at order 2
+    client.train(private(0, *small), [], weights)
+    reference.train(small, [], weights.alpha, weights.beta)
+    assert client.transitions == reference.transitions
+    # 3 + 3 pairs would pass the bound: the single pairs were dropped
+    assert list(clients_module._PAIRS) == [(2, "", "c a b")]
+    assert memo_pairs() == 3
+    for examples in (small[::-1], [big], small + [big], [big] + small):
+        client.train(private(0, *examples), examples[::-1], weights)
+        reference.train(examples, examples[::-1], weights.alpha, weights.beta)
+        assert client.transitions == reference.transitions
+        assert (2, *big) not in clients_module._PAIRS
+        memo_pairs()
+
+
+def test_memo_empty_and_one_word_streams_add_nothing(fresh_memo):
+    client = MarkovToyClient(order=3, seed=0)
+    reference = ReferenceMarkovClient(order=3, seed=0)
+    examples = [("", ""), (" ", "\n"), ("a", ""), ("", "b"), ("  c ", " ")]
+    for _ in range(2):
+        client.train(private(0, *examples), examples, EVEN)
+        reference.train(examples, examples, EVEN.alpha, EVEN.beta)
+        assert client.transitions == reference.transitions == {}
+    assert clients_module._PAIRS == {}
+    assert memo_pairs() == 0
+
+
+@given(
+    bound=st.integers(0, 8),
+    orders=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    rounds=st.lists(st.tuples(EXAMPLES, EXAMPLES), min_size=1, max_size=3),
+)
+def test_memo_stays_within_its_bound_and_matches_reference(bound, orders, rounds):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clients_module, "_PAIRS", {})
+        patch.setattr(clients_module, "_pair_count", 0)
+        patch.setattr(clients_module, "PAIR_MEMO_SIZE", bound)
+        weights = TrainingWeights(alpha=0.3, beta=0.7)
+        models = [(MarkovToyClient(order=o), ReferenceMarkovClient(order=o, seed=0)) for o in orders]
+        for private_examples, pseudo in rounds:
+            for client, reference in models:
+                client.train(private(0, *private_examples), pseudo, weights)
+                reference.train(private_examples, pseudo, weights.alpha, weights.beta)
+                assert client.transitions == reference.transitions
+                memo_pairs()
 
 
 # ------------------------------------------------------------ loaders
