@@ -303,7 +303,10 @@ def cmd_consensus(args: argparse.Namespace) -> int:
     try:
         grouped = _read_response_rows(Path(args.input))
         encoder_config = EncoderConfig(
-            dimension=args.dimension, ngram_size=args.ngram, seed=args.encoder_seed
+            dimension=args.dimension,
+            ngram_size=args.ngram,
+            seed=args.encoder_seed,
+            lowercase=args.lowercase,
         )
         params = ClusterParams(eps=args.eps, min_pts=args.min_pts)
         strategy = SelectionStrategy(
@@ -348,7 +351,12 @@ def cmd_consensus(args: argparse.Namespace) -> int:
         "eps": args.eps,
         "min_pts": args.min_pts,
         "strategy": args.strategy,
-        "encoder": {"dimension": args.dimension, "ngram": args.ngram, "seed": args.encoder_seed},
+        "encoder": {
+            "dimension": args.dimension,
+            "ngram": args.ngram,
+            "seed": args.encoder_seed,
+            "lowercase": args.lowercase,
+        },
     }
     return _emit(_report("consensus", inputs_echo, {"prompts": results}, args.seed))
 
@@ -538,6 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--dimension", type=int, default=EncoderConfig().dimension)
     p_con.add_argument("--ngram", type=int, default=EncoderConfig().ngram_size)
     p_con.add_argument("--encoder-seed", type=int, default=EncoderConfig().seed)
+    p_con.add_argument(
+        "--lowercase",
+        action=argparse.BooleanOptionalAction,
+        default=EncoderConfig().lowercase,
+        help="lowercase responses before encoding, as the encoder's 'lowercase' config key",
+    )
     p_con.add_argument(
         "--embeddings",
         default=None,

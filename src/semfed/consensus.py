@@ -9,7 +9,12 @@ submitted responses verbatim, never a synthesized string.
 
 Every step is deterministic, including the classically order-dependent
 parts of DBSCAN: clusters are numbered by their smallest core point and
-border points join the lowest-numbered cluster that claims them.
+border points join the lowest-numbered cluster that claims them.  A
+cluster is a set, so ``dbscan`` grows it a whole BFS frontier per numpy
+call and assigns every border point with one masked minimum; its cost
+follows the number of clusters and BFS levels, not of points.
+``select_consensus_cluster`` counts sizes with one ``np.bincount`` and
+compares spreads only among clusters tied for the largest size.
 Distance comparisons treat differences within TIE_TOL as exact ties so
 the secondary tie-breakers (response byte length, then smallest index)
 fire only on genuinely constructed ties, not on float noise.
@@ -100,15 +105,11 @@ class Clustering:
     num_clusters: int
 
     def __post_init__(self) -> None:
-        seen = {lab for lab in self.labels if lab != OUTLIER}
+        seen = set(self.labels) - {OUTLIER}
         if seen != set(range(self.num_clusters)):
             raise ValueError(
                 f"labels {self.labels} inconsistent with num_clusters={self.num_clusters}"
             )
-
-    def members(self, cluster: int) -> tuple[int, ...]:
-        """Positions assigned to ``cluster``, in increasing order."""
-        return tuple(i for i, lab in enumerate(self.labels) if lab == cluster)
 
 
 class SelectionRule(Enum):
@@ -185,33 +186,42 @@ def dbscan(dist: np.ndarray, params: ClusterParams) -> Clustering:
     ``dist`` is the K x K matrix from ``cosine_distances``.  A point is
     core when at least min_pts points (itself included) lie within eps.
     Clusters are the connected components of core points under the
-    within-eps relation, discovered in index order so cluster k has the
-    k-th smallest leading core point.  Non-core points within eps of a
-    core point join the lowest-numbered such cluster; the rest are
-    outliers.
+    within-eps relation.  Core points are scanned in index order; the
+    first one not yet labelled opens the next cluster, which grows a
+    whole BFS level at a time (every unlabelled core point within eps of
+    the current frontier), so cluster k has the k-th smallest leading
+    core point.  Non-core points within eps of a core point join the
+    lowest-numbered such cluster, found with one masked minimum; the
+    rest are outliers.
     """
     dist = np.asarray(dist, dtype=np.float64)
     if dist.ndim != 2 or dist.shape[0] == 0 or dist.shape[0] != dist.shape[1]:
         raise ValueError(f"dbscan needs a non-empty square distance matrix, got shape {dist.shape}")
     within = dist <= params.eps
-    core = within.sum(axis=1) >= params.min_pts
+    core = np.count_nonzero(within, axis=1) >= params.min_pts
+    core_points = np.flatnonzero(core)
 
     labels = np.full(dist.shape[0], OUTLIER)
+    todo = core.copy()
     next_id = 0
-    for start in np.flatnonzero(core):
-        if labels[start] != OUTLIER:
+    for start in core_points.tolist():
+        if not todo[start]:
             continue
         labels[start] = next_id
-        frontier = [start]
-        while frontier:
-            reached = np.flatnonzero(within[frontier.pop()] & core & (labels == OUTLIER))
+        todo[start] = False
+        # The first level reads a row view; later ones merge the frontier's rows.
+        reached = within[start] & todo
+        while reached.any():
             labels[reached] = next_id
-            frontier.extend(reached)
+            todo &= ~reached
+            reached = within[reached].any(axis=0) & todo
         next_id += 1
 
-    for i in np.flatnonzero(~core):
-        claims = labels[within[i] & core]
-        labels[i] = claims.min() if claims.size else OUTLIER
+    border = np.flatnonzero(~core)
+    if border.size and next_id:
+        claims = np.where(within[np.ix_(border, core_points)], labels[core_points], next_id)
+        lowest = claims.min(axis=1)
+        labels[border] = np.where(lowest < next_id, lowest, OUTLIER)
     return Clustering(tuple(labels.tolist()), next_id)
 
 
@@ -232,34 +242,36 @@ def average_pairwise_distance(members: Sequence[int], dist: np.ndarray) -> float
 def select_consensus_cluster(clustering: Clustering, dist: np.ndarray) -> tuple[int, ...]:
     """Pick the consensus cluster's member positions.
 
-    Largest cluster wins; equal sizes compare average pairwise distance
-    (smaller is better, ties within TIE_TOL) read from the pairwise
-    matrix ``dist``; remaining ties go to the cluster containing the
-    smallest position.  Clusters are examined in id order, challengers
-    replacing the incumbent only when strictly better under that chain.
-    When everything is an outlier the consensus set falls back to all
-    positions.
+    Largest cluster wins: sizes come from one ``np.bincount``, and a
+    unique largest cluster is returned without reading ``dist``.  Tied
+    largest clusters compare average pairwise distance (smaller is
+    better, ties within TIE_TOL) read from the pairwise matrix ``dist``;
+    remaining ties go to the cluster containing the smallest position.
+    Tied clusters are examined in id order, a challenger replacing the
+    incumbent only when strictly better under that chain.  A smaller
+    cluster can never replace a larger one, so this equals one pass
+    over every cluster under the full chain.  When everything is an
+    outlier the consensus set falls back to all positions.
     """
     if clustering.num_clusters == 0:
         return tuple(range(len(clustering.labels)))
 
-    best_members: tuple[int, ...] | None = None
-    best_spread = 0.0
-    for cluster in range(clustering.num_clusters):
-        members = clustering.members(cluster)
+    labels = np.array(clustering.labels)
+    sizes = np.bincount(labels + 1)[1:]
+    largest = np.flatnonzero(sizes == sizes.max()).tolist()
+    best_members = np.flatnonzero(labels == largest[0])
+    if len(largest) == 1:
+        return tuple(best_members.tolist())
+
+    best_spread = average_pairwise_distance(best_members, dist)
+    for cluster in largest[1:]:
+        members = np.flatnonzero(labels == cluster)
         spread = average_pairwise_distance(members, dist)
-        if best_members is None:
+        if spread < best_spread - TIE_TOL or (
+            abs(spread - best_spread) <= TIE_TOL and members[0] < best_members[0]
+        ):
             best_members, best_spread = members, spread
-            continue
-        if len(members) > len(best_members):
-            best_members, best_spread = members, spread
-        elif len(members) == len(best_members):
-            if spread < best_spread - TIE_TOL:
-                best_members, best_spread = members, spread
-            elif abs(spread - best_spread) <= TIE_TOL and members[0] < best_members[0]:
-                best_members, best_spread = members, spread
-    assert best_members is not None
-    return best_members
+    return tuple(best_members.tolist())
 
 
 def normalized_centroid(members: Sequence[int], embeddings: Sequence[np.ndarray]) -> np.ndarray:

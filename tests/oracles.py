@@ -148,18 +148,20 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def reference_dbscan(embeddings, eps: float, min_pts: int) -> list[int]:
+def reference_dbscan(embeddings, eps: float, min_pts: int, dist=None) -> list[int]:
     """Brute-force O(K^2) DBSCAN with the deterministic numbering rule.
 
     Core components are found with union-find over all core-core pairs
     within eps; components are numbered by their smallest core point;
     border points join the lowest-numbered cluster among the core
-    points that reach them.
+    points that reach them.  Neighbours are read from ``dist`` (a K x K
+    nested sequence) when given, else from ``cosine_dist`` of every
+    pair of embeddings.
     """
     n = len(embeddings)
-    within = [
-        [cosine_dist(embeddings[i], embeddings[j]) <= eps for j in range(n)] for i in range(n)
-    ]
+    if dist is None:
+        dist = [[cosine_dist(embeddings[i], embeddings[j]) for j in range(n)] for i in range(n)]
+    within = [[dist[i][j] <= eps for j in range(n)] for i in range(n)]
     core = [sum(within[i]) >= min_pts for i in range(n)]
 
     uf = _UnionFind(n)
@@ -186,16 +188,46 @@ def reference_dbscan(embeddings, eps: float, min_pts: int) -> list[int]:
 # ------------------------------------------------------------ consensus
 
 
-def _avg_pairwise(members, embeddings) -> float:
+def _avg_pairwise(members, distance) -> float:
+    """Mean of ``distance(a, b)`` over unordered member pairs; 0.0 below two members."""
     if len(members) < 2:
         return 0.0
     total = 0.0
     count = 0
     for a in range(len(members)):
         for b in range(a + 1, len(members)):
-            total += cosine_dist(embeddings[members[a]], embeddings[members[b]])
+            total += distance(members[a], members[b])
             count += 1
     return total / count
+
+
+def reference_select_cluster(labels, distance) -> list[int]:
+    """The consensus cluster's positions under the full selection chain.
+
+    Every cluster is visited in id order: a larger cluster replaces the
+    incumbent; an equal-size one replaces it when its mean pairwise
+    ``distance`` is smaller by more than TIE_TOL, or within TIE_TOL and
+    its smallest position is smaller.  All positions when every label is
+    OUTLIER.
+    """
+    n = len(labels)
+    num_clusters = len({lab for lab in labels if lab != OUTLIER})
+    if num_clusters == 0:
+        return list(range(n))
+    members = None
+    best_size = -1
+    best_spread = 0.0
+    for cluster in range(num_clusters):
+        cluster_members = [i for i in range(n) if labels[i] == cluster]
+        spread = _avg_pairwise(cluster_members, distance)
+        if members is None or len(cluster_members) > best_size:
+            members, best_size, best_spread = cluster_members, len(cluster_members), spread
+        elif len(cluster_members) == best_size:
+            if spread < best_spread - TIE_TOL:
+                members, best_spread = cluster_members, spread
+            elif abs(spread - best_spread) <= TIE_TOL and cluster_members[0] < members[0]:
+                members, best_spread = cluster_members, spread
+    return members
 
 
 def _best_by_distance(members, embeddings, texts, score_fn):
@@ -219,27 +251,11 @@ def reference_consensus(clients, texts, embeddings, eps: float, min_pts: int):
     clients are the ids parallel to texts/embeddings; output members
     and representative are client ids.
     """
-    n = len(embeddings)
     labels = reference_dbscan(embeddings, eps, min_pts)
-    num_clusters = len({lab for lab in labels if lab != OUTLIER})
-    fallback = num_clusters == 0
-
-    if fallback:
-        members = list(range(n))
-    else:
-        members = None
-        best_size = -1
-        best_spread = 0.0
-        for cluster in range(num_clusters):
-            cluster_members = [i for i in range(n) if labels[i] == cluster]
-            spread = _avg_pairwise(cluster_members, embeddings)
-            if members is None or len(cluster_members) > best_size:
-                members, best_size, best_spread = cluster_members, len(cluster_members), spread
-            elif len(cluster_members) == best_size:
-                if spread < best_spread - TIE_TOL:
-                    members, best_spread = cluster_members, spread
-                elif abs(spread - best_spread) <= TIE_TOL and cluster_members[0] < members[0]:
-                    members, best_spread = cluster_members, spread
+    fallback = all(lab == OUTLIER for lab in labels)
+    members = reference_select_cluster(
+        labels, lambda a, b: cosine_dist(embeddings[a], embeddings[b])
+    )
 
     dim = len(embeddings[0])
     sums = [0.0] * dim

@@ -8,7 +8,7 @@ import pytest
 
 from semfed.cli import build_parser, main
 from semfed.clients import TrainingWeights
-from semfed.consensus import ClusterParams, SelectionStrategy
+from semfed.consensus import OUTLIER, ClusterParams, SelectionStrategy
 from semfed.encoder import EncoderConfig
 from semfed.privacy import PrivacyWarning
 from semfed.protocol import SessionParams
@@ -407,11 +407,32 @@ def test_consensus_flag_defaults_are_the_dataclass_defaults():
         SelectionStrategy().rule.value,
         None,
     )
-    assert (args.dimension, args.ngram, args.encoder_seed) == (
+    assert (args.dimension, args.ngram, args.encoder_seed, args.lowercase) == (
         encoder.dimension,
         encoder.ngram_size,
         encoder.seed,
+        encoder.lowercase,
     )
+
+
+@pytest.mark.parametrize("flags, lowercase", [([], False), (["--lowercase"], True)])
+def test_consensus_lowercase_flag_reaches_the_encoder(tmp_path, capsys, flags, lowercase):
+    responses = write_jsonl(
+        tmp_path / "r.jsonl",
+        [
+            {"prompt_id": "p0", "client_id": 0, "response": "Hello World"},
+            {"prompt_id": "p0", "client_id": 1, "response": "hello world"},
+        ],
+    )
+    report = run_json(capsys, "consensus", "--input", str(responses), *flags)
+    assert report["inputs"]["encoder"]["lowercase"] is lowercase
+    (entry,) = report["outputs"]["prompts"]
+    if lowercase:
+        # both texts encode to one vector, so they form one cluster
+        assert (entry["labels"], entry["members"]) == ([0, 0], [0, 1])
+    else:
+        assert entry["labels"] == [OUTLIER, OUTLIER]
+        assert entry["fallback_all_outliers"] is True
 
 
 def test_negative_strategy_seed_fails_naming_it(tmp_path, capsys):

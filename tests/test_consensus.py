@@ -10,7 +10,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import semfed.consensus as consensus
-from oracles import cosine_dist, reference_consensus, reference_dbscan, reference_global_medoid
+from oracles import (
+    cosine_dist,
+    reference_consensus,
+    reference_dbscan,
+    reference_global_medoid,
+    reference_select_cluster,
+)
 from semfed.consensus import (
     OUTLIER,
     ClusterParams,
@@ -497,6 +503,119 @@ def test_matrix_path_matches_pairwise_reference(
     assert list(got.consensus_members) == want["members"]
     assert got.representative == want["representative"]
     assert got.fallback_all_outliers == want["fallback"]
+
+
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 48),
+    families=st.integers(1, 4),
+    noise=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    dup_share=st.sampled_from([0.0, 0.3, 0.7]),
+    dim=st.sampled_from([2, 8]),
+)
+def test_dbscan_matches_union_find_reference(data, seed, k, families, noise, dup_share, dim):
+    # on the circle (dim 2) border points are often claimed by two clusters
+    points, _ = planted_families(seed, k, families, noise, dup_share, dim)
+    dist = cosine_distances(points)
+    # eps drawn from the matrix itself puts pairs exactly on the boundary
+    values = np.unique(dist[dist > 0]).tolist()
+    eps_choices = st.floats(0.02, 0.9)
+    if values:
+        eps_choices = eps_choices | st.sampled_from(values)
+    eps = data.draw(eps_choices, label="eps")
+    min_pts = data.draw(st.sampled_from([1, 2, 3, 4, k + 1]), label="min_pts")
+
+    got = dbscan(dist, ClusterParams(eps=eps, min_pts=min_pts))
+    want = reference_dbscan(points, eps, min_pts, dist=dist.tolist())
+    assert list(got.labels) == want
+    assert got.num_clusters == len(set(want) - {OUTLIER})
+    if min_pts > k:
+        assert want == [OUTLIER] * k
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    clumps=st.integers(2, 4),
+    size=st.integers(5, 8),
+    eps_angle=st.floats(0.08, 0.095),
+    data=st.data(),
+)
+def test_dbscan_bridged_clumps_match_reference(seed, clumps, size, eps_angle, data):
+    # dense clumps 0.2 rad apart on the circle with one bridge point midway;
+    # the bridge reaches a few points of each neighbour, often too few to be
+    # core, so two clusters claim it and the lowest-numbered must win
+    rng = np.random.default_rng(seed)
+    angles = []
+    for j in range(clumps):
+        angles.extend(0.2 * j + rng.uniform(-0.03, 0.03, size=size))
+        if j:
+            angles.append(0.2 * j - 0.1)
+    angles = np.array(angles)[rng.permutation(len(angles))]
+    points = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    dist = cosine_distances(points)
+    eps = 1.0 - math.cos(eps_angle)
+    min_pts = data.draw(st.integers(4, size), label="min_pts")
+    got = dbscan(dist, ClusterParams(eps=eps, min_pts=min_pts))
+    assert list(got.labels) == reference_dbscan(points, eps, min_pts, dist=dist.tolist())
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 48))
+def test_dbscan_all_singletons_match_reference(seed, k):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(k, 8))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    dist = cosine_distances(points)
+    off_diagonal = dist[~np.eye(k, dtype=bool)]
+    # below every off-diagonal distance, each point is its own cluster
+    eps = float(off_diagonal.min()) / 2 if k > 1 else 0.1
+    assume(eps > 0)
+    got = dbscan(dist, ClusterParams(eps=eps, min_pts=1))
+    assert list(got.labels) == list(range(k))
+    assert list(got.labels) == reference_dbscan(points, eps, 1, dist=dist.tolist())
+
+
+# Spread offsets around a base: ties within TIE_TOL (at most 6e-13 apart,
+# far from the 1e-12 boundary), and differences well beyond it.
+_TIED_OFFSETS = (0.0, 3e-13, -3e-13)
+_DISTINCT_OFFSETS = (2e-9, -2e-9, 0.05, 0.4)
+
+
+@given(
+    data=st.data(),
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+    outliers=st.integers(0, 3),
+    ties_only=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_select_consensus_cluster_matches_reference(data, sizes, outliers, ties_only, seed):
+    rng = np.random.default_rng(seed)
+    offsets = _TIED_OFFSETS if ties_only else _TIED_OFFSETS + _DISTINCT_OFFSETS
+    spreads = [0.5 + data.draw(st.sampled_from(offsets), label="offset") for _ in sizes]
+    pooled = [c for c, size in enumerate(sizes) for _ in range(size)] + [OUTLIER] * outliers
+    labels = [pooled[i] for i in rng.permutation(len(pooled))]
+    k = len(labels)
+    # every pair inside cluster c sits at spreads[c]; other pairs anywhere in [0, 2]
+    dist = rng.uniform(0.0, 2.0, size=(k, k))
+    dist = np.triu(dist, 1) + np.triu(dist, 1).T
+    for c, spread in enumerate(spreads):
+        block = np.flatnonzero(np.array(labels) == c)
+        dist[np.ix_(block, block)] = spread
+    np.fill_diagonal(dist, 0.0)
+
+    got = select_consensus_cluster(Clustering(tuple(labels), len(sizes)), dist)
+    nested = dist.tolist()
+    want = reference_select_cluster(labels, lambda a, b: nested[a][b])
+    assert list(got) == want
+
+    members_of = [[i for i, lab in enumerate(labels) if lab == c] for c in range(len(sizes))]
+    largest = [c for c, size in enumerate(sizes) if size == max(sizes)]
+    if len(largest) == 1:
+        # a unique largest cluster wins whatever the spreads
+        assert list(got) == members_of[largest[0]]
+    elif ties_only:
+        # every tied cluster is within TIE_TOL of every other: smallest position decides
+        assert got[0] == min(members_of[c][0] for c in largest)
 
 
 _CONSENSUS_CHILD = """
