@@ -1,9 +1,12 @@
 """Black-box client behaviors for the simulated training loop.
 
-A client exposes exactly two operations: generate a response for a
-public prompt and train on its private data plus the broadcast
-pseudo-labeled set.  The orchestration layer never looks past this
-interface, so scripted fixtures and toy Markov generators (and, in
+A client exposes two operations: generate a response for a public
+prompt and train on its private data plus the broadcast pseudo-labeled
+set.  A third, ``generate_many``, answers many prompts for many clients
+of one class in a call; by default it calls ``generate`` once per
+(client, prompt) pair, and a class may override it with a faster path
+that gives the same texts.  The orchestration layer never looks past
+this interface, so scripted fixtures and toy Markov generators (and, in
 principle, real model wrappers) can be mixed freely in one session.
 
 The Markov client treats tokens as whitespace-separated words.  That is
@@ -82,12 +85,33 @@ class Client(ABC):
 
     generate receives the round index and prompt id alongside the prompt
     text because scripted fixtures are keyed by them; model-backed
-    clients are free to ignore both.
+    clients are free to ignore both.  generate_many answers every
+    (prompt id, prompt text) pair for every client in a list; its
+    default calls generate client by client, prompt by prompt.
     """
 
     @abstractmethod
     def generate(self, prompt_id: str, prompt_text: str, round_index: int, max_tokens: int) -> str:
         """Produce a response string for one public prompt."""
+
+    @classmethod
+    def generate_many(
+        cls,
+        clients: Sequence[Client],
+        prompts: Sequence[tuple[str, str]],
+        round_index: int,
+        max_tokens: int,
+    ) -> list[list[str]]:
+        """Each client's responses to the (prompt id, text) pairs, in order.
+
+        Called on the class of the clients; the result equals calling
+        ``client.generate`` for each client in turn and each prompt in
+        turn, which is what this default does.
+        """
+        return [
+            [client.generate(pid, text, round_index, max_tokens) for pid, text in prompts]
+            for client in clients
+        ]
 
     @abstractmethod
     def train(
@@ -168,6 +192,93 @@ def _pairs(
     return pairs
 
 
+# numpy's SeedSequence constants (pool of four 32-bit words) and PCG64's
+# 128-bit LCG multiplier.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _u32_words(value: int) -> tuple[int, ...]:
+    """A non-negative int as SeedSequence splits it: 32-bit words, low first."""
+    return tuple((value >> shift) & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32))
+
+
+def _hash_consts(init: int, mult: int, count: int) -> list[int]:
+    """The first count + 1 values of a SeedSequence hash constant."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+def _seed_state_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of every row.
+
+    ``entropy`` is lanes x words (uint32), each row one seed's words; the
+    mixing is numpy's, run over all rows at once in uint32 arithmetic.
+    The hash constants depend only on the call position, so they are
+    computed once for the whole batch.
+    """
+    lanes, n = entropy.shape
+    calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, n - _POOL_SIZE)
+    consts = _hash_consts(_INIT_A, _MULT_A, calls)
+    steps = zip(consts, consts[1:])
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        xor, mult = next(steps)
+        value = (value ^ xor) * mult
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros(lanes, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < n else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, n):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    consts_b = _hash_consts(_INIT_B, _MULT_B, 8)
+    state = np.empty((lanes, 8), dtype="<u4")
+    for i in range(8):
+        value = (pool[i % _POOL_SIZE] ^ consts_b[i]) * consts_b[i + 1]
+        state[:, i] = value ^ (value >> 16)
+    return state.view("<u8")
+
+
+def _pcg64_states(seeds: Sequence[int], hashes: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """PCG64 (state, inc) of ``default_rng([seed, hash])`` for each seed, hash.
+
+    Lanes are grouped by their number of entropy words and each group is
+    mixed in one ``_seed_state_words`` pass; PCG64's seeding (two LCG
+    steps from state 0) then runs on Python ints.
+    """
+    seed_words = [_u32_words(seed) for seed in seeds]
+    hash_words = [_u32_words(h) for h in hashes]
+    lanes = [sw + hw for sw in seed_words for hw in hash_words]
+    groups: dict[int, list[int]] = {}
+    for index, lane in enumerate(lanes):
+        groups.setdefault(len(lane), []).append(index)
+    states: list[tuple[int, int]] = [(0, 0)] * len(lanes)
+    for indices in groups.values():
+        entropy = np.array([lanes[i] for i in indices], dtype=np.uint32)
+        for i, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(indices, _seed_state_words(entropy).tolist()):
+            inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+            states[i] = (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
+    width = len(hashes)
+    return [states[row : row + width] for row in range(0, len(states), width)]
+
+
 class MarkovToyClient(Client):
     """Word-level Markov chain with weighted transition counts.
 
@@ -181,10 +292,16 @@ class MarkovToyClient(Client):
     or the matched weights sum to at most zero.
 
     Output is a pure function of (model state, prompt text, seed): each
-    generate call derives a fresh RNG from the seed and the prompt text,
-    step k uses the k-th uniform draw of that RNG (drawn even when the
+    response draws from a fresh PCG64 stream, the one of
+    ``np.random.default_rng([seed, _text_u64(prompt_text)])``, step k
+    uses the k-th uniform draw of that stream (drawn even when the
     context has a single next word), and candidate words are scanned in
     sorted order.  An untrained client generates the empty string.
+    ``generate`` builds that generator per call; ``generate_many`` seeds
+    every (client, prompt) stream of the batch in one vectorized
+    SeedSequence pass (``_pcg64_states``) and sets each state on one
+    reused generator, so both give the same bytes.  A subclass that
+    overrides ``generate`` is answered through it instead.
 
     Each example's (context, next word) pairs are built once per process
     and order and read from a bounded memo shared by every client
@@ -246,10 +363,8 @@ class MarkovToyClient(Client):
         index = bisect_right(list(accumulate(weights)), uniform * total)
         return words[min(index, len(words) - 1)]
 
-    def generate(self, prompt_id: str, prompt_text: str, round_index: int, max_tokens: int) -> str:
-        if max_tokens < 1:
-            return ""
-        rng = np.random.default_rng([self.seed, _text_u64(prompt_text)])
+    def _walk(self, rng: np.random.Generator, prompt_text: str, max_tokens: int) -> str:
+        """The response drawn from ``rng``, freshly seeded for this prompt."""
         context = prompt_text.split()
         start = len(context)
         uniforms: list[float] = []
@@ -264,6 +379,40 @@ class MarkovToyClient(Client):
                 break
             context.append(word)
         return " ".join(context[start:])
+
+    def generate(self, prompt_id: str, prompt_text: str, round_index: int, max_tokens: int) -> str:
+        if max_tokens < 1:
+            return ""
+        return self._walk(np.random.default_rng([self.seed, _text_u64(prompt_text)]), prompt_text, max_tokens)
+
+    @classmethod
+    def generate_many(
+        cls,
+        clients: Sequence[Client],
+        prompts: Sequence[tuple[str, str]],
+        round_index: int,
+        max_tokens: int,
+    ) -> list[list[str]]:
+        if any(type(client).generate is not MarkovToyClient.generate for client in clients):
+            return super().generate_many(clients, prompts, round_index, max_tokens)
+        if max_tokens < 1 or not prompts:
+            return [[""] * len(prompts) for _ in clients]
+        states = _pcg64_states([c.seed for c in clients], [_text_u64(text) for _, text in prompts])
+        rng = np.random.Generator(np.random.PCG64(0))
+        bit_generator = rng.bit_generator
+        responses = []
+        for client, lanes in zip(clients, states):
+            texts = []
+            for (_, text), (state, inc) in zip(prompts, lanes):
+                bit_generator.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                texts.append(client._walk(rng, text, max_tokens))
+            responses.append(texts)
+        return responses
 
 
 def load_scripted_clients(path: str | Path) -> list[ScriptedClient]:

@@ -168,14 +168,18 @@ def cosine_distances(
     """Cosine distances clip(1 - rows @ others.T, 0, 2) between unit rows.
 
     With ``others`` omitted the result is the pairwise matrix of
-    ``rows``, made exactly symmetric with an exact zero diagonal.
+    ``rows``, made exactly symmetric (each pair takes the smaller of its
+    two entries) with an exact zero diagonal.  ``rows @ rows.T`` usually
+    comes out symmetric already; the minimum, which copies the matrix
+    because its output overlaps ``dist.T``, runs only when it does not.
     """
     rows = np.asarray(rows, dtype=np.float64)
     dist = rows @ (rows if others is None else np.asarray(others, dtype=np.float64)).T
     np.subtract(1.0, dist, out=dist)
     np.clip(dist, 0.0, 2.0, out=dist)
     if others is None:
-        np.minimum(dist, dist.T, out=dist)
+        if not np.array_equal(dist, dist.T):
+            np.minimum(dist, dist.T, out=dist)
         np.fill_diagonal(dist, 0.0)
     return dist
 
@@ -247,7 +251,8 @@ def select_consensus_cluster(clustering: Clustering, dist: np.ndarray) -> tuple[
     largest clusters compare average pairwise distance (smaller is
     better, ties within TIE_TOL) read from the pairwise matrix ``dist``;
     remaining ties go to the cluster containing the smallest position.
-    Tied clusters are examined in id order, a challenger replacing the
+    Tied clusters, their members taken from one stable ``argsort`` of
+    the labels, are examined in id order, a challenger replacing the
     incumbent only when strictly better under that chain.  A smaller
     cluster can never replace a larger one, so this equals one pass
     over every cluster under the full chain.  When everything is an
@@ -259,13 +264,19 @@ def select_consensus_cluster(clustering: Clustering, dist: np.ndarray) -> tuple[
     labels = np.array(clustering.labels)
     sizes = np.bincount(labels + 1)[1:]
     largest = np.flatnonzero(sizes == sizes.max()).tolist()
-    best_members = np.flatnonzero(labels == largest[0])
     if len(largest) == 1:
-        return tuple(best_members.tolist())
+        return tuple(np.flatnonzero(labels == largest[0]).tolist())
 
+    # A stable sort of the labels lists every cluster's members in
+    # increasing position, cluster after cluster; cluster c's run starts
+    # after the outliers and every smaller cluster.
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes + (len(labels) - int(sizes.sum()))
+    size = int(sizes[largest[0]])
+    best_members = order[starts[largest[0]] : starts[largest[0]] + size]
     best_spread = average_pairwise_distance(best_members, dist)
     for cluster in largest[1:]:
-        members = np.flatnonzero(labels == cluster)
+        members = order[starts[cluster] : starts[cluster] + size]
         spread = average_pairwise_distance(members, dist)
         if spread < best_spread - TIE_TOL or (
             abs(spread - best_spread) <= TIE_TOL and members[0] < best_members[0]

@@ -1,14 +1,15 @@
 """Round orchestration with exact byte metering over an in-process transport.
 
 One round runs four phases: each client optionally retrains on its
-private data, every client answers every public prompt, the server
-embeds the responses and runs per-prompt consensus, and the resulting
-(prompt id, pseudo-label) pairs are broadcast back for a joint training
-pass.  Uploads are the UTF-8 byte lengths of the response payloads;
-downloads are the pseudo-label bytes times the number of receiving
-clients.  Message framing, ids and serialization overhead are
-deliberately excluded so measured totals match the closed-form
-calculators byte for byte.
+private data, every client answers every public prompt (one
+``Client.generate_many`` call per run of consecutive clients of one
+class), the server embeds the responses and runs per-prompt consensus,
+and the resulting (prompt id, pseudo-label) pairs are broadcast back for
+a joint training pass.  Uploads are the UTF-8 byte lengths of the
+response payloads; downloads are the pseudo-label bytes times the
+number of receiving clients.  Message framing, ids and serialization
+overhead are deliberately excluded so measured totals match the
+closed-form calculators byte for byte.
 
 Consensus failures on a prompt (for example, every client generated an
 un-embeddable empty string) never abort the round: the prompt is
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, groupby, islice
 from pathlib import Path
 from typing import Sequence
 
@@ -287,13 +288,21 @@ def run_round(
 
     do_private_pass = params.retrain_private_every_round or round_index == 1
 
+    if do_private_pass:
+        for client, private in zip(clients, private_datasets):
+            client.train(private, [], params.weights)
+    # One generate_many call per run of consecutive clients of one class;
+    # a client's responses depend on its own state only, so training every
+    # client first changes no text.
+    queries = [(p.prompt_id, p.text) for p in prompts.prompts]
+    generated = chain.from_iterable(
+        kind.generate_many(list(run), queries, round_index, params.max_tokens)
+        for kind, run in groupby(clients, key=type)
+    )
     responses: list[ResponseRecord] = []
-    for index, client in enumerate(clients):
-        if do_private_pass:
-            client.train(private_datasets[index], [], params.weights)
-        for prompt in prompts.prompts:
-            text = client.generate(prompt.prompt_id, prompt.text, round_index, params.max_tokens)
-            responses.append(make_response(index, prompt.prompt_id, text))
+    for index, texts in enumerate(generated):
+        for (prompt_id, _), text in zip(queries, texts):
+            responses.append(make_response(index, prompt_id, text))
     responses.sort(key=lambda r: (r.client, r.prompt_id))
     uploaded = sum(r.byte_len for r in responses)
 

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -218,6 +219,80 @@ def test_markov_huge_token_budget_stops_with_the_chain():
         expected = reference.generate(prompt, 10**12)
         assert expected
         assert client.generate("p", prompt, 1, 10**12) == expected
+
+
+# ------------------------------------------------------- batched RNG
+
+# SeedSequence splits each int into 32-bit words: 0 and ints < 2**32 are
+# one word, larger ones two or more; past four words in all the extra
+# words take numpy's second mixing loop.
+SEEDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**80))
+HASHES = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+
+
+@given(
+    seeds=st.lists(SEEDS, min_size=1, max_size=4),
+    hashes=st.lists(HASHES, min_size=1, max_size=4),
+)
+@example(
+    seeds=[0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**70, 2**200 + 3],
+    hashes=[0, 1, 2**31, 2**32 - 1, 2**32, 2**64 - 1],
+)
+def test_batched_seeding_matches_default_rng(seeds, hashes):
+    states = clients_module._pcg64_states(seeds, hashes)
+    assert len(states) == len(seeds)
+    for seed, lanes in zip(seeds, states):
+        assert len(lanes) == len(hashes)
+        for text_hash, (state, inc) in zip(hashes, lanes):
+            want = np.random.default_rng([seed, text_hash]).bit_generator.state["state"]
+            assert {"state": state, "inc": inc} == want
+
+
+CYCLE = [("", "a b c a b c a")]  # a -> b -> c -> a: the chain never stops
+
+
+@given(
+    order=st.integers(1, 3),
+    seeds=st.lists(st.sampled_from([0, 7, 2**32 + 5, 2**64 - 1]), min_size=1, max_size=3),
+    corpora=st.lists(st.one_of(st.just([]), st.just(CYCLE), EXAMPLES), min_size=1, max_size=3),
+    prompts=st.lists(PROMPTS, max_size=4),
+    max_tokens=st.sampled_from([0, 1, 31, 32, 33, 100]),
+)
+# a long chain, an untrained client, and a budget past the first batch
+@example(order=2, seeds=[0, 2**64 - 1], corpora=[CYCLE, []], prompts=["a", "z", ""], max_tokens=100)
+def test_generate_many_matches_per_call_and_reference(order, seeds, corpora, prompts, max_tokens):
+    clients, references = [], []
+    for index, seed in enumerate(seeds):
+        examples = corpora[index % len(corpora)]
+        client = MarkovToyClient(order=order, seed=seed)
+        reference = ReferenceMarkovClient(order=order, seed=seed)
+        client.train(private(index, *examples), [], EVEN)
+        reference.train(examples, [], EVEN.alpha, EVEN.beta)
+        clients.append(client)
+        references.append(reference)
+    queries = [(f"p{i}", text) for i, text in enumerate(prompts)]
+
+    batched = MarkovToyClient.generate_many(clients, queries, 1, max_tokens)
+    per_call = [[c.generate(pid, text, 1, max_tokens) for pid, text in queries] for c in clients]
+    oracle = [[r.generate(text, max_tokens) for _, text in queries] for r in references]
+    assert batched == per_call == oracle
+
+
+class UpperMarkov(MarkovToyClient):
+    """Answers through its own generate, which upper-cases the text."""
+
+    def generate(self, prompt_id, prompt_text, round_index, max_tokens):
+        return super().generate(prompt_id, prompt_text, round_index, max_tokens).upper()
+
+
+def test_generate_many_answers_an_overriding_subclass_through_its_generate():
+    plain, upper = MarkovToyClient(order=1, seed=1), UpperMarkov(order=1, seed=1)
+    for client in (plain, upper):
+        client.train(private(0, *CYCLE), [], EVEN)
+    queries = [("p", "a"), ("q", "b")]
+    for kind in (MarkovToyClient, UpperMarkov):
+        texts = kind.generate_many([plain, upper], queries, 1, 8)
+        assert texts[1] == [text.upper() for text in texts[0]] != texts[0]
 
 
 # ------------------------------------------------------------ pair memo

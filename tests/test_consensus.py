@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import semfed.consensus as consensus
@@ -505,6 +505,46 @@ def test_matrix_path_matches_pairwise_reference(
     assert got.fallback_all_outliers == want["fallback"]
 
 
+class _SkewedProduct(np.ndarray):
+    """An array whose ``@`` adds a fixed term that is not symmetric."""
+
+    def __matmul__(self, other):
+        product = np.asarray(self) @ np.asarray(other)
+        k = len(product)
+        return product + 1e-3 * (np.arange(k * k) % 7).reshape(k, k)
+
+
+class _SkewedNumpy:
+    """numpy, except that ``asarray`` gives ``_SkewedProduct`` views."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def asarray(a, dtype=None):
+        return np.asarray(a, dtype=dtype).view(_SkewedProduct)
+
+
+def test_pairwise_distances_of_an_asymmetric_product_take_the_smaller_entry(monkeypatch):
+    # BLAS returns rows @ rows.T exactly symmetric, so the symmetrising
+    # branch needs a product built by hand
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(9, 5))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    product = np.asarray(points).view(_SkewedProduct) @ points.T
+    raw = np.clip(1.0 - product, 0.0, 2.0)
+    assert not np.array_equal(raw, raw.T)
+    want = np.minimum(raw, raw.T)
+    np.fill_diagonal(want, 0.0)
+
+    monkeypatch.setattr(consensus, "np", _SkewedNumpy())
+    dist = cosine_distances(points)
+    assert type(dist) is np.ndarray
+    assert np.array_equal(dist, want)
+    assert np.array_equal(dist, dist.T)
+    assert not np.any(np.diag(dist))
+
+
 @given(
     data=st.data(),
     seed=st.integers(0, 2**32 - 1),
@@ -582,16 +622,22 @@ _DISTINCT_OFFSETS = (2e-9, -2e-9, 0.05, 0.4)
 
 
 @given(
-    data=st.data(),
     sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
     outliers=st.integers(0, 3),
     ties_only=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.integers(0, 6), min_size=6, max_size=6),
 )
-def test_select_consensus_cluster_matches_reference(data, sizes, outliers, ties_only, seed):
+# many singletons (K=400, as DBSCAN gives with min_pts 1), every cluster tied
+@example(sizes=[1] * 400, outliers=0, ties_only=True, seed=0, picks=[0, 1, 2, 0, 1, 2])
+@example(sizes=[1] * 397, outliers=3, ties_only=False, seed=1, picks=[0, 1, 2, 3, 4, 5])
+@example(sizes=[2] * 200, outliers=0, ties_only=True, seed=2, picks=[0, 1, 2, 0, 1, 2])
+def test_select_consensus_cluster_matches_reference(sizes, outliers, ties_only, seed, picks):
     rng = np.random.default_rng(seed)
     offsets = _TIED_OFFSETS if ties_only else _TIED_OFFSETS + _DISTINCT_OFFSETS
-    spreads = [0.5 + data.draw(st.sampled_from(offsets), label="offset") for _ in sizes]
+    # cluster c's spread offset is offsets[picks[c % 6]]: independent for
+    # up to 6 clusters, repeating beyond
+    spreads = [0.5 + offsets[picks[c % len(picks)] % len(offsets)] for c in range(len(sizes))]
     pooled = [c for c, size in enumerate(sizes) for _ in range(size)] + [OUTLIER] * outliers
     labels = [pooled[i] for i in rng.permutation(len(pooled))]
     k = len(labels)

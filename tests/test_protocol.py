@@ -217,6 +217,90 @@ def test_mixed_client_kinds_produce_identical_transcripts():
     assert transcript_to_dict(pure) == transcript_to_dict(hybrid)
 
 
+class UpperMarkov(MarkovToyClient):
+    """A Markov client with its own generate: upper-cased text, calls counted."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def generate(self, prompt_id, prompt_text, round_index, max_tokens):
+        self.calls += 1
+        return super().generate(prompt_id, prompt_text, round_index, max_tokens).upper()
+
+
+FACTS = (
+    ("what color is the sky", "the sky is blue over the bay"),
+    ("what color is the sea", "the sea is blue and the sky is grey"),
+    ("where is the bay", "the bay is under the sky"),
+)
+
+
+def interleaved_clients(markov_kind, prompts, rounds):
+    """[Markov, Scripted, Markov, Markov, Scripted] with their private data."""
+    kinds = ["markov", "scripted", "markov", "markov", "scripted"]
+    clients, privates = [], []
+    for index, kind in enumerate(kinds):
+        if kind == "markov":
+            clients.append(markov_kind(order=2, seed=index))
+        else:
+            table = {(r, p.prompt_id): f"client {index} says blue" for r in rounds for p in prompts.prompts}
+            clients.append(ScriptedClient(table))
+        privates.append(PrivateDataset(examples=FACTS[index % 3 :] + FACTS[: index % 3], owner=index))
+    return clients, privates
+
+
+@pytest.mark.parametrize("markov_kind", [MarkovToyClient, UpperMarkov])
+def test_interleaved_client_kinds_match_a_per_call_loop(markov_kind):
+    prompts = PublicPromptSet(
+        prompts=tuple(Prompt(f"p{i}", text) for i, (text, _) in enumerate(FACTS))
+    )
+    params = SessionParams(max_tokens=12)
+    rounds = (1, 2)
+    clients, privates = interleaved_clients(markov_kind, prompts, rounds)
+    by_hand, _ = interleaved_clients(markov_kind, prompts, rounds)
+    for round_index in rounds:
+        transcript = run_round(clients, prompts, params, round_index, privates)
+        expected = []
+        for index, (client, private) in enumerate(zip(by_hand, privates)):
+            client.train(private, [], params.weights)
+            for p in prompts.prompts:
+                text = client.generate(p.prompt_id, p.text, round_index, params.max_tokens)
+                expected.append(make_response(index, p.prompt_id, text))
+        assert transcript.responses == tuple(sorted(expected, key=lambda r: (r.client, r.prompt_id)))
+        pseudo = [(prompts.prompts[int(pid[1:])].text, label) for pid, label in transcript.broadcast]
+        for client, private in zip(by_hand, privates):
+            client.train(private, pseudo, params.weights)
+
+    markov_texts = [r.text for r in transcript.responses if r.client in (0, 2, 3)]
+    assert any(markov_texts)
+    if markov_kind is UpperMarkov:
+        # the override is what ran: once per prompt per round, upper-cased text
+        assert [clients[i].calls for i in (0, 2, 3)] == [len(rounds) * len(prompts)] * 3
+        assert all(text == text.upper() for text in markov_texts)
+
+
+def test_round_makes_one_generate_many_call_per_run_of_one_class(monkeypatch):
+    prompts = PublicPromptSet(prompts=(Prompt("p0", FACTS[0][0]),))
+    clients, privates = interleaved_clients(MarkovToyClient, prompts, (1,))
+    calls = []
+    for kind in (MarkovToyClient, ScriptedClient):
+        real = kind.generate_many
+
+        def recording(cls, run, queries, round_index, max_tokens, real=real):
+            calls.append((cls, [clients.index(c) for c in run]))
+            return real(run, queries, round_index, max_tokens)
+
+        monkeypatch.setattr(kind, "generate_many", classmethod(recording))
+    run_round(clients, prompts, SessionParams(), 1, privates)
+    assert calls == [
+        (MarkovToyClient, [0]),
+        (ScriptedClient, [1]),
+        (MarkovToyClient, [2, 3]),
+        (ScriptedClient, [4]),
+    ]
+
+
 def test_private_data_never_appears_in_transcripts():
     # the private prompt shares no words with the public prompts, so
     # generation cannot reproduce the secret; what this checks is that
