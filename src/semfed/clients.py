@@ -279,6 +279,11 @@ def _pcg64_states(seeds: Sequence[int], hashes: Sequence[int]) -> list[list[tupl
     return [states[row : row + width] for row in range(0, len(states), width)]
 
 
+# How MarkovToyClient's walk steps from one context (see its _sampler):
+# (word, next key) for a lone candidate, else (words, cuts, total).
+_Sampler = tuple[str, tuple[str, ...]] | tuple[list[str], list[float], float]
+
+
 class MarkovToyClient(Client):
     """Word-level Markov chain with weighted transition counts.
 
@@ -293,15 +298,24 @@ class MarkovToyClient(Client):
 
     Output is a pure function of (model state, prompt text, seed): each
     response draws from a fresh PCG64 stream, the one of
-    ``np.random.default_rng([seed, _text_u64(prompt_text)])``, step k
-    uses the k-th uniform draw of that stream (drawn even when the
-    context has a single next word), and candidate words are scanned in
-    sorted order.  An untrained client generates the empty string.
+    ``np.random.default_rng([seed, _text_u64(prompt_text)])``; step k
+    owns the k-th uniform double of that stream and reads it only when
+    its context has several next words, and candidate words are scanned
+    in sorted order.  An untrained client generates the empty string.
     ``generate`` builds that generator per call; ``generate_many`` seeds
     every (client, prompt) stream of the batch in one vectorized
     SeedSequence pass (``_pcg64_states``) and sets each state on one
     reused generator, so both give the same bytes.  A subclass that
     overrides ``generate`` is answered through it instead.
+
+    Both run one walk (``_walk``) that works out each context's step
+    once per call: a sampler memo keyed by the context's last ``order``
+    words holds a stop, a lone next word with its successor key, or the
+    sorted candidates with their running totals (``_sampler``).
+    ``generate`` passes a fresh dict and ``generate_many`` one dict per
+    client, dropped after that client's prompts.  Training happens only
+    between calls, so a memo never outlives the transitions it was
+    built from, and the client keeps no state for it.
 
     Each example's (context, next word) pairs are built once per process
     and order and read from a bounded memo shared by every client
@@ -339,51 +353,91 @@ class MarkovToyClient(Client):
         for prompt, response in pseudo:
             self._absorb(prompt, response, weights.beta)
 
-    def _next_word(self, context: list[str], uniform: float) -> str | None:
-        # Longest recorded suffix of the context wins; no match means stop.
-        for lo in range(max(0, len(context) - self.order), len(context)):
-            candidates = self.transitions.get(tuple(context[lo:]))
-            if candidates:
-                break
-        else:
-            return None
+    def _sampler(self, key: tuple[str, ...]) -> _Sampler | None:
+        """How to take a step from a context whose last words are ``key``.
+
+        The longest recorded suffix of ``key`` gives the candidates; none,
+        or weights summing to at most zero, means stop (``None``).  A lone
+        candidate is ``(word, next key)``: the draw cannot change it, and
+        a NaN weight is kept, as the general rule keeps it.  Several
+        candidates are ``(words, cuts, total)``: the words sorted,
+        ``cuts`` their running totals but the last and ``total`` their
+        numpy sum, so ``bisect_right(cuts, uniform * total)`` is the
+        first word whose running total exceeds the draw, else the last
+        word.  Training adds only finite non-negative weights, so the
+        running totals are sorted.
+        """
+        transitions = self.transitions
+        candidates = transitions.get(key)
+        if not candidates:
+            for lo in range(1, len(key)):
+                candidates = transitions.get(key[lo:])
+                if candidates:
+                    break
+            else:
+                return None
         if len(candidates) == 1:
-            # The draw cannot change the outcome; a NaN weight is kept,
-            # as the general rule below keeps it.
             ((word, weight),) = candidates.items()
-            return None if weight <= 0.0 else word
+            if weight <= 0.0:
+                return None
+            return word, (key[1:] if len(key) == self.order else key) + (word,)
         words = sorted(candidates)
         weights = [candidates[w] for w in words]
         total = float(np.array(weights, dtype=np.float64).sum())
         if total <= 0.0:
             return None
-        # The first word whose running total exceeds the draw, else the
-        # last word; training adds only finite non-negative weights, so
-        # the running totals are sorted.
-        index = bisect_right(list(accumulate(weights)), uniform * total)
-        return words[min(index, len(words) - 1)]
+        return words, list(accumulate(weights))[:-1], total
 
-    def _walk(self, rng: np.random.Generator, prompt_text: str, max_tokens: int) -> str:
-        """The response drawn from ``rng``, freshly seeded for this prompt."""
-        context = prompt_text.split()
-        start = len(context)
+    def _walk(
+        self,
+        rng: np.random.Generator,
+        prompt_text: str,
+        max_tokens: int,
+        samplers: dict[tuple[str, ...], _Sampler | None],
+    ) -> str:
+        """The response drawn from ``rng``, freshly seeded for this prompt.
+
+        ``samplers`` maps a key (the last ``order`` words of the context)
+        to its ``_sampler``; it is filled on first use and must not
+        outlive a change to ``transitions``.  A step with several
+        candidates builds its successor key there and then: building
+        every candidate's key up front costs more than the few steps
+        that use them.
+        """
+        order = self.order
+        key = tuple(prompt_text.split()[-order:])
+        words: list[str] = []
         uniforms: list[float] = []
         for step in range(max_tokens):
-            if step == len(uniforms):
-                # rng.random(n) yields the doubles of n scalar calls; the
-                # batch doubles with the output, so memory stays O(output)
-                # however large max_tokens is.
-                uniforms += rng.random(min(max(step, 32), max_tokens - step)).tolist()
-            word = self._next_word(context, uniforms[step])
-            if word is None:
-                break
-            context.append(word)
-        return " ".join(context[start:])
+            sampler = samplers.get(key)
+            if sampler is None:
+                if key in samplers:
+                    break
+                sampler = samplers[key] = self._sampler(key)
+                if sampler is None:
+                    break
+            if len(sampler) == 2:
+                word, key = sampler
+            else:
+                choices, cuts, total = sampler
+                while step >= len(uniforms):
+                    # Step k reads draw k, so a one-candidate step's draw
+                    # is skipped, not saved; rng.random(n) yields the
+                    # doubles of n scalar calls, and the batch doubles with
+                    # the output, so memory stays O(output) however large
+                    # max_tokens is.
+                    drawn = len(uniforms)
+                    uniforms += rng.random(min(max(drawn, 32), max_tokens - drawn)).tolist()
+                word = choices[bisect_right(cuts, uniforms[step] * total)]
+                key = (key[1:] if len(key) == order else key) + (word,)
+            words.append(word)
+        return " ".join(words)
 
     def generate(self, prompt_id: str, prompt_text: str, round_index: int, max_tokens: int) -> str:
         if max_tokens < 1:
             return ""
-        return self._walk(np.random.default_rng([self.seed, _text_u64(prompt_text)]), prompt_text, max_tokens)
+        rng = np.random.default_rng([self.seed, _text_u64(prompt_text)])
+        return self._walk(rng, prompt_text, max_tokens, {})
 
     @classmethod
     def generate_many(
@@ -402,6 +456,7 @@ class MarkovToyClient(Client):
         bit_generator = rng.bit_generator
         responses = []
         for client, lanes in zip(clients, states):
+            samplers: dict[tuple[str, ...], _Sampler | None] = {}
             texts = []
             for (_, text), (state, inc) in zip(prompts, lanes):
                 bit_generator.state = {
@@ -410,7 +465,7 @@ class MarkovToyClient(Client):
                     "has_uint32": 0,
                     "uinteger": 0,
                 }
-                texts.append(client._walk(rng, text, max_tokens))
+                texts.append(client._walk(rng, text, max_tokens, samplers))
             responses.append(texts)
         return responses
 

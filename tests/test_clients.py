@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -249,17 +250,31 @@ def test_batched_seeding_matches_default_rng(seeds, hashes):
 
 
 CYCLE = [("", "a b c a b c a")]  # a -> b -> c -> a: the chain never stops
+# Every run of four words over {a, b} appears (a de Bruijn sequence), so
+# every context of up to three words has two next words: the chain never
+# stops and every step draws.
+BRANCHING = [("", "a a a a b a a b b a b a b b b b a a a")]
+# For every order up to 3: the empty prompt, prompts shorter than the
+# order, keys missing at full length whose shorter suffix matches ("z a",
+# "z b a") next to keys that match in full ("b a", "b b a").
+EDGE_PROMPTS = ["", "a", "z a", "b a", "z b a", "b b a"]
 
 
 @given(
     order=st.integers(1, 3),
     seeds=st.lists(st.sampled_from([0, 7, 2**32 + 5, 2**64 - 1]), min_size=1, max_size=3),
-    corpora=st.lists(st.one_of(st.just([]), st.just(CYCLE), EXAMPLES), min_size=1, max_size=3),
+    corpora=st.lists(
+        st.one_of(st.just([]), st.just(CYCLE), st.just(BRANCHING), EXAMPLES), min_size=1, max_size=3
+    ),
     prompts=st.lists(PROMPTS, max_size=4),
     max_tokens=st.sampled_from([0, 1, 31, 32, 33, 100]),
 )
 # a long chain, an untrained client, and a budget past the first batch
 @example(order=2, seeds=[0, 2**64 - 1], corpora=[CYCLE, []], prompts=["a", "z", ""], max_tokens=100)
+# key edge cases at every order, walked past the first 32-draw batch
+@example(order=1, seeds=[0, 7], corpora=[BRANCHING, CYCLE], prompts=EDGE_PROMPTS, max_tokens=100)
+@example(order=2, seeds=[0, 7], corpora=[BRANCHING, CYCLE], prompts=EDGE_PROMPTS, max_tokens=100)
+@example(order=3, seeds=[0, 7], corpora=[BRANCHING, CYCLE], prompts=EDGE_PROMPTS, max_tokens=100)
 def test_generate_many_matches_per_call_and_reference(order, seeds, corpora, prompts, max_tokens):
     clients, references = [], []
     for index, seed in enumerate(seeds):
@@ -276,6 +291,45 @@ def test_generate_many_matches_per_call_and_reference(order, seeds, corpora, pro
     per_call = [[c.generate(pid, text, 1, max_tokens) for pid, text in queries] for c in clients]
     oracle = [[r.generate(text, max_tokens) for _, text in queries] for r in references]
     assert batched == per_call == oracle
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_generate_many_memo_never_outlives_a_call(order, monkeypatch):
+    weights = TrainingWeights(alpha=0.3, beta=0.7)
+    corpus = [("", "a b a c a b")]
+    client = MarkovToyClient(order=order, seed=3)
+    reference = ReferenceMarkovClient(order=order, seed=3)
+    client.train(private(0, *corpus), [], weights)
+    reference.train(corpus, [], weights.alpha, weights.beta)
+    # every prompt ends in "a", which has several next words, and every
+    # suffix of "b a c" up to the order has one, until "b a c d" is learnt
+    tails = [("b", "a", "c")[-length:] for length in range(1, order + 1)]
+    assert len(client.transitions[("a",)]) == 2
+    assert all(len(client.transitions[tail]) == 1 for tail in tails)
+    queries = [(f"p{i}", text) for i, text in enumerate(["a", "b a", "c a", "z a"])]
+
+    resolved = []
+    sampler = MarkovToyClient._sampler
+    monkeypatch.setattr(
+        MarkovToyClient, "_sampler", lambda self, key: resolved.append(key) or sampler(self, key)
+    )
+    batches = []
+    # the first call follows no new training; the second follows training
+    # that gives every tail a second next word
+    for pseudo in ([], [("", "b a c d")]):
+        client.train(private(0), pseudo, weights)
+        reference.train([], pseudo, weights.alpha, weights.beta)
+        state = copy.deepcopy(vars(client))
+        resolved.clear()
+        (texts,) = MarkovToyClient.generate_many([client], queries, 1, 32)
+        assert vars(client) == state
+        assert texts == [reference.generate(text, 32) for _, text in queries]
+        # each key is resolved once per call, and later steps reuse it
+        assert len(resolved) == len(set(resolved)) < sum(len(t.split()) for t in texts)
+        batches.append(texts)
+    # the second call saw the new next word
+    assert all(len(client.transitions[tail]) == 2 for tail in tails)
+    assert batches[0] != batches[1]
 
 
 class UpperMarkov(MarkovToyClient):

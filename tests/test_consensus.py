@@ -627,19 +627,30 @@ _DISTINCT_OFFSETS = (2e-9, -2e-9, 0.05, 0.4)
     ties_only=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     picks=st.lists(st.integers(0, 6), min_size=6, max_size=6),
+    shuffled=st.booleans(),
 )
-# many singletons (K=400, as DBSCAN gives with min_pts 1), every cluster tied
-@example(sizes=[1] * 400, outliers=0, ties_only=True, seed=0, picks=[0, 1, 2, 0, 1, 2])
-@example(sizes=[1] * 397, outliers=3, ties_only=False, seed=1, picks=[0, 1, 2, 3, 4, 5])
-@example(sizes=[2] * 200, outliers=0, ties_only=True, seed=2, picks=[0, 1, 2, 0, 1, 2])
-def test_select_consensus_cluster_matches_reference(sizes, outliers, ties_only, seed, picks):
+# K=400 with min_pts 1, every point its own cluster: ids follow positions,
+# as DBSCAN numbers them, and every cluster is tied
+@example(sizes=[1] * 400, outliers=0, ties_only=True, seed=0, picks=[0, 1, 2, 0, 1, 2],
+         shuffled=False)
+# many singletons with ids in any order
+@example(sizes=[1] * 400, outliers=0, ties_only=True, seed=0, picks=[0, 1, 2, 0, 1, 2],
+         shuffled=True)
+@example(sizes=[1] * 397, outliers=3, ties_only=False, seed=1, picks=[0, 1, 2, 3, 4, 5],
+         shuffled=True)
+@example(sizes=[2] * 200, outliers=0, ties_only=True, seed=2, picks=[0, 1, 2, 0, 1, 2],
+         shuffled=True)
+def test_select_consensus_cluster_matches_reference(
+    sizes, outliers, ties_only, seed, picks, shuffled
+):
     rng = np.random.default_rng(seed)
     offsets = _TIED_OFFSETS if ties_only else _TIED_OFFSETS + _DISTINCT_OFFSETS
     # cluster c's spread offset is offsets[picks[c % 6]]: independent for
     # up to 6 clusters, repeating beyond
     spreads = [0.5 + offsets[picks[c % len(picks)] % len(offsets)] for c in range(len(sizes))]
     pooled = [c for c, size in enumerate(sizes) for _ in range(size)] + [OUTLIER] * outliers
-    labels = [pooled[i] for i in rng.permutation(len(pooled))]
+    order = rng.permutation(len(pooled)) if shuffled else range(len(pooled))
+    labels = [pooled[i] for i in order]
     k = len(labels)
     # every pair inside cluster c sits at spreads[c]; other pairs anywhere in [0, 2]
     dist = rng.uniform(0.0, 2.0, size=(k, k))
