@@ -280,8 +280,11 @@ def _pcg64_states(seeds: Sequence[int], hashes: Sequence[int]) -> list[list[tupl
 
 
 # How MarkovToyClient's walk steps from one context (see its _sampler):
-# (word, next key) for a lone candidate, else (words, cuts, total).
-_Sampler = tuple[str, tuple[str, ...]] | tuple[list[str], list[float], float]
+# (word, next key) for a lone candidate, else (words, cuts, total, kept).
+_Sampler = (
+    tuple[str, tuple[str, ...]]
+    | tuple[list[str], list[float], float, tuple[str, ...]]
+)
 
 
 class MarkovToyClient(Client):
@@ -360,12 +363,14 @@ class MarkovToyClient(Client):
         or weights summing to at most zero, means stop (``None``).  A lone
         candidate is ``(word, next key)``: the draw cannot change it, and
         a NaN weight is kept, as the general rule keeps it.  Several
-        candidates are ``(words, cuts, total)``: the words sorted,
+        candidates are ``(words, cuts, total, kept)``: the words sorted,
         ``cuts`` their running totals but the last and ``total`` their
         numpy sum, so ``bisect_right(cuts, uniform * total)`` is the
         first word whose running total exceeds the draw, else the last
         word.  Training adds only finite non-negative weights, so the
-        running totals are sorted.
+        running totals are sorted.  ``kept`` is the part of ``key`` that
+        stays in the next key (at most ``order - 1`` words), so the key
+        after ``word`` is ``kept + (word,)`` in both shapes.
         """
         transitions = self.transitions
         candidates = transitions.get(key)
@@ -376,17 +381,18 @@ class MarkovToyClient(Client):
                     break
             else:
                 return None
+        kept = key[1:] if len(key) == self.order else key
         if len(candidates) == 1:
             ((word, weight),) = candidates.items()
             if weight <= 0.0:
                 return None
-            return word, (key[1:] if len(key) == self.order else key) + (word,)
+            return word, kept + (word,)
         words = sorted(candidates)
         weights = [candidates[w] for w in words]
         total = float(np.array(weights, dtype=np.float64).sum())
         if total <= 0.0:
             return None
-        return words, list(accumulate(weights))[:-1], total
+        return words, list(accumulate(weights))[:-1], total, kept
 
     def _walk(
         self,
@@ -400,9 +406,9 @@ class MarkovToyClient(Client):
         ``samplers`` maps a key (the last ``order`` words of the context)
         to its ``_sampler``; it is filled on first use and must not
         outlive a change to ``transitions``.  A step with several
-        candidates builds its successor key there and then: building
-        every candidate's key up front costs more than the few steps
-        that use them.
+        candidates appends the drawn word to the sampler's ``kept``
+        there and then: building every candidate's key up front costs
+        more than the few steps that use them.
         """
         order = self.order
         key = tuple(prompt_text.split()[-order:])
@@ -419,7 +425,7 @@ class MarkovToyClient(Client):
             if len(sampler) == 2:
                 word, key = sampler
             else:
-                choices, cuts, total = sampler
+                choices, cuts, total, kept = sampler
                 while step >= len(uniforms):
                     # Step k reads draw k, so a one-candidate step's draw
                     # is skipped, not saved; rng.random(n) yields the
@@ -429,7 +435,7 @@ class MarkovToyClient(Client):
                     drawn = len(uniforms)
                     uniforms += rng.random(min(max(drawn, 32), max_tokens - drawn)).tolist()
                 word = choices[bisect_right(cuts, uniforms[step] * total)]
-                key = (key[1:] if len(key) == order else key) + (word,)
+                key = kept + (word,)
             words.append(word)
         return " ".join(words)
 

@@ -254,10 +254,8 @@ def select_consensus_cluster(clustering: Clustering, dist: np.ndarray) -> tuple[
     the labels, are examined in id order, a challenger replacing the
     incumbent only when strictly better under that chain.  A smaller
     cluster can never replace a larger one, so this equals one pass
-    over every cluster under the full chain.  When the tied clusters
-    are singletons every spread is 0.0, so the smallest clustered
-    position wins without the loop.  When everything is an outlier the
-    consensus set falls back to all positions.
+    over every cluster under the full chain.  When everything is an
+    outlier the consensus set falls back to all positions.
     """
     if clustering.num_clusters == 0:
         return tuple(range(len(clustering.labels)))
@@ -267,10 +265,6 @@ def select_consensus_cluster(clustering: Clustering, dist: np.ndarray) -> tuple[
     largest = np.flatnonzero(sizes == sizes.max()).tolist()
     if len(largest) == 1:
         return tuple(np.flatnonzero(labels == largest[0]).tolist())
-    if sizes[largest[0]] == 1:
-        # Every cluster is a singleton, so every spread is 0.0 and the
-        # tie goes to the smallest clustered position.
-        return (int(np.argmax(labels != OUTLIER)),)
 
     # A stable sort of the labels lists every cluster's members in
     # increasing position, cluster after cluster; cluster c's run starts

@@ -627,7 +627,8 @@ _DISTINCT_OFFSETS = (2e-9, -2e-9, 0.05, 0.4)
     ties_only=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     picks=st.lists(st.integers(0, 6), min_size=6, max_size=6),
-    shuffled=st.booleans(),
+    # mostly shuffled, so most random cases number clusters arbitrarily
+    shuffled=st.sampled_from([True, True, True, False]),
 )
 # K=400 with min_pts 1, every point its own cluster: ids follow positions,
 # as DBSCAN numbers them, and every cluster is tied
