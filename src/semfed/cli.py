@@ -54,6 +54,9 @@ from .protocol import (
     make_response,
     report_to_dict,
     run_session,
+    transcript_json,
+    # Not called here; it stays importable from this module for tools that
+    # wrap the transcript writer by that name.
     transcript_to_dict,
 )
 from .theory import (
@@ -249,8 +252,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             dp_round_budget=None if dp is None else (dp["epsilon"], dp["delta"]),
         )
         report = run_session(clients, prompts, settings["rounds"], params, private)
-    except (ConfigError, ValueError, OSError, KeyError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         return _fail(str(exc))
+    except KeyError as exc:  # a scripted client has no row for a (round, prompt)
+        return _fail(str(exc.args[0]))
 
     inputs_echo = {
         **settings,
@@ -271,7 +276,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
             for transcript in report.transcripts:
                 path = out_dir / f"round_{transcript.round_index:04d}.json"
-                path.write_text(_dumps(transcript_to_dict(transcript)), encoding="utf-8")
+                path.write_text(transcript_json(transcript), encoding="utf-8")
             (out_dir / "session.json").write_text(text, encoding="utf-8")
     except (ValueError, OSError) as exc:
         return _fail(f"cannot write the report: {exc}")

@@ -16,6 +16,11 @@ from typing import Iterator
 
 __all__ = ["check_value", "read_rows"]
 
+# ``json.loads`` without its wrapper: a stripped line has no JSON
+# whitespace at either end, so a value that ends at the line's end is what
+# ``json.loads`` returns; anything else is re-parsed by it for its error.
+_scan = json.JSONDecoder().raw_decode
+
 _JSON_NAMES = {
     str: "string",
     int: "integer",
@@ -34,6 +39,8 @@ def check_value(value, kind: type, what: str):
     JSON number and returns it as a float.  A ``str`` must encode as
     UTF-8, so a lone surrogate escape is refused.
     """
+    if type(value) is kind and kind is not float and (kind is not str or value.isascii()):
+        return value
     if kind is float and type(value) is int:
         try:
             value = float(value)
@@ -59,9 +66,14 @@ def _parse_line(raw: bytes, fields: dict[str, type]) -> tuple | None:
     if not line:
         return None
     try:
-        row = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
+        row, end = _scan(line)
+    except (ValueError, RecursionError):
+        end = -1
+    if end != len(line):  # not one JSON value: json.loads names the fault
+        try:
+            row = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"invalid JSON: {exc}") from None
     try:
         values = tuple([row[name] for name in fields])
     except (KeyError, TypeError):  # a key is missing, or the row is not an object

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, groupby, islice
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Sequence
 
@@ -56,6 +57,7 @@ __all__ = [
     "run_round",
     "run_session",
     "transcript_to_dict",
+    "transcript_json",
     "report_to_dict",
 ]
 
@@ -379,7 +381,8 @@ def transcript_to_dict(transcript: RoundTranscript) -> dict:
     """JSON-ready view of a round transcript, already canonically ordered.
 
     Each response, consensus entry and error is written as its own
-    fields; their tuples serialize as JSON arrays.
+    fields; their tuples serialize as JSON arrays.  ``transcript_json``
+    writes this view's canonical text without building it.
     """
     return {
         "round": transcript.round_index,
@@ -392,6 +395,67 @@ def transcript_to_dict(transcript: RoundTranscript) -> dict:
         "downloaded_bytes": transcript.downloaded_bytes,
         "errors": [dict(vars(e)) for e in transcript.errors],
     }
+
+
+def _ints(values: tuple[int, ...]) -> str:
+    """A JSON array of ints as ``json.dumps(..., indent=2)`` writes it three levels deep."""
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
+
+
+def _objects(key: str, items: list[str]) -> str:
+    """Top-level ``key`` holding already-written objects, two spaces deep."""
+    if not items:
+        return f'  "{key}": []'
+    return f'  "{key}": [\n' + ",\n".join(items) + "\n  ]"
+
+
+def transcript_json(transcript: RoundTranscript) -> str:
+    """The round file's text: canonical JSON of ``transcript_to_dict(transcript)``.
+
+    Equal byte for byte to ``json.dumps(transcript_to_dict(transcript),
+    sort_keys=True, indent=2, allow_nan=False) + "\\n"`` (sorted keys,
+    two-space indent, ASCII escapes, trailing newline), but written
+    straight from the dataclasses: one f-string per entry, each string
+    escaped by the C encoder, without the stdlib's pure-Python indent
+    path.  The sorted key order is spelled out here.
+    """
+    s = _escape
+    responses = [
+        f'    {{\n      "byte_len": {r.byte_len},\n      "client": {r.client},\n'
+        f'      "prompt_id": {s(r.prompt_id)},\n      "text": {s(r.text)}\n    }}'
+        for r in transcript.responses
+    ]
+    consensus = [
+        f'    {{\n      "clients": {_ints(c.clients)},\n'
+        f'      "fallback_all_outliers": {"true" if c.fallback_all_outliers else "false"},\n'
+        f'      "labels": {_ints(c.labels)},\n      "members": {_ints(c.members)},\n'
+        f'      "prompt_id": {s(c.prompt_id)},\n      "pseudo_label": {s(c.pseudo_label)},\n'
+        f'      "representative": {c.representative}\n    }}'
+        for c in transcript.consensus
+    ]
+    broadcast = [
+        f'    {{\n      "prompt_id": {s(pid)},\n      "pseudo_label": {s(label)}\n    }}'
+        for pid, label in transcript.broadcast
+    ]
+    errors = [
+        f'    {{\n      "client": {"null" if e.client is None else e.client},\n'
+        f'      "prompt_id": {s(e.prompt_id)},\n      "reason": {s(e.reason)}\n    }}'
+        for e in transcript.errors
+    ]
+    return (
+        "{\n"
+        + _objects("broadcast", broadcast)
+        + ",\n"
+        + _objects("consensus", consensus)
+        + f',\n  "downloaded_bytes": {transcript.downloaded_bytes},\n'
+        + _objects("errors", errors)
+        + ",\n"
+        + _objects("responses", responses)
+        + f',\n  "round": {transcript.round_index},\n'
+        + f'  "uploaded_bytes": {transcript.uploaded_bytes}\n}}\n'
+    )
 
 
 def report_to_dict(report: SessionReport) -> dict:

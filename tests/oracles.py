@@ -4,15 +4,17 @@ Everything here re-derives results from the documented rules with
 deliberately different code paths than the package: a per-text,
 per-n-gram encoder loop with no table, a Markov client that trains
 position by position and samples with a linear scan, pure-Python
-distance loops, union-find clustering instead of BFS expansion, and
-high-precision mpmath arithmetic for the closed-form bounds.  Nothing
-imports from the modules under test, so agreement is evidence and not
-tautology.
+distance loops, union-find clustering instead of BFS expansion, a
+JSONL reader that reads the whole file and runs ``json.loads`` on each
+line, and high-precision mpmath arithmetic for the closed-form bounds.
+Nothing imports from the modules under test, so agreement is evidence
+and not tautology.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
 import mpmath as mp
@@ -305,6 +307,72 @@ def reference_global_medoid(clients, texts, embeddings):
         ),
     )
     return clients[rep], texts[rep]
+
+
+# ------------------------------------------------------------ jsonl reader
+
+
+_TYPE_NAMES = {
+    str: "string",
+    int: "integer",
+    float: "number",
+    bool: "boolean",
+    list: "array",
+    dict: "object",
+    type(None): "null",
+}
+
+
+def reference_check(value, kind: type, what: str):
+    """The exact-JSON-type rule as a case analysis: a float field takes a
+    finite number (an int converted, one too large for a float is
+    infinite); any other field takes exactly its type, and a string no
+    surrogate code point."""
+    if kind is float:
+        if type(value) is int:
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
+        if type(value) is not float:
+            raise ValueError(f"{what} must be a JSON number, got {_TYPE_NAMES[type(value)]}")
+        if not math.isfinite(value):
+            raise ValueError(f"{what} must be finite, got {value}")
+        return value
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be a JSON {_TYPE_NAMES[kind]}, got {_TYPE_NAMES[type(value)]}")
+    if kind is str and any(0xD800 <= ord(ch) <= 0xDFFF for ch in value):
+        raise ValueError(f"{what} holds a lone surrogate")
+    return value
+
+
+def reference_read_rows(path, **fields: type) -> list:
+    """Every ``(lineno, values)`` row of a JSONL file, read whole and parsed
+    one line at a time with ``json.loads``; a bad line raises ValueError
+    with ``path:lineno:`` and the reason."""
+    with open(path, "rb") as fh:
+        pieces = fh.read().split(b"\n")
+    lines = [piece + b"\n" for piece in pieces[:-1]] + ([pieces[-1]] if pieces[-1] else [])
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        prefix = f"{path}:{lineno}: "
+        try:
+            text = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(prefix + str(exc)) from None
+        if not text:
+            continue
+        try:
+            row = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{prefix}invalid JSON: {exc}") from None
+        if not isinstance(row, dict) or not all(name in row for name in fields):
+            raise ValueError(f"{prefix}expected keys {', '.join(fields)} in a JSON object")
+        try:
+            rows.append((lineno, tuple(reference_check(row[n], k, n) for n, k in fields.items())))
+        except ValueError as exc:
+            raise ValueError(prefix + str(exc)) from None
+    return rows
 
 
 # ------------------------------------------------------------ bounds

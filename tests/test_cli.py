@@ -1,8 +1,10 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -542,6 +544,42 @@ def test_simulate_reruns_are_byte_identical(tmp_path, capsys):
     assert stdouts[0] == stdouts[1]
     for name in ("round_0001.json", "round_0002.json", "session.json"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+def test_simulate_script_missing_a_row_fails_naming_it(tmp_path, capsys):
+    config_path, _ = scripted_fixture(tmp_path)
+    scripts = tmp_path / "scripts.jsonl"
+    rows = [json.loads(line) for line in scripts.read_text(encoding="utf-8").splitlines()]
+    kept = [r for r in rows if (r["client"], r["round"], r["prompt_id"]) != (1, 1, "p1")]
+    write_jsonl(scripts, kept)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config_path))
+    assert (code, out) == (2, "")
+    assert err == "error: scripted client has no response for round=1 prompt='p1'\n"
+
+
+def _load_benchmark_spans():
+    """``perfbench/spans.py``, the benchmark's tracer, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_simulate_runs_under_the_benchmark_tracer(tmp_path, capsys):
+    """The tracer replaces cli and protocol names (``cli.transcript_to_dict``,
+    ``cli.json``, ``cli.Path``, ...) by attribute; each must still be there."""
+    spans = _load_benchmark_spans()
+    config_path, _ = scripted_fixture(tmp_path)
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(config_path), "--output", str(tmp_path / "out")
+        )
+    assert code == 0, err
+    names = {span[1] for span in tracer.spans}
+    assert {"cli.load_prompts", "protocol.run_round", "consensus.dbscan", "cli.write_text"} <= names
+    assert set(tracer.self_times()) <= set(spans.SELF_TIME_METRIC)
 
 
 def test_simulate_unusable_output_path_fails_before_printing(tmp_path, capsys):

@@ -1,11 +1,14 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from oracles import reference_check, reference_read_rows
 from semfed.cli import _read_response_rows
 from semfed.clients import load_private_datasets, load_scripted_clients
 from semfed.encoder import load_embeddings_jsonl
-from semfed.jsonl import read_rows
+from semfed.jsonl import check_value, read_rows
 from semfed.protocol import PublicPromptSet
 
 # loader, a valid row, its integer-or-id field, its text field
@@ -92,3 +95,115 @@ def test_read_rows_yields_checked_values_in_field_order(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"b": "x", "a": 1, "extra": null}\n\n  {"a": 2, "b": "\\u00e9"}  \n', encoding="utf-8")
     assert list(read_rows(path, a=int, b=str)) == [(1, (1, "x")), (3, (2, "é"))]
+
+
+# ------------------------------------------------------- reader oracle
+
+FIELDS = {"a": int, "b": str, "c": list}
+GOOD = b'{"a": 1, "b": "x", "c": []}'
+# Lines at the edges of the parser: values and the full error text of each
+# must match a per-line json.loads reader.
+EDGE_LINES = [
+    b'{"a":1} {"b":2}',
+    b'{"a":1},{"b":2}',
+    GOOD + b"x",
+    b"\xef\xbb\xbf" + GOOD,
+    b"\x0c" + GOOD + b"\x0c",
+    b"\xc2\x85" + GOOD + b"\xc2\x85",
+    "\u3000".encode() + GOOD + "\u3000".encode(),
+    b"\t" + GOOD + b"\r",
+    b'{"a": NaN, "b": "x", "c": []}',
+    b'{"a": 1, "b": "x", "c": [Infinity, -Infinity, NaN]}',
+    b'{"a": Infinity, "b": "x", "c": []}',
+    b'{"a": ' + b"9" * 5000 + b', "b": "x", "c": []}',
+    b'{"a": 1, "b": "x", "c": [' + b"7" * 5000 + b"]}",
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"a": 1, "b": "x", "c": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    b'{"a": 1, "b": "x", "c": ' + b"[" * 200 + b"]" * 200 + b"}",
+    b"[1]",
+    b'"a"',
+    b"5",
+    b"null",
+    b"true",
+    b"{",
+    b'{"a": 1, "b": "\\ud800", "c": []}',
+    b'{"a": 1, "b": "\\udc00\\ud800", "c": []}',
+    b'{"a": 1, "b": "\xed\xa0\x80", "c": []}',
+    b'{"a": 1, "b": "\\ud83d\\ude00\\u00e9", "c": ["\\ud800"]}',
+    '{"a": 1, "b": "café ☃ \U0001f600", "c": ["é"]}'.encode(),
+    b'{"a": 1, "b": "\xff", "c": []}',
+    b'{"a": 1, "b": "\xc3',
+    b'{"a": true, "b": "x", "c": []}',
+    b'{"a": 1.0, "b": "x", "c": []}',
+    b'{"a": 1, "b": null, "c": []}',
+    b'{"a": 1, "c": {}}',
+    b'{"b": 1, "c": 2}',
+    b"   ",
+]
+
+
+def outcome(read, path):
+    """``("rows", repr of every row)`` or ``("error", the full error text)``."""
+    try:
+        return "rows", repr(list(read(path, **FIELDS)))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("line", EDGE_LINES, ids=range(len(EDGE_LINES)))
+def test_read_rows_matches_the_per_line_json_loads_reader(tmp_path, line):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(GOOD + b"\n\n" + line + b"\n" + GOOD)
+    assert outcome(read_rows, path) == outcome(reference_read_rows, path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+PADDING = st.sampled_from(["", " ", "\t", "\x0c", "\x85", "\u3000", "\ufeff"])
+
+
+@st.composite
+def jsonl_lines(draw):
+    row = draw(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "a": st.integers() | JSON_VALUES,
+                "b": st.text(max_size=6) | JSON_VALUES,
+                "c": st.lists(JSON_VALUES, max_size=3) | JSON_VALUES,
+                "d": JSON_VALUES,
+            },
+        )
+        | JSON_VALUES
+    )
+    text = json.dumps(row, ensure_ascii=draw(st.booleans()))
+    text = draw(PADDING) + text + draw(st.sampled_from(["", "", " {}", ",1", "]"])) + draw(PADDING)
+    return text.encode("utf-8")
+
+
+@given(st.lists(jsonl_lines() | st.sampled_from(EDGE_LINES[:12]), min_size=1, max_size=4))
+def test_read_rows_matches_the_per_line_json_loads_reader_on_generated_files(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("rows") / "rows.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    assert outcome(read_rows, path) == outcome(reference_read_rows, path)
+
+
+@given(
+    value=JSON_VALUES | st.integers(-(10**400), 10**400) | st.sampled_from(["\ud800", "é", "a"]),
+    kind=st.sampled_from([str, int, float, bool, list, dict, type(None)]),
+)
+@example(value=float("nan"), kind=float)
+@example(value=float("-inf"), kind=float)
+@example(value=10**400, kind=float)
+@example(value="\udc00\ud800", kind=str)
+def test_check_value_matches_the_reference_rule(value, kind):
+    def checked(check):
+        try:
+            return "ok", repr(check(value, kind, "v"))
+        except ValueError as exc:
+            return "error", str(exc)
+
+    assert checked(check_value) == checked(reference_check)

@@ -2,6 +2,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from semfed import cli, protocol
 from semfed.clients import (
@@ -14,6 +16,7 @@ from semfed.clients import (
 from semfed.costmodel import TextRoundCostSpec, text_round_bytes
 from semfed.protocol import (
     ConfigError,
+    PromptConsensus,
     PromptError,
     Prompt,
     PublicPromptSet,
@@ -22,7 +25,9 @@ from semfed.protocol import (
     meter_message,
     report_to_dict,
     run_round,
+    RoundTranscript,
     run_session,
+    transcript_json,
     transcript_to_dict,
 )
 
@@ -411,3 +416,64 @@ def test_prompt_set_from_jsonl(tmp_path):
     assert len(PublicPromptSet.from_jsonl(path, limit=5)) == 5
     with pytest.raises(ValueError, match=":6: expected keys"):
         PublicPromptSet.from_jsonl(path)
+
+
+# Strings that JSON must escape or that sit at its edges: quotes,
+# backslashes, control characters, U+2028, astral characters, the empty string.
+TRICKY = st.one_of(
+    st.sampled_from(["", '"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\U0001f600", "caf\u00e9", "a\tb\r\n"]),
+    st.text(max_size=12),
+)
+INTS = st.lists(st.integers(-1, 2**40), max_size=5).map(tuple)
+
+
+@st.composite
+def transcripts(draw):
+    consensus = tuple(
+        PromptConsensus(
+            prompt_id=draw(TRICKY),
+            clients=draw(INTS),
+            labels=draw(st.lists(st.integers(-1, 4), max_size=5).map(tuple)),
+            members=draw(INTS),
+            representative=draw(st.integers(0, 2**40)),
+            pseudo_label=draw(TRICKY),
+            fallback_all_outliers=draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    return RoundTranscript(
+        round_index=draw(st.integers(1, 10**6)),
+        responses=tuple(
+            draw(st.lists(st.builds(make_response, st.integers(0, 2**40), TRICKY, TRICKY), max_size=4))
+        ),
+        consensus=consensus,
+        broadcast=tuple(draw(st.lists(st.tuples(TRICKY, TRICKY), max_size=3))),
+        uploaded_bytes=draw(st.integers(0, 2**62)),
+        downloaded_bytes=draw(st.integers(0, 2**62)),
+        errors=tuple(
+            draw(st.lists(st.builds(PromptError, TRICKY, st.none() | st.integers(0, 2**40), TRICKY), max_size=3))
+        ),
+    )
+
+
+EMPTY_ROUND = RoundTranscript(1, (), (), (), 0, 0, ())
+FULL_ROUND = RoundTranscript(
+    round_index=2,
+    responses=(make_response(0, "p\u2028", '"\\\U0001f600'), make_response(1, "", "")),
+    consensus=(
+        PromptConsensus("p0", (0, 1), (-1, -1), (0, 1), 0, "\x00", True),
+        PromptConsensus("p1", (), (), (), 3, "x", False),
+    ),
+    broadcast=(("p0", "\x00"),),
+    uploaded_bytes=7,
+    downloaded_bytes=2,
+    errors=(PromptError("p2", None, "no_embeddable_responses"), PromptError("p2", 4, "zero_embedding")),
+)
+
+
+@given(transcripts())
+@example(EMPTY_ROUND)
+@example(FULL_ROUND)
+def test_transcript_json_is_the_canonical_dump_of_the_dict_view(transcript):
+    expected = json.dumps(transcript_to_dict(transcript), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert transcript_json(transcript) == expected
