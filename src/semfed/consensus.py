@@ -287,8 +287,8 @@ def select_consensus_cluster(clustering: Clustering, dist: np.ndarray) -> tuple[
 def normalized_centroid(members: Sequence[int], embeddings: Sequence[np.ndarray]) -> np.ndarray:
     """Unit-norm mean direction of the member embeddings.
 
-    Summation runs in increasing member order so results are
-    reproducible.  Raises ZeroSumError on exact antipodal cancellation.
+    Sums run row by row in member order (``np.add.reduce`` would sum one
+    column pairwise).  Raises ZeroSumError on antipodal cancellation.
     """
     points = np.asarray(embeddings, dtype=np.float64)
     members = sorted(members)

@@ -19,7 +19,8 @@ size); only keys missing from it go through the keyed hash.  One
 bit-identical to hashing every n-gram afresh and adding the signs one
 at a time: every entry is a sum of +/-1.0, an integer far below 2**53,
 so it is exact in any order.  The server encodes each prompt's
-distinct response texts in one batch (``protocol.encode_responses``).
+distinct response texts in one batch (``protocol.encode_responses``)
+and normalizes that matrix with one ``normalize_rows`` call.
 
 Distances between the unit vectors are not computed here: one
 pairwise matrix per prompt, built by ``consensus.cosine_distances``,
@@ -44,13 +45,14 @@ __all__ = [
     "EncoderConfig",
     "encode",
     "encode_batch",
+    "normalize_rows",
     "normalize",
     "encode_normalized",
     "is_unit",
     "load_embeddings_jsonl",
 ]
 
-# Norms below this are treated as exactly zero and refused by normalize().
+# Norms below this are treated as exactly zero: normalize_rows() flags the row.
 ZERO_NORM_EPS = 1e-12
 # Tolerance when checking that a vector claiming to be normalized is unit.
 UNIT_NORM_TOL = 1e-9
@@ -197,15 +199,31 @@ def encode(text: str, config: EncoderConfig) -> np.ndarray:
 
     ``encode_batch([text], config)[0]``: a pure function of (text,
     config).  Texts shorter than the n-gram size, including the empty
-    string, produce the all-zero vector; ``normalize`` refuses those,
+    string, produce the all-zero vector; ``normalize_rows`` flags those,
     which is how empty generations surface as errors instead of
     silently entering consensus.
     """
     return encode_batch([text], config)[0]
 
 
+def normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each row of ``raw`` (a matrix, or one vector) to unit norm.
+
+    A row's norm is sqrt(row . row), one dot product as ``np.linalg.norm``
+    takes it for a vector.  Returns the scaled rows and a mask of the rows
+    whose norm is below ZERO_NORM_EPS, which are left unscaled.  Raises
+    ValueError on non-finite input.
+    """
+    rows = np.ascontiguousarray(raw, dtype=np.float64)
+    if not np.isfinite(rows).all():
+        raise ValueError("embedding has non-finite entries")
+    norms = np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
+    zero = norms < ZERO_NORM_EPS
+    return rows / np.where(zero, 1.0, norms)[..., None], zero
+
+
 def normalize(raw: np.ndarray) -> np.ndarray:
-    """Scale ``raw`` to unit Euclidean norm.
+    """Scale the vector ``raw`` to unit Euclidean norm with ``normalize_rows``.
 
     Raises ZeroVectorError when the norm is below ZERO_NORM_EPS and
     ValueError on non-finite input.
@@ -213,12 +231,10 @@ def normalize(raw: np.ndarray) -> np.ndarray:
     vec = np.asarray(raw, dtype=np.float64)
     if vec.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("embedding has non-finite entries")
-    norm = float(np.linalg.norm(vec))
-    if norm < ZERO_NORM_EPS:
-        raise ZeroVectorError(f"cannot normalize vector with norm {norm!r}")
-    return vec / norm
+    unit, zero = normalize_rows(vec)
+    if zero:
+        raise ZeroVectorError(f"cannot normalize vector with norm {float(np.sqrt(vec @ vec))!r}")
+    return unit
 
 
 def encode_normalized(text: str, config: EncoderConfig) -> np.ndarray:

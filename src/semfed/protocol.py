@@ -3,9 +3,10 @@
 One round runs four phases: each client optionally retrains on its
 private data, every client answers every public prompt (one
 ``Client.generate_many`` call per run of consecutive clients of one
-class), the server embeds the responses and runs per-prompt consensus,
-and the resulting (prompt id, pseudo-label) pairs are broadcast back for
-a joint training pass.  Uploads are the UTF-8 byte lengths of the
+class), the server embeds each prompt's distinct responses as one
+matrix, normalizes its rows once and runs consensus on them, and the
+resulting (prompt id, pseudo-label) pairs are broadcast back for a
+joint training pass.  Uploads are the UTF-8 byte lengths of the
 response payloads; downloads are the pseudo-label bytes times the
 number of receiving clients.  Message framing, ids and serialization
 overhead are deliberately excluded so measured totals match the
@@ -24,8 +25,8 @@ emission, so reruns give byte-identical output.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import chain, groupby, islice
+from dataclasses import dataclass, field
+from itertools import chain, compress, groupby, islice
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Sequence
@@ -34,9 +35,8 @@ import numpy as np
 
 from .clients import Client, PrivateDataset, TrainingWeights
 from .consensus import ClusterParams, ConsensusResult, SelectionStrategy, consensus_for_prompt
-# ``encode`` is not called here; it stays importable from this module,
-# next to ``normalize``, for tools that wrap the encoder by that name.
-from .encoder import EncoderConfig, ZeroVectorError, encode, encode_batch, normalize
+# Unused ``encode`` and ``normalize`` stay importable for tools that wrap them by name.
+from .encoder import EncoderConfig, encode, encode_batch, normalize, normalize_rows
 from .jsonl import read_rows
 from .privacy import PrivacyLedger, RoundBudget, record_round, total_budget
 
@@ -103,22 +103,19 @@ class PublicPromptSet:
 
 @dataclass(frozen=True)
 class ResponseRecord:
-    """One client's answer to one prompt, with its metered upload size."""
+    """One client's answer to one prompt; ``byte_len``, its metered size, is set from the text."""
 
     client: int
     prompt_id: str
     text: str
-    byte_len: int
+    byte_len: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.byte_len != meter_message(self.text):
-            raise ValueError(
-                f"byte_len {self.byte_len} does not match text ({meter_message(self.text)} bytes)"
-            )
+        object.__setattr__(self, "byte_len", meter_message(self.text))
 
 
 def make_response(client: int, prompt_id: str, text: str) -> ResponseRecord:
-    return ResponseRecord(client=client, prompt_id=prompt_id, text=text, byte_len=meter_message(text))
+    return ResponseRecord(client, prompt_id, text)
 
 
 @dataclass(frozen=True)
@@ -214,42 +211,29 @@ def encode_responses(
 def consensus_phase(
     prompt_id: str,
     records: Sequence[ResponseRecord],
-    raw_vectors: Sequence[np.ndarray],
+    raw_vectors: np.ndarray,
     rows: Sequence[int],
     cluster: ClusterParams,
     strategy: SelectionStrategy,
 ) -> tuple[PromptConsensus | None, ConsensusResult | None, list[PromptError]]:
     """Normalize one prompt's raw vectors and run consensus.
 
-    Record i's raw vector is ``raw_vectors[rows[i]]``: either the matrix
-    and row index from ``encode_responses``, or one vector per record
-    with ``rows = range(len(records))``.  Each raw vector is normalized
-    once, however many records share it.  A record whose vector is all
-    zero (an empty or too-short text) is dropped with a
-    ``zero_embedding`` error; a prompt left with no response gets a
-    ``no_embeddable_responses`` error and no outcome.  Returns the
-    transcript entry, the full result (which also holds the centroid),
-    and the errors.
+    Record i's raw vector is row ``rows[i]`` of the matrix
+    ``raw_vectors``, as ``encode_responses`` returns them; each row is
+    normalized once.  A record whose vector is all zero (an empty or
+    too-short text) is dropped with a ``zero_embedding`` error; a prompt
+    left with no response gets a ``no_embeddable_responses`` error and
+    no outcome.  Returns the transcript entry, the full result (which
+    also holds the centroid), and the errors.
     """
-    units: list[np.ndarray | None] = []
-    for raw in raw_vectors:
-        try:
-            units.append(normalize(raw))
-        except ZeroVectorError:
-            units.append(None)
-    usable: list[ResponseRecord] = []
-    embeddings = []
-    errors: list[PromptError] = []
-    for record, row in zip(records, rows):
-        if units[row] is None:
-            errors.append(PromptError(prompt_id, record.client, "zero_embedding"))
-        else:
-            embeddings.append(units[row])
-            usable.append(record)
+    units, zero = normalize_rows(raw_vectors)
+    kept = ~zero[rows]
+    usable = list(compress(records, kept))
+    errors = [PromptError(prompt_id, r.client, "zero_embedding") for r in compress(records, ~kept)]
     if not usable:
         errors.append(PromptError(prompt_id, None, "no_embeddable_responses"))
         return None, None, errors
-    result = consensus_for_prompt(usable, embeddings, cluster, strategy)
+    result = consensus_for_prompt(usable, units[np.compress(kept, rows)], cluster, strategy)
     outcome = PromptConsensus(
         prompt_id=prompt_id,
         clients=tuple(r.client for r in usable),

@@ -2,9 +2,10 @@
 
 Everything here re-derives results from the documented rules with
 deliberately different code paths than the package: a per-text,
-per-n-gram encoder loop with no table, a Markov client that trains
-position by position and samples with a linear scan, pure-Python
-distance loops, union-find clustering instead of BFS expansion, a
+per-n-gram encoder loop with no table, one ``np.linalg.norm`` per
+vector for normalization, a Markov client that trains position by
+position and samples with a linear scan, pure-Python distance loops
+and member sums, union-find clustering instead of BFS expansion, a
 JSONL reader that reads the whole file and runs ``json.loads`` on each
 line, and high-precision mpmath arithmetic for the closed-form bounds.
 Nothing imports from the modules under test, so agreement is evidence
@@ -22,6 +23,7 @@ import numpy as np
 
 OUTLIER = -1
 TIE_TOL = 1e-12
+ZERO_NORM_EPS = 1e-12
 
 
 # ------------------------------------------------------------ encoder
@@ -45,6 +47,13 @@ def reference_encode_batch(texts, dimension: int, ngram_size: int, seed: int, lo
     """``reference_encode`` of each text, stacked as a (len(texts), dimension) matrix."""
     rows = [reference_encode(text, dimension, ngram_size, seed, lowercase) for text in texts]
     return np.stack(rows) if rows else np.zeros((0, dimension), dtype=np.float64)
+
+
+def reference_normalize(vec):
+    """One vector scaled to unit norm, ``vec / float(np.linalg.norm(vec))``;
+    None when the norm is below ZERO_NORM_EPS."""
+    norm = float(np.linalg.norm(vec))
+    return None if norm < ZERO_NORM_EPS else vec / norm
 
 
 # ------------------------------------------------------------ markov client
@@ -129,6 +138,16 @@ def cosine_dist(a, b) -> float:
     if d > 2.0:
         return 2.0
     return d
+
+
+def reference_member_sum(embeddings, members) -> np.ndarray:
+    """Column sums of the member rows, each column a Python float running
+    total that adds the members in increasing order, starting from 0.0."""
+    sums = [0.0] * len(embeddings[0])
+    for m in sorted(members):
+        for c in range(len(sums)):
+            sums[c] = sums[c] + float(embeddings[m][c])
+    return np.array(sums)
 
 
 # ------------------------------------------------------------ dbscan

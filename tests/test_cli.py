@@ -6,8 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from oracles import reference_normalize
 
+from semfed import protocol
 from semfed.cli import build_parser, main
 from semfed.clients import TrainingWeights
 from semfed.consensus import OUTLIER, ClusterParams, SelectionStrategy
@@ -345,6 +348,41 @@ def test_consensus_with_external_embeddings(tmp_path, capsys):
     assert entry["members"] == [0, 1]
     assert entry["pseudo_label"] == "yes"
     assert entry["labels"] == [0, 0, -1]
+
+
+def per_row_normalize(raw):
+    """``normalize_rows`` as one ``reference_normalize`` call per row."""
+    rows = np.asarray(raw, dtype=np.float64)
+    units = [reference_normalize(row) for row in rows]
+    zero = np.array([unit is None for unit in units])
+    return np.array([row if unit is None else unit for row, unit in zip(rows, units)]), zero
+
+
+def test_consensus_external_float_embeddings_print_the_per_row_result(tmp_path, capsys, monkeypatch):
+    vectors = {
+        "p/0": [0.1, 0.7, 0.3],
+        "p/1": [0.11, 0.69, 0.31],
+        "p/2": [0.0, 0.0, 0.0],
+        "p/3": [-0.5, 0.2, 0.9],
+        "p/4": [0.1, 0.7, 0.3],
+        "p/5": [0.3, 1.9, 0.7],
+        "q/0": [1e-7, 3e-7, -2e-7],
+        "q/1": [0.3, 0.9, -0.6],
+    }
+    responses = write_jsonl(
+        tmp_path / "r.jsonl",
+        [{"prompt_id": rid[0], "client_id": int(rid[2]), "response": f"answer {rid}"} for rid in vectors],
+    )
+    embeddings = write_jsonl(
+        tmp_path / "e.jsonl", [{"response_id": rid, "embedding": vec} for rid, vec in vectors.items()]
+    )
+    argv = ["consensus", "--input", str(responses), "--embeddings", str(embeddings)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    p, q = json.loads(out)["outputs"]["prompts"]
+    assert p["skipped_clients"] == [2] and len(p["centroid"]) == 3 and q["clients"] == [0, 1]
+    monkeypatch.setattr(protocol, "normalize_rows", per_row_normalize)
+    assert run_cli(capsys, *argv) == (0, out, "")
 
 
 def test_consensus_missing_external_embedding_fails(tmp_path, capsys):

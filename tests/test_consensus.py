@@ -15,6 +15,7 @@ from oracles import (
     reference_consensus,
     reference_dbscan,
     reference_global_medoid,
+    reference_member_sum,
     reference_select_cluster,
 )
 from semfed.consensus import (
@@ -33,7 +34,7 @@ from semfed.consensus import (
     select_consensus_cluster,
     select_representative,
 )
-from semfed.encoder import EncoderConfig, encode_normalized
+from semfed.encoder import EncoderConfig, encode_normalized, is_unit
 from semfed.protocol import make_response
 
 CFG = EncoderConfig()
@@ -197,6 +198,44 @@ def test_normalized_centroid_antipodal_raises():
     points = [unit(1, 0, 0), unit(-1, 0, 0)]
     with pytest.raises(ZeroSumError):
         normalized_centroid([0, 1], points)
+
+
+@given(
+    columns=st.integers(1, 4) | st.just(384),
+    size=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    zero_column=st.booleans(),
+)
+def test_normalized_centroid_sums_members_in_increasing_order(columns, size, seed, zero_column):
+    # Rows as far from unit norm as is_unit accepts; a column of -0.0
+    # checks that the sum starts from +0.0.
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(size, columns))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    points *= 1 + rng.uniform(-1e-9, 1e-9, size=(size, 1))
+    if zero_column and columns > 1:
+        points[:, -1] = -0.0
+    members = rng.permutation(size)[: rng.integers(1, size + 1)].tolist()
+    total = reference_member_sum(points, members)
+    norm = float(np.linalg.norm(total))
+    if norm < 1e-12:
+        with pytest.raises(ZeroSumError):
+            normalized_centroid(members, points)
+    else:
+        assert normalized_centroid(members, points).tobytes() == (total / norm).tobytes()
+
+
+def test_normalized_centroid_of_one_column_is_the_running_total():
+    # Sixteen one-column rows within UNIT_NORM_TOL of +-1 whose exact sum
+    # is about ZERO_NORM_EPS: the running total lands below it, so there
+    # is no centroid, while numpy's pairwise sum lands above it.
+    rng = np.random.default_rng(0)
+    deltas = rng.uniform(-1e-9, 1e-9, 8)
+    column = np.concatenate([1 + deltas, -(1 + rng.permutation(deltas))])
+    column[-1] = 1e-12 - math.fsum(column[:-1].tolist())
+    assert is_unit(column[:, None]).all()
+    with pytest.raises(ZeroSumError):
+        normalized_centroid(range(16), column[:, None])
 
 
 def test_representative_distance_tie_prefers_shorter_bytes():

@@ -1,16 +1,18 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 import semfed.encoder as encoder
-from oracles import reference_encode, reference_encode_batch
+from oracles import reference_encode, reference_encode_batch, reference_normalize
 
 from semfed.consensus import cosine_distances
 from semfed.encoder import (
     NGRAM_MEMO_SIZE,
+    ZERO_NORM_EPS,
     EncoderConfig,
     ZeroVectorError,
     encode,
@@ -19,6 +21,7 @@ from semfed.encoder import (
     is_unit,
     load_embeddings_jsonl,
     normalize,
+    normalize_rows,
 )
 
 CFG = EncoderConfig()
@@ -209,6 +212,56 @@ def test_normalize_examples():
         normalize(np.zeros(5))
     with pytest.raises(ValueError):
         normalize(np.array([1.0, np.inf]))
+
+
+# Factors that put a row's norm just below, at or just above ZERO_NORM_EPS.
+EPS_FACTORS = [0.5, 1 - 2**-40, 1.0, 1 + 2**-40, 2.0]
+
+
+@st.composite
+def raw_matrices(draw):
+    """Finite float matrices of 1-6, 8 or 384 columns mixing free rows,
+    random rows of any scale, all-zero rows (either sign of zero), rows
+    whose norm is near ZERO_NORM_EPS and rows whose norm overflows to inf."""
+    d = draw(st.integers(1, 6) | st.sampled_from([8, 384]))
+
+    def entries(elements):
+        """One row: up to four drawn values, repeated to width d."""
+        return np.resize(np.array(draw(st.lists(elements, min_size=1, max_size=4)), dtype=np.float64), d)
+
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["free", "random", "zero", "eps", "huge"]), min_size=1, max_size=6)):
+        if kind == "free":
+            rows.append(entries(st.floats(allow_nan=False, allow_infinity=False)))
+        elif kind == "random":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            rows.append(rng.normal(size=d) * 10.0 ** draw(st.integers(-200, 200)))
+        elif kind == "zero":
+            rows.append(entries(st.sampled_from([0.0, -0.0])))
+        elif kind == "eps":
+            direction = entries(st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-3))
+            factor = draw(st.sampled_from(EPS_FACTORS))
+            rows.append(direction / np.linalg.norm(direction) * (ZERO_NORM_EPS * factor))
+        else:
+            rows.append(entries(st.floats(1e155, 1e308) | st.floats(-1e308, -1e155)))
+    return np.array(rows)
+
+
+@given(raw=raw_matrices())
+@example(raw=np.array([[0.0], [-0.0], [ZERO_NORM_EPS], [np.nextafter(ZERO_NORM_EPS, 0)], [1e300], [-3.0]]))
+@example(raw=np.array([[1e200, -1e200], [0.0, -0.0], [3.0, 4.0], [0.1, 0.7]]))
+def test_normalize_rows_matches_the_per_vector_reference(raw):
+    units, zero = normalize_rows(raw)
+    expected = [reference_normalize(row) for row in raw]
+    assert zero.tolist() == [e is None for e in expected]
+    assert np.array_equal(units[zero], raw[zero])
+    for row, unit, e in zip(raw, units, expected):
+        if e is None:
+            with pytest.raises(ZeroVectorError, match=re.escape(f"norm {float(np.linalg.norm(row))!r}")):
+                normalize(row)
+        else:
+            assert np.array_equal(unit, e)
+            assert np.array_equal(normalize(row), e)
 
 
 @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6))

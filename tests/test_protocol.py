@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -71,9 +72,10 @@ def test_meter_message_examples():
 
 def test_response_record_byte_length_is_checked():
     rec = make_response(0, "p0", "héllo")
-    assert rec.byte_len == 6
-    with pytest.raises(ValueError):
-        type(rec)(client=0, prompt_id="p0", text="héllo", byte_len=5)
+    assert rec.byte_len == len("héllo".encode("utf-8")) == 6
+    # byte_len is always metered from the text; it cannot be passed in
+    with pytest.raises(TypeError):
+        type(rec)(client=0, prompt_id="p0", text="héllo", byte_len=6)
 
 
 # ------------------------------------------------------------- rounds
@@ -358,8 +360,8 @@ def counting_encode(monkeypatch):
 
 
 def per_record_encode(records, config):
-    """One separately encoded vector per record: no dedup, no batch."""
-    return [protocol.encode(r.text, config) for r in records], range(len(records))
+    """One separately encoded row per record: no dedup, no batch."""
+    return np.array([protocol.encode(r.text, config) for r in records]), range(len(records))
 
 
 def test_round_encodes_each_distinct_text_once_per_prompt(monkeypatch):
