@@ -12,6 +12,9 @@ effective inputs, the seed in play, and the package version, so a
 report is reproducible from its own header.  Exit status is 0 when the
 requested computation completed (per-prompt consensus errors inside a
 run do not fail the process) and 2 for unusable inputs or config.
+Commands signal bad input by raising ValueError, OSError or
+OverflowError; ``main`` alone turns those into an ``error:`` line and
+exit 2, and lets any other exception through as the bug it is.
 """
 
 from __future__ import annotations
@@ -77,18 +80,13 @@ def _dumps(obj: dict) -> str:
 
 
 def _emit(report: dict) -> int:
-    """Print ``report`` as canonical JSON; a non-finite number exits 2 instead."""
+    """Print ``report`` as canonical JSON; a non-finite number raises ValueError."""
     try:
         text = _dumps(report)
     except ValueError as exc:
-        return _fail(f"report is not valid JSON: {exc}")
+        raise ValueError(f"report is not valid JSON: {exc}") from exc
     sys.stdout.write(text)
     return 0
-
-
-def _fail(message: str) -> int:
-    sys.stderr.write(f"error: {message}\n")
-    return 2
 
 
 def _flags(args: argparse.Namespace, *omit: str) -> dict:
@@ -205,57 +203,52 @@ def _load_config(path: Path) -> dict:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
-    try:
-        config = _load_config(config_path)
-        base_dir = config_path.parent
-        settings = _resolve(config, _SETTINGS)
-        seed = _get(config, "seed", int, 0)
-        if args.seed is not None:
-            seed = args.seed
-        if seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-        if "prompt_file" not in config:
-            raise ConfigError("config must declare prompt_file")
-        prompt_file = _get(config, "prompt_file", str)
-        budget = settings["prompt_budget"]
-        if budget < 1:
-            raise ConfigError(f"prompt_budget must be >= 1, got {budget}")
-        prompts = PublicPromptSet.from_jsonl(base_dir / prompt_file, limit=budget)
-        if len(prompts) == 0:
-            raise ConfigError("prompt file contains no prompts")
-        clients, private, clients_echo = _build_clients(config, base_dir, seed)
-        dp = None
-        if "dp" in config:
-            raw_dp = config["dp"]
-            if not isinstance(raw_dp, dict) or set(raw_dp) != {"epsilon", "delta"}:
-                raise ConfigError("dp must be an object with exactly epsilon and delta")
-            dp = {key: _get(raw_dp, key, float) for key in ("epsilon", "delta")}
-        strategy = settings["strategy"]
-        if strategy not in _STRATEGY_NAMES:
-            raise ConfigError(
-                f"unknown strategy {strategy!r}; expected one of {sorted(_STRATEGY_NAMES)}"
-            )
-        strategy_seed = _get(config, "strategy_seed", int, seed)
-        encoder = settings["encoder"]
-        params = SessionParams(
-            encoder=EncoderConfig(
-                dimension=encoder["dimension"],
-                ngram_size=encoder["ngram"],
-                seed=encoder["seed"],
-                lowercase=encoder["lowercase"],
-            ),
-            cluster=ClusterParams(eps=settings["eps"], min_pts=settings["min_pts"]),
-            strategy=SelectionStrategy(_STRATEGY_NAMES[strategy], strategy_seed),
-            weights=TrainingWeights(**settings["weights"]),
-            max_tokens=settings["max_tokens"],
-            retrain_private_every_round=settings["retrain_private_every_round"],
-            dp_round_budget=None if dp is None else (dp["epsilon"], dp["delta"]),
+    config = _load_config(config_path)
+    base_dir = config_path.parent
+    settings = _resolve(config, _SETTINGS)
+    seed = _get(config, "seed", int, 0)
+    if args.seed is not None:
+        seed = args.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    if "prompt_file" not in config:
+        raise ConfigError("config must declare prompt_file")
+    prompt_file = _get(config, "prompt_file", str)
+    budget = settings["prompt_budget"]
+    if budget < 1:
+        raise ConfigError(f"prompt_budget must be >= 1, got {budget}")
+    prompts = PublicPromptSet.from_jsonl(base_dir / prompt_file, limit=budget)
+    if len(prompts) == 0:
+        raise ConfigError("prompt file contains no prompts")
+    clients, private, clients_echo = _build_clients(config, base_dir, seed)
+    dp = None
+    if "dp" in config:
+        raw_dp = config["dp"]
+        if not isinstance(raw_dp, dict) or set(raw_dp) != {"epsilon", "delta"}:
+            raise ConfigError("dp must be an object with exactly epsilon and delta")
+        dp = {key: _get(raw_dp, key, float) for key in ("epsilon", "delta")}
+    strategy = settings["strategy"]
+    if strategy not in _STRATEGY_NAMES:
+        raise ConfigError(
+            f"unknown strategy {strategy!r}; expected one of {sorted(_STRATEGY_NAMES)}"
         )
-        report = run_session(clients, prompts, settings["rounds"], params, private)
-    except (ConfigError, ValueError, OSError) as exc:
-        return _fail(str(exc))
-    except KeyError as exc:  # a scripted client has no row for a (round, prompt)
-        return _fail(str(exc.args[0]))
+    strategy_seed = _get(config, "strategy_seed", int, seed)
+    encoder = settings["encoder"]
+    params = SessionParams(
+        encoder=EncoderConfig(
+            dimension=encoder["dimension"],
+            ngram_size=encoder["ngram"],
+            seed=encoder["seed"],
+            lowercase=encoder["lowercase"],
+        ),
+        cluster=ClusterParams(eps=settings["eps"], min_pts=settings["min_pts"]),
+        strategy=SelectionStrategy(_STRATEGY_NAMES[strategy], strategy_seed),
+        weights=TrainingWeights(**settings["weights"]),
+        max_tokens=settings["max_tokens"],
+        retrain_private_every_round=settings["retrain_private_every_round"],
+        dp_round_budget=None if dp is None else (dp["epsilon"], dp["delta"]),
+    )
+    report = run_session(clients, prompts, settings["rounds"], params, private)
 
     inputs_echo = {
         **settings,
@@ -279,7 +272,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 path.write_text(transcript_json(transcript), encoding="utf-8")
             (out_dir / "session.json").write_text(text, encoding="utf-8")
     except (ValueError, OSError) as exc:
-        return _fail(f"cannot write the report: {exc}")
+        raise ValueError(f"cannot write the report: {exc}") from exc
     sys.stdout.write(text)
     return 0
 
@@ -305,42 +298,41 @@ def _read_response_rows(path: Path) -> dict[str, dict[int, str]]:
 
 
 def cmd_consensus(args: argparse.Namespace) -> int:
-    try:
-        grouped = _read_response_rows(Path(args.input))
-        encoder_config = EncoderConfig(
-            dimension=args.dimension,
-            ngram_size=args.ngram,
-            seed=args.encoder_seed,
-            lowercase=args.lowercase,
-        )
-        params = ClusterParams(eps=args.eps, min_pts=args.min_pts)
-        strategy = SelectionStrategy(
-            rule=_STRATEGY_NAMES[args.strategy],
-            seed=SelectionStrategy().seed if args.seed is None else args.seed,
-        )
-        external = None
-        if args.embeddings is not None:
-            external = load_embeddings_jsonl(args.embeddings)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+    grouped = _read_response_rows(Path(args.input))
+    encoder_config = EncoderConfig(
+        dimension=args.dimension,
+        ngram_size=args.ngram,
+        seed=args.encoder_seed,
+        lowercase=args.lowercase,
+    )
+    params = ClusterParams(eps=args.eps, min_pts=args.min_pts)
+    strategy = SelectionStrategy(
+        rule=_STRATEGY_NAMES[args.strategy],
+        seed=SelectionStrategy().seed if args.seed is None else args.seed,
+    )
+    external = None
+    if args.embeddings is not None:
+        external = load_embeddings_jsonl(args.embeddings)
 
     results = []
     for prompt_id in sorted(grouped):
         answers = sorted(grouped[prompt_id].items())
         records = [make_response(client, prompt_id, text) for client, text in answers]
+        if external is not None:
+            ids = [f"{prompt_id}/{r.client}" for r in records]
+            missing = [rid for rid in ids if rid not in external]
+            if missing:
+                raise ValueError(f"missing external embedding for {missing[0]!r}")
         try:
             if external is None:
                 raw_vectors, rows = encode_responses(records, encoder_config)
             else:
-                raw_vectors = [external[f"{prompt_id}/{r.client}"] for r in records]
-                rows = range(len(records))
+                raw_vectors, rows = [external[rid] for rid in ids], range(len(records))
             outcome, result, errors = consensus_phase(
                 prompt_id, records, raw_vectors, rows, params, strategy
             )
-        except KeyError as exc:
-            return _fail(f"missing external embedding for {exc.args[0]!r}")
         except ValueError as exc:
-            return _fail(f"prompt {prompt_id!r}: {exc}")
+            raise ValueError(f"prompt {prompt_id!r}: {exc}") from exc
         skipped = [e.client for e in errors if e.reason == "zero_embedding"]
         if outcome is None:
             entry = {"prompt_id": prompt_id, "error": errors[-1].reason}
@@ -382,43 +374,35 @@ def _check_echoed_cost_flags(args: argparse.Namespace) -> None:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    try:
-        text_spec = TextRoundCostSpec(
-            num_clients=args.clients,
-            num_prompts=args.prompts,
-            avg_tokens=args.tokens,
-            bytes_per_token=args.bytes_per_token,
-            include_download=not args.upload_only,
-        )
-        _check_echoed_cost_flags(args)
-        outputs: dict = {
-            "text_round": {
-                "total_bytes": text_round_bytes(text_spec),
-                "include_download": text_spec.include_download,
-            }
+    text_spec = TextRoundCostSpec(
+        num_clients=args.clients,
+        num_prompts=args.prompts,
+        avg_tokens=args.tokens,
+        bytes_per_token=args.bytes_per_token,
+        include_download=not args.upload_only,
+    )
+    _check_echoed_cost_flags(args)
+    outputs: dict = {
+        "text_round": {
+            "total_bytes": text_round_bytes(text_spec),
+            "include_download": text_spec.include_download,
         }
-        if args.preset is not None:
-            preset = PRESETS.get(args.preset)
-            if preset is None:
-                return _fail(f"unknown preset {args.preset!r}; expected one of {sorted(PRESETS)}")
-            comparison = comparison_report(
-                preset, text_spec, rank=args.rank, bytes_per_param=args.bytes_per_param
-            )
-            outputs["comparison"] = asdict(comparison)
-        if args.subsample_fraction is not None:
-            if args.total_params is None:
-                return _fail("--subsample-fraction requires --total-params")
-            sub_spec = SubsampleCostSpec(
-                num_clients=args.clients,
-                fraction=args.subsample_fraction,
-                total_params=args.total_params,
-                bytes_per_param=args.bytes_per_param,
-            )
-            outputs["subsample"] = {"total_bytes": subsample_bytes(sub_spec)}
-    except ValueError as exc:
-        return _fail(str(exc))
-    except OverflowError as exc:
-        return _fail(f"cost does not fit a float: {exc}")
+    }
+    if args.preset is not None:
+        comparison = comparison_report(
+            PRESETS[args.preset], text_spec, rank=args.rank, bytes_per_param=args.bytes_per_param
+        )
+        outputs["comparison"] = asdict(comparison)
+    if args.subsample_fraction is not None:
+        if args.total_params is None:
+            raise ValueError("--subsample-fraction requires --total-params")
+        sub_spec = SubsampleCostSpec(
+            num_clients=args.clients,
+            fraction=args.subsample_fraction,
+            total_params=args.total_params,
+            bytes_per_param=args.bytes_per_param,
+        )
+        outputs["subsample"] = {"total_bytes": subsample_bytes(sub_spec)}
 
     if args.format == "csv":
         _emit_cost_csv(outputs)
@@ -442,50 +426,45 @@ def _emit_cost_csv(outputs: dict) -> None:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    try:
-        gap = GapParams(
-            grad_bound=args.grad_bound,
-            kl_shift=args.kl_shift,
-            label_noise=args.label_noise,
-            public_batch=args.public_batch,
-            param_dim=args.param_dim,
-            total_steps=args.steps,
-            confidence=args.confidence,
-        )
-        outputs: dict = {"gap": delta_T(gap)}
-        stationarity_given = [
-            args.smoothness,
-            args.step_size,
-            args.noise_var,
-            args.heterogeneity,
-            args.init_gap,
-        ]
-        if any(v is not None for v in stationarity_given):
-            if any(v is None for v in stationarity_given):
-                return _fail(
-                    "stationarity bound needs all of --smoothness, --step-size, "
-                    "--noise-var, --heterogeneity, --init-gap"
-                )
-            bound = stationarity_rhs(
-                StationarityParams(
-                    gap=gap,
-                    smoothness=args.smoothness,
-                    step_size=args.step_size,
-                    noise_var=args.noise_var,
-                    heterogeneity=args.heterogeneity,
-                    init_gap=args.init_gap,
-                )
+    gap = GapParams(
+        grad_bound=args.grad_bound,
+        kl_shift=args.kl_shift,
+        label_noise=args.label_noise,
+        public_batch=args.public_batch,
+        param_dim=args.param_dim,
+        total_steps=args.steps,
+        confidence=args.confidence,
+    )
+    outputs: dict = {"gap": delta_T(gap)}
+    stationarity_given = [
+        args.smoothness,
+        args.step_size,
+        args.noise_var,
+        args.heterogeneity,
+        args.init_gap,
+    ]
+    if any(v is not None for v in stationarity_given):
+        if any(v is None for v in stationarity_given):
+            raise ValueError(
+                "stationarity bound needs all of --smoothness, --step-size, "
+                "--noise-var, --heterogeneity, --init-gap"
             )
-            outputs["stationarity"] = {
-                "descent_term": bound.descent_term,
-                "noise_term": bound.noise_term,
-                "bias_term": bound.bias_term,
-                "total": bound.total,
-            }
-    except ValueError as exc:
-        return _fail(str(exc))
-    except OverflowError as exc:
-        return _fail(f"bound does not fit a float: {exc}")
+        bound = stationarity_rhs(
+            StationarityParams(
+                gap=gap,
+                smoothness=args.smoothness,
+                step_size=args.step_size,
+                noise_var=args.noise_var,
+                heterogeneity=args.heterogeneity,
+                init_gap=args.init_gap,
+            )
+        )
+        outputs["stationarity"] = {
+            "descent_term": bound.descent_term,
+            "noise_term": bound.noise_term,
+            "bias_term": bound.bias_term,
+            "total": bound.total,
+        }
 
     return _emit(_report("bound", _flags(args), outputs, None))
 
@@ -494,10 +473,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_privacy(args: argparse.Namespace) -> int:
-    try:
-        ledgers = load_ledgers_csv(Path(args.csv))
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+    ledgers = load_ledgers_csv(Path(args.csv))
     rows = []
     combined_eps = 0.0
     combined_delta = 0.0
@@ -606,9 +582,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        message = str(exc)
+    except OverflowError as exc:
+        message = f"{args.command} does not fit a float: {exc}"
+    sys.stderr.write(f"error: {message}\n")
+    return 2
 
 
 if __name__ == "__main__":

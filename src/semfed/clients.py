@@ -127,7 +127,7 @@ class ScriptedClient(Client):
     """Replays canned responses keyed by (round_index, prompt_id).
 
     The table must cover every query the session will make; a missing
-    key is a fixture bug and raises KeyError rather than inventing text.
+    key is a fixture bug and raises ValueError rather than inventing text.
     Training is a no-op.
     """
 
@@ -137,7 +137,7 @@ class ScriptedClient(Client):
     def generate(self, prompt_id: str, prompt_text: str, round_index: int, max_tokens: int) -> str:
         key = (round_index, prompt_id)
         if key not in self.responses:
-            raise KeyError(f"scripted client has no response for round={round_index} prompt={prompt_id!r}")
+            raise ValueError(f"scripted client has no response for round={round_index} prompt={prompt_id!r}")
         return self.responses[key]
 
     def train(

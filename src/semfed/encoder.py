@@ -256,7 +256,7 @@ def load_embeddings_jsonl(path: str | Path) -> dict[str, np.ndarray]:
     Each line is an object {"response_id": str, "embedding": [numbers]},
     read by ``jsonl.read_rows``.  Vectors are returned raw (not
     normalized) so callers decide when to normalize.  All vectors must
-    share one dimension.
+    share one dimension, and each squared norm must fit a float.
     """
     out: dict[str, np.ndarray] = {}
     dimension = None
@@ -273,6 +273,10 @@ def load_embeddings_jsonl(path: str | Path) -> dict[str, np.ndarray]:
             finite = False
         if not finite:
             raise ValueError(f"{where}: embedding has non-finite entries")
+        with np.errstate(over="ignore"):
+            squared_norm = vec @ vec
+        if not np.isfinite(squared_norm):
+            raise ValueError(f"{where}: embedding norm overflows a float")
         if dimension is None:
             dimension = int(vec.size)
         elif vec.size != dimension:

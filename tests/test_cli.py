@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from oracles import reference_normalize
 
-from semfed import protocol
+from semfed import cli, protocol
 from semfed.cli import build_parser, main
 from semfed.clients import TrainingWeights
 from semfed.consensus import OUTLIER, ClusterParams, SelectionStrategy
@@ -392,11 +392,10 @@ def test_consensus_missing_external_embedding_fails(tmp_path, capsys):
     embeddings = write_jsonl(
         tmp_path / "e.jsonl", [{"response_id": "q/0", "embedding": [1.0, 0.0]}]
     )
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "consensus", "--input", str(responses), "--embeddings", str(embeddings)
     )
-    assert code == 2
-    assert "p/0" in err
+    assert (code, out, err) == (2, "", "error: missing external embedding for 'p/0'\n")
 
 
 def test_consensus_malformed_external_embedding_fails(tmp_path, capsys):
@@ -411,6 +410,20 @@ def test_consensus_malformed_external_embedding_fails(tmp_path, capsys):
     )
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {embeddings}:1: embedding")
+
+
+def test_consensus_external_embedding_whose_norm_overflows_fails(tmp_path, capsys):
+    # finite entries, but the squared norm is 2e400; no numpy warning may escape
+    responses = write_jsonl(
+        tmp_path / "r.jsonl", [{"prompt_id": "p", "client_id": 0, "response": "yes"}]
+    )
+    embeddings = write_jsonl(
+        tmp_path / "e.jsonl", [{"response_id": "p/0", "embedding": [1e200, 1e200]}]
+    )
+    code, out, err = run_cli(
+        capsys, "consensus", "--input", str(responses), "--embeddings", str(embeddings)
+    )
+    assert (code, out, err) == (2, "", f"error: {embeddings}:1: embedding norm overflows a float\n")
 
 
 def test_consensus_external_zero_embedding_is_skipped(tmp_path, capsys):
@@ -593,6 +606,25 @@ def test_simulate_script_missing_a_row_fails_naming_it(tmp_path, capsys):
     code, out, err = run_cli(capsys, "simulate", "--config", str(config_path))
     assert (code, out) == (2, "")
     assert err == "error: scripted client has no response for round=1 prompt='p1'\n"
+
+
+def test_a_key_error_inside_a_command_is_not_turned_into_exit_2(tmp_path, monkeypatch):
+    # Only ValueError, OSError and OverflowError mean bad input; anything else is a bug.
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    config_path, _ = scripted_fixture(tmp_path)
+    monkeypatch.setattr(cli, "run_session", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["simulate", "--config", str(config_path)])
+
+    responses = write_jsonl(
+        tmp_path / "r.jsonl", [{"prompt_id": "p", "client_id": 0, "response": "yes"}]
+    )
+    embeddings = write_jsonl(tmp_path / "e.jsonl", [{"response_id": "p/0", "embedding": [1.0, 0.0]}])
+    monkeypatch.setattr(cli, "consensus_phase", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["consensus", "--input", str(responses), "--embeddings", str(embeddings)])
 
 
 def _load_benchmark_spans():

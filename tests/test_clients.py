@@ -55,7 +55,7 @@ def test_scripted_client_replays_table():
 
 def test_scripted_client_missing_key_raises():
     client = ScriptedClient({(1, "p7"): "blue"})
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"^scripted client has no response for round=1 prompt='p8'$"):
         client.generate("p8", "other prompt", 1, 64)
 
 

@@ -247,6 +247,7 @@ def raw_matrices(draw):
     return np.array(rows)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @given(raw=raw_matrices())
 @example(raw=np.array([[0.0], [-0.0], [ZERO_NORM_EPS], [np.nextafter(ZERO_NORM_EPS, 0)], [1e300], [-3.0]]))
 @example(raw=np.array([[1e200, -1e200], [0.0, -0.0], [3.0, 4.0], [0.1, 0.7]]))

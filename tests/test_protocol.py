@@ -14,6 +14,7 @@ from semfed.clients import (
     ScriptedClient,
     TrainingWeights,
 )
+from semfed.consensus import ClusterParams, SelectionRule, SelectionStrategy
 from semfed.costmodel import TextRoundCostSpec, text_round_bytes
 from semfed.protocol import (
     ConfigError,
@@ -422,6 +423,88 @@ def test_prompt_set_from_jsonl(tmp_path):
 
 # Strings that JSON must escape or that sit at its edges: quotes,
 # backslashes, control characters, U+2028, astral characters, the empty string.
+# ---------------------------------------------------------- session contract
+
+# Answers with empty, one- and two-character texts (the all-zero embedding
+# at n-gram size 3), astral characters and near-duplicates.
+SESSION_TEXTS = st.sampled_from(
+    [
+        "",
+        "a",
+        "ab",
+        "\U0001f600",
+        "\U0001f600\U0001f601\U0001f602",
+        "\U0001d518\U0001d52b\U0001d526 sky",
+        "the sky is blue",
+        "the sky is blue.",
+        "the sky is blue!",
+        "The sky is blue",
+        "water is wet",
+        "water is wet, mostly",
+    ]
+)
+PROMPT_TEXTS = st.sampled_from(["what color is the sky", "is water wet", "\U0001f600 or not", "x"])
+
+
+@st.composite
+def sessions(draw):
+    """Mixed scripted and Markov clients, prompts, rounds and session knobs."""
+    num_clients, num_prompts, rounds = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    prompts = PublicPromptSet(
+        prompts=tuple(Prompt(f"p{i}", draw(PROMPT_TEXTS)) for i in range(num_prompts))
+    )
+    clients, private = [], []
+    for index in range(num_clients):
+        examples = tuple(draw(st.lists(st.tuples(PROMPT_TEXTS, SESSION_TEXTS), max_size=3)))
+        private.append(PrivateDataset(examples=examples, owner=index))
+        order = draw(st.integers(0, 3))  # 0 draws a scripted client
+        if order == 0:
+            table = {
+                (r, p.prompt_id): draw(SESSION_TEXTS) for r in range(1, rounds + 1) for p in prompts.prompts
+            }
+            clients.append(ScriptedClient(table))
+        else:
+            clients.append(MarkovToyClient(order=order, seed=index))
+    params = SessionParams(
+        cluster=ClusterParams(eps=draw(st.sampled_from([0.05, 0.3, 1.0])), min_pts=draw(st.integers(1, 3))),
+        strategy=SelectionStrategy(draw(st.sampled_from(list(SelectionRule))), seed=draw(st.integers(0, 9))),
+        weights=TrainingWeights(alpha=0.3, beta=0.7),
+        max_tokens=6,
+    )
+    return clients, prompts, rounds, params, private
+
+
+@given(sessions())
+def test_every_round_keeps_the_session_contract(session):
+    clients, prompts, rounds, params, private = session
+    report = run_session(clients, prompts, rounds, params, private)
+    assert len(report.transcripts) == rounds
+    num_clients, num_prompts = len(clients), len(prompts)
+    for transcript in report.transcripts:
+        responses = transcript.responses
+        assert len(responses) == num_clients * num_prompts
+        uploaded = transcript.uploaded_bytes
+        assert uploaded == sum(r.byte_len for r in responses)
+        assert uploaded == sum(len(r.text.encode("utf-8")) for r in responses)
+        label_bytes = sum(len(label.encode("utf-8")) for _, label in transcript.broadcast)
+        assert transcript.downloaded_bytes == num_clients * label_bytes
+
+        text_of = {(r.client, r.prompt_id): r.text for r in responses}
+        assert transcript.broadcast == tuple((c.prompt_id, c.pseudo_label) for c in transcript.consensus)
+        for entry in transcript.consensus:
+            assert entry.pseudo_label == text_of[entry.representative, entry.prompt_id]
+            assert entry.representative in entry.members
+            assert set(entry.members) <= set(entry.clients)
+
+        if uploaded > 0:
+            spec = TextRoundCostSpec(
+                num_clients, num_prompts, uploaded / (num_clients * num_prompts), 1.0, include_download=False
+            )
+            assert text_round_bytes(spec) == uploaded
+    assert report.total_uploaded_bytes == sum(t.uploaded_bytes for t in report.transcripts)
+    assert report.total_downloaded_bytes == sum(t.downloaded_bytes for t in report.transcripts)
+
+
 TRICKY = st.one_of(
     st.sampled_from(["", '"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\U0001f600", "caf\u00e9", "a\tb\r\n"]),
     st.text(max_size=12),
