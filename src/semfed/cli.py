@@ -335,7 +335,7 @@ def cmd_consensus(args: argparse.Namespace) -> int:
             raise ValueError(f"prompt {prompt_id!r}: {exc}") from exc
         skipped = [e.client for e in errors if e.reason == "zero_embedding"]
         if outcome is None:
-            entry = {"prompt_id": prompt_id, "error": errors[-1].reason}
+            entry = {"prompt_id": prompt_id, "error": errors[0].reason}
         else:
             entry = dict(vars(outcome), centroid=[float(x) for x in result.centroid])
         if skipped:

@@ -18,8 +18,9 @@ dropped from that round's broadcast and the reason is recorded on the
 transcript.
 
 Determinism: the phases run in one thread in a fixed order, per-prompt
-consensus is pure, and all transcript collections are sorted before
-emission, so reruns give byte-identical output.
+consensus is pure, and the prompts are sorted by id once, before
+generation, so every transcript collection is built in canonical order
+and reruns give byte-identical output.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .consensus import ClusterParams, ConsensusResult, SelectionStrategy, consen
 # Unused ``encode`` and ``normalize`` stay importable for tools that wrap them by name.
 from .encoder import EncoderConfig, encode, encode_batch, normalize, normalize_rows
 from .jsonl import read_rows
-from .privacy import PrivacyLedger, RoundBudget, record_round, total_budget
+from .privacy import PrivacyLedger, RoundBudget, total_budget
 
 __all__ = [
     "ConfigError",
@@ -148,8 +149,9 @@ class PromptError:
 class RoundTranscript:
     """Everything one round produced, in canonical order.
 
-    responses are sorted by (client, prompt_id), consensus entries and
-    broadcast pairs by prompt_id, errors by (prompt_id, client).
+    responses are in (client, prompt_id) order, consensus entries and
+    broadcast pairs in prompt_id order, errors in (prompt_id, client)
+    order with a prompt's client-None error first; none is re-sorted.
     """
 
     round_index: int
@@ -224,15 +226,15 @@ def consensus_phase(
     too-short text) is dropped with a ``zero_embedding`` error; a prompt
     left with no response gets a ``no_embeddable_responses`` error and
     no outcome.  Returns the transcript entry, the full result (which
-    also holds the centroid), and the errors.
+    also holds the centroid), and the errors: any
+    ``no_embeddable_responses`` first, then ``zero_embedding`` in record order.
     """
     units, zero = normalize_rows(raw_vectors)
     kept = ~zero[rows]
     usable = list(compress(records, kept))
     errors = [PromptError(prompt_id, r.client, "zero_embedding") for r in compress(records, ~kept)]
     if not usable:
-        errors.append(PromptError(prompt_id, None, "no_embeddable_responses"))
-        return None, None, errors
+        return None, None, [PromptError(prompt_id, None, "no_embeddable_responses"), *errors]
     result = consensus_for_prompt(usable, units[np.compress(kept, rows)], cluster, strategy)
     outcome = PromptConsensus(
         prompt_id=prompt_id,
@@ -257,7 +259,9 @@ def run_round(
 
     Rounds are 1-based, matching scripted-client tables.  The private
     training pass before generation is skipped when
-    retrain_private_every_round is False and round_index > 1.
+    retrain_private_every_round is False and round_index > 1.  The
+    prompts are sorted by id once, before generation, so every list
+    below is built in the transcript's canonical order.
     """
     if round_index < 1:
         raise ConfigError(f"round_index must be >= 1, got {round_index}")
@@ -280,42 +284,36 @@ def run_round(
     # One generate_many call per run of consecutive clients of one class;
     # a client's responses depend on its own state only, so training every
     # client first changes no text.
-    queries = [(p.prompt_id, p.text) for p in prompts.prompts]
+    queries = sorted((p.prompt_id, p.text) for p in prompts.prompts)
     generated = chain.from_iterable(
         kind.generate_many(list(run), queries, round_index, params.max_tokens)
         for kind, run in groupby(clients, key=type)
     )
     responses: list[ResponseRecord] = []
+    by_prompt: dict[str, list[ResponseRecord]] = {prompt_id: [] for prompt_id, _ in queries}
     for index, texts in enumerate(generated):
         for (prompt_id, _), text in zip(queries, texts):
-            responses.append(make_response(index, prompt_id, text))
-    responses.sort(key=lambda r: (r.client, r.prompt_id))
+            record = make_response(index, prompt_id, text)
+            responses.append(record)
+            by_prompt[prompt_id].append(record)
     uploaded = sum(r.byte_len for r in responses)
-
-    by_prompt = {p.prompt_id: [] for p in prompts.prompts}
-    for rec in responses:
-        by_prompt[rec.prompt_id].append(rec)
 
     consensus_entries: list[PromptConsensus] = []
     errors: list[PromptError] = []
-    for prompt in prompts.prompts:
-        records = by_prompt[prompt.prompt_id]
+    for prompt_id, records in by_prompt.items():
         raw, rows = encode_responses(records, params.encoder)
         outcome, _, errs = consensus_phase(
-            prompt.prompt_id, records, raw, rows, params.cluster, params.strategy
+            prompt_id, records, raw, rows, params.cluster, params.strategy
         )
         errors.extend(errs)
         if outcome is not None:
             consensus_entries.append(outcome)
-    consensus_entries.sort(key=lambda c: c.prompt_id)
-    errors.sort(key=lambda e: (e.prompt_id, -1 if e.client is None else e.client))
 
     broadcast = tuple((c.prompt_id, c.pseudo_label) for c in consensus_entries)
     downloaded = len(clients) * sum(meter_message(label) for _, label in broadcast)
 
-    prompt_text = {p.prompt_id: p.text for p in prompts.prompts}
+    prompt_text = dict(queries)
     pseudo_pairs = [(prompt_text[pid], label) for pid, label in broadcast]
-
     for client, private in zip(clients, private_datasets):
         client.train(private, pseudo_pairs, params.weights)
 
@@ -337,27 +335,25 @@ def run_session(
     params: SessionParams,
     private_datasets: Sequence[PrivateDataset] | None = None,
 ) -> SessionReport:
-    """Run ``num_rounds`` rounds and accumulate byte totals and ledgers."""
+    """Run ``num_rounds`` rounds and accumulate byte totals and ledgers.
+
+    Every client's ledger (``params.dp_round_budget`` for each round) is
+    built before round 1, so an invalid budget fails before any work.
+    """
     if num_rounds < 1:
         raise ConfigError(f"num_rounds must be >= 1, got {num_rounds}")
-
-    ledgers: list[PrivacyLedger] | None = None
+    rounds = range(1, num_rounds + 1)
+    ledgers = None
     if params.dp_round_budget is not None:
-        ledgers = [PrivacyLedger(client=i) for i in range(len(clients))]
+        budgets = tuple(RoundBudget(r, *params.dp_round_budget) for r in rounds)
+        ledgers = tuple(PrivacyLedger(client=i, rounds=budgets) for i in range(len(clients)))
 
-    transcripts: list[RoundTranscript] = []
-    for round_index in range(1, num_rounds + 1):
-        transcripts.append(run_round(clients, prompts, params, round_index, private_datasets))
-        if ledgers is not None:
-            eps, delta = params.dp_round_budget
-            budget = RoundBudget(round_index=round_index, epsilon=eps, delta=delta)
-            ledgers = [record_round(ledger, budget) for ledger in ledgers]
-
+    transcripts = [run_round(clients, prompts, params, r, private_datasets) for r in rounds]
     return SessionReport(
         transcripts=tuple(transcripts),
         total_uploaded_bytes=sum(t.uploaded_bytes for t in transcripts),
         total_downloaded_bytes=sum(t.downloaded_bytes for t in transcripts),
-        ledgers=tuple(ledgers) if ledgers is not None else None,
+        ledgers=ledgers,
     )
 
 
@@ -460,11 +456,8 @@ def report_to_dict(report: SessionReport) -> dict:
         ],
     }
     if report.ledgers is not None:
-        ledger_rows = []
-        for ledger in report.ledgers:
-            eps, delta = total_budget(ledger)
-            ledger_rows.append(
-                {"client": ledger.client, "epsilon_total": eps, "delta_total": delta}
-            )
-        out["privacy"] = ledger_rows
+        totals = [(ledger.client, *total_budget(ledger)) for ledger in report.ledgers]
+        out["privacy"] = [
+            {"client": c, "epsilon_total": eps, "delta_total": delta} for c, eps, delta in totals
+        ]
     return out

@@ -7,7 +7,7 @@ that shrinks with the public batch size.  The stationarity bound for
 biased SGD on a smooth objective has three summands as well: an
 initialization term decaying as 1/(step * steps), a gradient-noise term
 linear in the step size, and a squared bias floor.  All logs are
-natural.
+natural.  A bound that does not fit a float raises OverflowError.
 """
 
 from __future__ import annotations
@@ -38,6 +38,13 @@ def _check_finite(name: str, value: float, positive: bool = False) -> None:
     """Raise unless ``value`` is finite and >= 0 (> 0 when ``positive``)."""
     if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
         raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+
+
+def _fits(name: str, value: float) -> float:
+    """``value``, or OverflowError when it is inf or NaN (an overflowed summand)."""
+    if not math.isfinite(value):
+        raise OverflowError(f"{name} overflows to {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -91,7 +98,7 @@ def delta_T(params: GapParams) -> float:
     noise = 2.0 * g * params.label_noise
     log_term = params.param_dim * LOG5 + math.log(2.0 * params.total_steps / params.confidence)
     concentration = 4.0 * g * math.sqrt((2.0 / params.public_batch) * log_term)
-    return shift + noise + concentration
+    return _fits("gap", shift + noise + concentration)
 
 
 @dataclass(frozen=True)
@@ -155,5 +162,5 @@ def stationarity_rhs(params: StationarityParams) -> StationarityBound:
         noise_term=noise,
         bias_term=bias,
         gap_value=gap_value,
-        total=descent + noise + bias,
+        total=_fits("stationarity total", descent + noise + bias),
     )

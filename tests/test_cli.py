@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from oracles import reference_normalize
 
+import semfed
 from semfed import cli, protocol
 from semfed.cli import build_parser, main
 from semfed.clients import TrainingWeights
@@ -189,6 +190,21 @@ def test_bound_non_finite_input_names_the_field(capsys, flags, field):
     code, out, err = run_cli(capsys, "bound", *flags)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {field} must be finite")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # 2 * 1e308 is inf, and inf times the default label noise 0.0 is NaN
+        (["--grad-bound", "1e308", "--param-dim", "1000000", "--steps", "1000000"], "gap overflows to nan"),
+        (["--grad-bound", "1e308", "--label-noise", "0.5"], "gap overflows to inf"),
+        (["--grad-bound", "1", "--smoothness", "1", "--step-size", "1e-300", "--noise-var", "0",
+          "--heterogeneity", "0", "--init-gap", "1e10"], "stationarity total overflows to inf"),
+    ],
+)
+def test_bound_that_does_not_fit_a_float_fails(capsys, flags, message):
+    code, out, err = run_cli(capsys, "bound", *flags)
+    assert (code, out, err) == (2, "", f"error: bound does not fit a float: {message}\n")
 
 
 # ---------------------------------------------------------------- privacy
@@ -627,10 +643,12 @@ def test_a_key_error_inside_a_command_is_not_turned_into_exit_2(tmp_path, monkey
         main(["consensus", "--input", str(responses), "--embeddings", str(embeddings)])
 
 
-def _load_benchmark_spans():
-    """``perfbench/spans.py``, the benchmark's tracer, loaded by path."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_benchmark(name):
+    """``perfbench/<name>.py``, a module of the benchmark, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -639,7 +657,7 @@ def _load_benchmark_spans():
 def test_simulate_runs_under_the_benchmark_tracer(tmp_path, capsys):
     """The tracer replaces cli and protocol names (``cli.transcript_to_dict``,
     ``cli.json``, ``cli.Path``, ...) by attribute; each must still be there."""
-    spans = _load_benchmark_spans()
+    spans = _load_benchmark("spans")
     config_path, _ = scripted_fixture(tmp_path)
     tracer = spans.Tracer()
     with spans.instrument(tracer):
@@ -650,6 +668,29 @@ def test_simulate_runs_under_the_benchmark_tracer(tmp_path, capsys):
     names = {span[1] for span in tracer.spans}
     assert {"cli.load_prompts", "protocol.run_round", "consensus.dbscan", "cli.write_text"} <= names
     assert set(tracer.self_times()) <= set(spans.SELF_TIME_METRIC)
+
+
+@pytest.mark.parametrize("size", ["tiny", "full"])
+def test_benchmark_seed_0_transcripts_match_the_recorded_hashes(size, tmp_path, monkeypatch):
+    """Every workload's seed-0 operations, run in process by the benchmark's own
+    worker classes, hash as ``perfbench/run.py`` hashes them to the value
+    recorded in ``perfbench/expected_hashes.json``."""
+    inputs = _load_benchmark("inputs")
+    monkeypatch.setitem(sys.modules, "inputs", inputs)  # the worker imports it by name
+    worker = _load_benchmark("worker")
+    recorded = json.loads((PERFBENCH / "expected_hashes.json").read_text(encoding="utf-8"))[size]
+    for name, sizes in inputs.SIZES[size].items():
+        if name == "consensus-wide":
+            workload = worker.ConsensusWorkload(0, sizes, semfed)
+        else:
+            (tmp_path / name).mkdir()
+            workload = worker.SessionWorkload(name, 0, sizes, tmp_path / name)
+        hashes = {}
+        for key in workload.keys:
+            workload.run(key, semfed)
+            hashes[key] = workload.check(key)
+        joined = "".join(hashes[key] for key in sorted(hashes))
+        assert hashlib.sha256(joined.encode()).hexdigest() == recorded[name]["0"], name
 
 
 def test_simulate_unusable_output_path_fails_before_printing(tmp_path, capsys):
@@ -693,6 +734,17 @@ def test_simulate_markov_clients_with_private_data(tmp_path, capsys):
     privacy = {row["client"]: row for row in outputs["privacy"]}
     assert privacy[0]["epsilon_total"] == 1.0
     assert privacy[1]["delta_total"] == pytest.approx(2e-6, rel=1e-12)
+
+
+def test_simulate_rejects_a_bad_dp_budget_before_round_1(tmp_path, capsys):
+    # The script has no round-1 rows, so running round 1 first would fail on it.
+    config_path, base = scripted_fixture(tmp_path)
+    scripts = tmp_path / base["clients"]["path"]
+    rows = [json.loads(line) for line in scripts.read_text(encoding="utf-8").splitlines()]
+    write_jsonl(scripts, [row for row in rows if row["round"] != 1])
+    config_path.write_text(json.dumps({**base, "dp": {"epsilon": -1.0, "delta": 0.5}}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config_path))
+    assert (code, out, err) == (2, "", "error: epsilon must be finite and >= 0, got -1.0\n")
 
 
 def test_simulate_negative_seed_with_markov_clients_fails_naming_it(tmp_path, capsys):

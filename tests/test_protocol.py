@@ -1,5 +1,10 @@
 import json
+import tempfile
 from collections import Counter
+from contextlib import redirect_stdout
+from io import StringIO
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from semfed.clients import (
 )
 from semfed.consensus import ClusterParams, SelectionRule, SelectionStrategy
 from semfed.costmodel import TextRoundCostSpec, text_round_bytes
+from semfed.encoder import EncoderConfig
 from semfed.protocol import (
     ConfigError,
     PromptConsensus,
@@ -120,6 +126,13 @@ def test_empty_responses_drop_prompt_with_reason():
     assert ("p00", 1, "zero_embedding") in reasons
     # empty uploads still count zero bytes, broadcast covers p01 only
     assert transcript.downloaded_bytes == 2 * meter_message("a decent shared answer here")
+
+
+def test_a_missing_scripted_row_is_named_at_the_lowest_prompt_id():
+    # the prompts are answered in id order, and "p10" sorts before "p9"
+    prompts = PublicPromptSet(prompts=(Prompt("p9", "a"), Prompt("p10", "b")))
+    with pytest.raises(ValueError, match="round=1 prompt='p10'"):
+        run_round([ScriptedClient({})], prompts, SessionParams(), 1)
 
 
 def test_partial_empty_response_excluded_from_consensus():
@@ -444,14 +457,18 @@ SESSION_TEXTS = st.sampled_from(
     ]
 )
 PROMPT_TEXTS = st.sampled_from(["what color is the sky", "is water wet", "\U0001f600 or not", "x"])
+# Drawn in shuffled file order; "p10" sorts before "p9", so id order is not numeric order.
+PROMPT_IDS = ["p9", "p10", "p1", "p0", "p11"]
 
 
 @st.composite
 def sessions(draw):
-    """Mixed scripted and Markov clients, prompts, rounds and session knobs."""
-    num_clients, num_prompts, rounds = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    """Mixed scripted and Markov clients, prompts in file order, rounds and session knobs."""
+    num_clients, num_prompts, rounds = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
     prompts = PublicPromptSet(
-        prompts=tuple(Prompt(f"p{i}", draw(PROMPT_TEXTS)) for i in range(num_prompts))
+        prompts=tuple(
+            Prompt(pid, draw(PROMPT_TEXTS)) for pid in draw(st.permutations(PROMPT_IDS))[:num_prompts]
+        )
     )
     clients, private = [], []
     for index in range(num_clients):
@@ -466,6 +483,12 @@ def sessions(draw):
         else:
             clients.append(MarkovToyClient(order=order, seed=index))
     params = SessionParams(
+        encoder=EncoderConfig(
+            dimension=draw(st.sampled_from([16, 384])),
+            ngram_size=draw(st.integers(2, 4)),
+            seed=draw(st.integers(0, 3)),
+            lowercase=draw(st.booleans()),
+        ),
         cluster=ClusterParams(eps=draw(st.sampled_from([0.05, 0.3, 1.0])), min_pts=draw(st.integers(1, 3))),
         strategy=SelectionStrategy(draw(st.sampled_from(list(SelectionRule))), seed=draw(st.integers(0, 9))),
         weights=TrainingWeights(alpha=0.3, beta=0.7),
@@ -474,15 +497,47 @@ def sessions(draw):
     return clients, prompts, rounds, params, private
 
 
+def consensus_cli_prompts(transcript, params):
+    """``semfed consensus`` on a round's responses with the session's settings."""
+    encoder = params.encoder
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "responses.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps({"prompt_id": r.prompt_id, "client_id": r.client, "response": r.text}) + "\n"
+                for r in transcript.responses
+            ),
+            encoding="utf-8",
+        )
+        out = StringIO()
+        with redirect_stdout(out):
+            code = cli.main([
+                "consensus", "--input", str(path),
+                "--eps", repr(params.cluster.eps), "--min-pts", str(params.cluster.min_pts),
+                "--strategy", params.strategy.rule.value, "--seed", str(params.strategy.seed),
+                "--dimension", str(encoder.dimension), "--ngram", str(encoder.ngram_size),
+                "--encoder-seed", str(encoder.seed), "--lowercase" if encoder.lowercase else "--no-lowercase",
+            ])
+    assert code == 0
+    return json.loads(out.getvalue())["outputs"]["prompts"]
+
+
+def strictly_increasing(keys):
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
 @given(sessions())
 def test_every_round_keeps_the_session_contract(session):
     clients, prompts, rounds, params, private = session
     report = run_session(clients, prompts, rounds, params, private)
     assert len(report.transcripts) == rounds
     num_clients, num_prompts = len(clients), len(prompts)
+    ids = sorted(p.prompt_id for p in prompts.prompts)
     for transcript in report.transcripts:
         responses = transcript.responses
-        assert len(responses) == num_clients * num_prompts
+        assert [(r.client, r.prompt_id) for r in responses] == list(product(range(num_clients), ids))
+        assert strictly_increasing([c.prompt_id for c in transcript.consensus])
+        assert strictly_increasing([(e.prompt_id, -1 if e.client is None else e.client) for e in transcript.errors])
         uploaded = transcript.uploaded_bytes
         assert uploaded == sum(r.byte_len for r in responses)
         assert uploaded == sum(len(r.text.encode("utf-8")) for r in responses)
@@ -501,6 +556,24 @@ def test_every_round_keeps_the_session_contract(session):
                 num_clients, num_prompts, uploaded / (num_clients * num_prompts), 1.0, include_download=False
             )
             assert text_round_bytes(spec) == uploaded
+
+        # semfed consensus on the same responses gives the same entries
+        entries = {c.prompt_id: json.loads(json.dumps(vars(c))) for c in transcript.consensus}
+        skipped = {}
+        for error in transcript.errors:
+            if error.reason == "zero_embedding":
+                skipped.setdefault(error.prompt_id, []).append(error.client)
+        listed = consensus_cli_prompts(transcript, params)
+        assert [entry["prompt_id"] for entry in listed] == ids
+        for entry in listed:
+            pid = entry["prompt_id"]
+            assert entry.pop("skipped_clients", []) == skipped.get(pid, [])
+            if pid in entries:
+                del entry["centroid"]
+                assert entry == entries[pid]
+            else:
+                assert entry == {"prompt_id": pid, "error": "no_embeddable_responses"}
+                assert PromptError(pid, None, "no_embeddable_responses") in transcript.errors
     assert report.total_uploaded_bytes == sum(t.uploaded_bytes for t in report.transcripts)
     assert report.total_downloaded_bytes == sum(t.downloaded_bytes for t in report.transcripts)
 
