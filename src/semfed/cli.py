@@ -30,6 +30,7 @@ from . import __version__
 from .clients import (
     Client,
     MarkovToyClient,
+    PairIndex,
     PrivateDataset,
     TrainingWeights,
     load_private_datasets,
@@ -38,12 +39,12 @@ from .clients import (
 from .consensus import ClusterParams, SelectionRule, SelectionStrategy
 from .costmodel import (
     PRESETS,
+    LoraCostSpec,
     TextRoundCostSpec,
     SubsampleCostSpec,
     comparison_report,
     text_round_bytes,
     subsample_bytes,
-    _check_positive,
 )
 from .encoder import EncoderConfig, load_embeddings_jsonl
 from .jsonl import check_value, read_rows
@@ -180,7 +181,8 @@ def _build_clients(
         if count < 1:
             raise ConfigError(f"markov clients need count >= 1, got {count}")
         order = _get(raw, "order", int, 1)
-        clients = [MarkovToyClient(order=order, seed=seed + i) for i in range(count)]
+        index = PairIndex(order)
+        clients = [MarkovToyClient(order=order, seed=seed + i, index=index) for i in range(count)]
         private = None
         echo = {"type": "markov", "count": count, "order": order}
         if "private_file" in raw:
@@ -361,18 +363,6 @@ def cmd_consensus(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- cost
 
 
-def _check_echoed_cost_flags(args: argparse.Namespace) -> None:
-    """Check the flags only some outputs use; the report echoes them all."""
-    if args.rank < 1:
-        raise ValueError(f"rank must be >= 1, got {args.rank}")
-    _check_positive("bytes_per_param", args.bytes_per_param)
-    fraction = args.subsample_fraction
-    if fraction is not None and not 0.0 < fraction <= 1.0:
-        raise ValueError(f"subsample_fraction must be in (0, 1], got {fraction}")
-    if args.total_params is not None and args.total_params < 1:
-        raise ValueError(f"total_params must be >= 1, got {args.total_params}")
-
-
 def cmd_cost(args: argparse.Namespace) -> int:
     text_spec = TextRoundCostSpec(
         num_clients=args.clients,
@@ -381,7 +371,17 @@ def cmd_cost(args: argparse.Namespace) -> int:
         bytes_per_token=args.bytes_per_token,
         include_download=not args.upload_only,
     )
-    _check_echoed_cost_flags(args)
+    # The report echoes every flag, so the spec that owns a flag checks it
+    # even when no output uses it; a field no flag sets takes a neutral value.
+    LoraCostSpec(
+        num_clients=args.clients, rank=args.rank, layer_shapes=((1, 1),), bytes_per_param=args.bytes_per_param
+    )
+    sub_spec = SubsampleCostSpec(
+        num_clients=args.clients,
+        fraction=1.0 if args.subsample_fraction is None else args.subsample_fraction,
+        total_params=1 if args.total_params is None else args.total_params,
+        bytes_per_param=args.bytes_per_param,
+    )
     outputs: dict = {
         "text_round": {
             "total_bytes": text_round_bytes(text_spec),
@@ -396,12 +396,6 @@ def cmd_cost(args: argparse.Namespace) -> int:
     if args.subsample_fraction is not None:
         if args.total_params is None:
             raise ValueError("--subsample-fraction requires --total-params")
-        sub_spec = SubsampleCostSpec(
-            num_clients=args.clients,
-            fraction=args.subsample_fraction,
-            total_params=args.total_params,
-            bytes_per_param=args.bytes_per_param,
-        )
         outputs["subsample"] = {"total_bytes": subsample_bytes(sub_spec)}
 
     if args.format == "csv":

@@ -11,13 +11,18 @@ principle, real model wrappers) can be mixed freely in one session.
 
 The Markov client treats tokens as whitespace-separated words.  That is
 unrelated to the bytes-per-token constant in the cost calculators; the
-two are deliberately independent knobs.
+two are deliberately independent knobs.  Its weights are arrays over the
+ids of a ``PairIndex``, which interns each (context, next word) pair
+once; the clients of one session and one order share an index, and a
+client built alone gets its own, so no state outlives the clients that
+hold it.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -35,6 +40,7 @@ __all__ = [
     "Client",
     "ScriptedClient",
     "MarkovToyClient",
+    "PairIndex",
     "load_scripted_clients",
     "load_private_datasets",
 ]
@@ -149,49 +155,6 @@ class ScriptedClient(Client):
         return None
 
 
-# Bound on the (context, next) pairs held by _PAIRS, over every entry.
-PAIR_MEMO_SIZE = 1 << 18
-
-# (order, prompt, response) -> (contexts, nexts), shared by every client;
-# _pair_count is the number of pairs it holds.
-_PAIRS: dict[tuple[int, str, str], tuple[tuple[tuple[str, ...], ...], tuple[str, ...]]] = {}
-_pair_count = 0
-
-
-def _pairs(
-    prompt: str, response: str, order: int
-) -> tuple[tuple[tuple[str, ...], ...], tuple[str, ...]]:
-    """The (context, next word) pairs one example adds to, as parallel tuples.
-
-    The stream is the prompt's words followed by the response's.  Contexts
-    of length 1 come first, then length 2, ... up to ``order``; within one
-    length the pairs follow the stream.  The result is memoised in
-    ``_PAIRS``: when a new entry would take the memo past PAIR_MEMO_SIZE
-    pairs it is emptied first, and an example with no pairs or with more
-    than PAIR_MEMO_SIZE is never stored.
-    """
-    global _pair_count
-    key = (order, prompt, response)
-    found = _PAIRS.get(key)
-    if found is not None:
-        return found
-    stream = prompt.split() + response.split()
-    n = len(stream)
-    contexts: list[tuple[str, ...]] = []
-    nexts: list[str] = []
-    for length in range(1, min(order, n - 1) + 1):
-        contexts += zip(*(stream[k : n - length + k] for k in range(length)))
-        nexts += stream[length:]
-    pairs = (tuple(contexts), tuple(nexts))
-    if 0 < len(nexts) <= PAIR_MEMO_SIZE:
-        if _pair_count + len(nexts) > PAIR_MEMO_SIZE:
-            _PAIRS.clear()
-            _pair_count = 0
-        _PAIRS[key] = pairs
-        _pair_count += len(nexts)
-    return pairs
-
-
 # numpy's SeedSequence constants (pool of four 32-bit words) and PCG64's
 # 128-bit LCG multiplier.
 _MASK32 = 0xFFFFFFFF
@@ -279,12 +242,88 @@ def _pcg64_states(seeds: Sequence[int], hashes: Sequence[int]) -> list[list[tupl
     return [states[row : row + width] for row in range(0, len(states), width)]
 
 
+class PairIndex:
+    """The (context, next word) pairs of one Markov order, interned as ids.
+
+    A pair gets the next free int id the first time an example holding it
+    is read, and its context and word get ids in ``contexts`` and
+    ``words`` at that moment; ``context_of`` and ``word_of`` map a pair id
+    to them.  ``pair_ids`` gives an example's pair ids in the order
+    training adds to them and keeps that array per (prompt, response), so
+    each example's stream is split once per index.  The index only grows.
+    Clients that share one index read the same ids; ``_build_clients``
+    makes one per session for all clients of one order, and a client built
+    without one gets its own, so nothing is shared between sessions.
+    """
+
+    def __init__(self, order: int):
+        self.order = order
+        self.contexts: dict[tuple[str, ...], int] = {}
+        self.words: dict[str, int] = {}
+        self.context_of = array("q")
+        self.word_of = array("q")
+        # the context's words, then the next word -> pair id
+        self._pairs: dict[tuple[str, ...], int] = {}
+        self._examples: dict[tuple[str, str], np.ndarray] = {}
+        self._ordered: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def pair_ids(self, prompt: str, response: str) -> np.ndarray:
+        """The ids of the (context, next word) pairs one example adds to.
+
+        The stream is the prompt's words followed by the response's.
+        Contexts of length 1 come first, then length 2, ... up to
+        ``order``; within one length the pairs follow the stream.
+        """
+        key = (prompt, response)
+        ids = self._examples.get(key)
+        if ids is not None:
+            return ids
+        stream = prompt.split() + response.split()
+        n = len(stream)
+        pairs = self._pairs
+        found = []
+        for length in range(1, min(self.order, n - 1) + 1):
+            for pair in zip(*(stream[k : n - length + k] for k in range(length + 1))):
+                pair_id = pairs.get(pair)
+                if pair_id is None:
+                    pair_id = pairs[pair] = len(pairs)
+                    self.context_of.append(self.contexts.setdefault(pair[:-1], len(self.contexts)))
+                    self.word_of.append(self.words.setdefault(pair[-1], len(self.words)))
+                found.append(pair_id)
+        ids = self._examples[key] = np.array(found, dtype=np.intp)
+        return ids
+
+    def ordered(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every pair id sorted by (context id, word), with lookups over ids.
+
+        Returns the sorted ids, each pair's context id, and each pair's
+        word as an object array.  Words sort as ``sorted`` sorts strings.
+        Built when first asked for after the index grew, and kept until it
+        grows again.
+        """
+        if self._ordered is None or len(self._ordered[0]) != len(self):
+            words = list(self.words)
+            rank = np.empty(len(words), dtype=np.int64)
+            rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
+            context_of = np.array(self.context_of, dtype=np.int64)
+            word_of = np.array(self.word_of, dtype=np.int64)
+            ids = np.argsort(context_of * len(words) + rank[word_of])
+            self._ordered = ids, context_of, np.array(words, dtype=object)[word_of]
+        return self._ordered
+
+
 # How MarkovToyClient's walk steps from one context (see its _sampler):
 # (word, next key) for a lone candidate, else (words, cuts, total, kept).
 _Sampler = (
     tuple[str, tuple[str, ...]]
     | tuple[list[str], list[float], float, tuple[str, ...]]
 )
+# A client's candidates (see MarkovToyClient._view): where each context
+# id's pairs start, then their words and weights, context by context.
+_View = tuple[array, list[str], array]
 
 
 class MarkovToyClient(Client):
@@ -311,39 +350,51 @@ class MarkovToyClient(Client):
     reused generator, so both give the same bytes.  A subclass that
     overrides ``generate`` is answered through it instead.
 
-    Both run one walk (``_walk``) that works out each context's step
-    once per call: a sampler memo keyed by the context's last ``order``
-    words holds a stop, a lone next word with its successor key, or the
-    sorted candidates with their running totals (``_sampler``).
-    ``generate`` passes a fresh dict and ``generate_many`` one dict per
-    client, dropped after that client's prompts.  Training happens only
-    between calls, so a memo never outlives the transitions it was
-    built from, and the client keeps no state for it.
+    The model state is two arrays over the ids of a ``PairIndex``: a
+    float64 weight and a bool presence per (context, next word) pair.
+    ``train`` adds every weight of the call with one ``np.add.at`` over
+    the concatenated pair ids of its examples, private ones first, which
+    applies repeated ids in order, so every float sum is the one the
+    per-example walk gives.  A pair trained with weight 0.0 is present and
+    stays a candidate.  ``transitions`` rebuilds the context -> {word:
+    weight} table from the arrays.
 
-    Each example's (context, next word) pairs are built once per process
-    and order and read from a bounded memo shared by every client
-    (``_pairs``); each transition still receives its additions in stream
-    order, so every float sum is the one the per-example walk gives.
+    Generation reads a view of the present pairs sorted by (context,
+    word), built on first use after each ``train`` and kept until the
+    next one (``_view``).  One walk (``_walk``) serves ``generate`` and
+    ``generate_many``: a sampler memo keyed by the context's last
+    ``order`` words holds each context's step, worked out once per call
+    from its slice of the view (``_sampler``).  ``generate`` passes a
+    fresh memo and ``generate_many`` one per client, dropped after that
+    client's prompts.
     """
 
-    def __init__(self, order: int = 1, seed: int = 0):
+    def __init__(self, order: int = 1, seed: int = 0, index: PairIndex | None = None):
         if type(order) is not int or order < 1:
             raise ValueError(f"order must be an integer >= 1, got {order!r}")
         if type(seed) is not int or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        if index is None:
+            index = PairIndex(order)
+        elif index.order != order:
+            raise ValueError(f"pair index of order {index.order} given to a client of order {order}")
         self.order = order
         self.seed = seed
-        self.transitions: dict[tuple[str, ...], dict[str, float]] = {}
+        self.index = index
+        self._weights = np.zeros(0, dtype=np.float64)
+        self._present = np.zeros(0, dtype=bool)
+        self._cached_view: _View | None = None
 
-    def _absorb(self, prompt: str, response: str, weight: float) -> None:
-        transitions = self.transitions
-        for context, nxt in zip(*_pairs(prompt, response, self.order)):
-            bucket = transitions.get(context)
-            if bucket is None:
-                # 0.0 + weight, as in the sum below: -0.0 is stored as 0.0.
-                transitions[context] = {nxt: 0.0 + weight}
-            else:
-                bucket[nxt] = bucket.get(nxt, 0.0) + weight
+    @property
+    def transitions(self) -> dict[tuple[str, ...], dict[str, float]]:
+        """Each trained context's next words and their weights."""
+        index = self.index
+        contexts, words = list(index.contexts), list(index.words)
+        table: dict[tuple[str, ...], dict[str, float]] = {}
+        present = self._present
+        for pair, weight in zip(np.flatnonzero(present).tolist(), self._weights[present].tolist()):
+            table.setdefault(contexts[index.context_of[pair]], {})[words[index.word_of[pair]]] = weight
+        return table
 
     def train(
         self,
@@ -351,18 +402,64 @@ class MarkovToyClient(Client):
         pseudo: Sequence[tuple[str, str]],
         weights: TrainingWeights,
     ) -> None:
-        for prompt, response in private.examples:
-            self._absorb(prompt, response, weights.alpha)
-        for prompt, response in pseudo:
-            self._absorb(prompt, response, weights.beta)
+        pair_ids = self.index.pair_ids
+        groups = [pair_ids(prompt, response) for prompt, response in private.examples]
+        split = sum(map(len, groups))
+        groups += [pair_ids(prompt, response) for prompt, response in pseudo]
+        if not groups:
+            return
+        ids = np.concatenate(groups)
+        added = np.full(len(ids), weights.beta)
+        added[:split] = weights.alpha
+        grow = len(self.index) - len(self._weights)
+        if grow:
+            self._weights = np.concatenate((self._weights, np.zeros(grow)))
+            self._present = np.concatenate((self._present, np.zeros(grow, dtype=bool)))
+        # 0.0 + weight on a pair's first addition, as the sum did: -0.0
+        # is stored as 0.0.
+        np.add.at(self._weights, ids, added)
+        self._present[ids] = True
+        self._cached_view = None
+
+    def _view(self) -> _View:
+        """The present pairs as generation reads them, built once per training.
+
+        ``(starts, words, weights)``: ``words`` and ``weights`` list the
+        client's present pairs sorted by (context id, word), and context
+        id ``c`` holds positions ``starts[c]`` up to ``starts[c + 1]``,
+        none when the client has no pair there.  ``starts`` has an entry
+        per context of the index and two more, equal, so that
+        ``starts[-2]`` up to ``starts[-1]`` is empty too: that is the span
+        of a key the index does not hold.  Contexts that clients sharing
+        the index add after the view was built get empty spans here.
+        """
+        view = self._cached_view
+        if view is None:
+            view = self._cached_view = self._build_view()
+        else:
+            starts = view[0]
+            starts.extend([starts[-1]] * (len(self.index.contexts) + 2 - len(starts)))
+        return view
+
+    def _build_view(self) -> _View:
+        ordered, context_of, words = self.index.ordered()
+        present = np.zeros(len(ordered), dtype=bool)
+        present[: len(self._present)] = self._present
+        own = ordered.compress(present[ordered])
+        count = len(self.index.contexts)
+        starts = np.zeros(count + 2, dtype=np.int64)
+        np.cumsum(np.bincount(context_of[own], minlength=count), out=starts[1 : count + 1])
+        starts[-1] = starts[-2]
+        weights = array("d", self._weights[own].tobytes())
+        return array("q", starts.tobytes()), words[own].tolist(), weights
 
     def _sampler(self, key: tuple[str, ...]) -> _Sampler | None:
         """How to take a step from a context whose last words are ``key``.
 
-        The longest recorded suffix of ``key`` gives the candidates; none,
-        or weights summing to at most zero, means stop (``None``).  A lone
-        candidate is ``(word, next key)``: the draw cannot change it, and
-        a NaN weight is kept, as the general rule keeps it.  Several
+        Reads the view ``_walk`` has built.  The longest suffix of ``key``
+        with candidates in the view gives them; none, or weights summing
+        to at most zero, means stop (``None``).  A lone candidate is
+        ``(word, next key)``: the draw cannot change it.  Several
         candidates are ``(words, cuts, total, kept)``: the words sorted,
         ``cuts`` their running totals but the last and ``total`` their
         numpy sum, so ``bisect_right(cuts, uniform * total)`` is the
@@ -372,27 +469,29 @@ class MarkovToyClient(Client):
         stays in the next key (at most ``order - 1`` words), so the key
         after ``word`` is ``kept + (word,)`` in both shapes.
         """
-        transitions = self.transitions
-        candidates = transitions.get(key)
-        if not candidates:
-            for lo in range(1, len(key)):
-                candidates = transitions.get(key[lo:])
-                if candidates:
+        starts, words, weights = self._cached_view
+        context = self.index.contexts.get
+        at = context(key, -2)
+        lo, hi = starts[at], starts[at + 1]
+        if lo == hi:
+            for cut in range(1, len(key)):
+                at = context(key[cut:], -2)
+                lo, hi = starts[at], starts[at + 1]
+                if lo < hi:
                     break
             else:
                 return None
         kept = key[1:] if len(key) == self.order else key
-        if len(candidates) == 1:
-            ((word, weight),) = candidates.items()
-            if weight <= 0.0:
+        if hi - lo == 1:
+            if weights[lo] <= 0.0:
                 return None
+            word = words[lo]
             return word, kept + (word,)
-        words = sorted(candidates)
-        weights = [candidates[w] for w in words]
-        total = float(np.array(weights, dtype=np.float64).sum())
+        segment = weights[lo:hi]
+        total = float(np.frombuffer(segment).sum())
         if total <= 0.0:
             return None
-        return words, list(accumulate(weights))[:-1], total, kept
+        return words[lo:hi], list(accumulate(segment))[:-1], total, kept
 
     def _walk(
         self,
@@ -405,11 +504,12 @@ class MarkovToyClient(Client):
 
         ``samplers`` maps a key (the last ``order`` words of the context)
         to its ``_sampler``; it is filled on first use and must not
-        outlive a change to ``transitions``.  A step with several
-        candidates appends the drawn word to the sampler's ``kept``
-        there and then: building every candidate's key up front costs
-        more than the few steps that use them.
+        outlive a change to the model.  A step with several candidates
+        appends the drawn word to the sampler's ``kept`` there and then:
+        building every candidate's key up front costs more than the few
+        steps that use them.
         """
+        self._view()
         order = self.order
         key = tuple(prompt_text.split()[-order:])
         words: list[str] = []

@@ -115,7 +115,7 @@ class SubsampleCostSpec:
         if self.num_clients < 1:
             raise ValueError(f"num_clients must be >= 1, got {self.num_clients}")
         if not 0.0 < self.fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
+            raise ValueError(f"subsample_fraction must be in (0, 1], got {self.fraction}")
         if self.total_params < 1:
             raise ValueError(f"total_params must be >= 1, got {self.total_params}")
         _check_positive("bytes_per_param", self.bytes_per_param)

@@ -95,9 +95,12 @@ def delta_T(params: GapParams) -> float:
     """
     g = params.grad_bound
     shift = g * math.sqrt(2.0 * params.kl_shift)
-    noise = 2.0 * g * params.label_noise
+    # g times each small factor first: 2.0 * g alone can overflow where the
+    # term fits; the factors are powers of two, so the bits are the same
+    # wherever nothing overflows or goes subnormal.
+    noise = g * (2.0 * params.label_noise)
     log_term = params.param_dim * LOG5 + math.log(2.0 * params.total_steps / params.confidence)
-    concentration = 4.0 * g * math.sqrt((2.0 / params.public_batch) * log_term)
+    concentration = g * (4.0 * math.sqrt((2.0 / params.public_batch) * log_term))
     return _fits("gap", shift + noise + concentration)
 
 

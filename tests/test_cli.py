@@ -195,16 +195,24 @@ def test_bound_non_finite_input_names_the_field(capsys, flags, field):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        # 2 * 1e308 is inf, and inf times the default label noise 0.0 is NaN
-        (["--grad-bound", "1e308", "--param-dim", "1000000", "--steps", "1000000"], "gap overflows to nan"),
+        # the dimension term overflows to inf, and inf times the grad bound 0 is NaN
+        (["--grad-bound", "0", "--param-dim", "1" + "0" * 308], "gap overflows to nan"),
         (["--grad-bound", "1e308", "--label-noise", "0.5"], "gap overflows to inf"),
         (["--grad-bound", "1", "--smoothness", "1", "--step-size", "1e-300", "--noise-var", "0",
           "--heterogeneity", "0", "--init-gap", "1e10"], "stationarity total overflows to inf"),
+        (["--grad-bound", "1e308", "--param-dim", "1000000", "--steps", "1000000"], "gap overflows to inf"),
     ],
 )
 def test_bound_that_does_not_fit_a_float_fails(capsys, flags, message):
     code, out, err = run_cli(capsys, "bound", *flags)
     assert (code, out, err) == (2, "", f"error: bound does not fit a float: {message}\n")
+
+
+def test_bound_near_the_float_limit_is_reported(capsys):
+    # 2 * 1e308 overflows, but each term, grad bound times its factor, fits
+    report = run_json(capsys, "bound", "--grad-bound", "1e308", "--public-batch", "1000000000000",
+                      "--label-noise", "1e-10")
+    assert report["outputs"]["gap"] == pytest.approx(1.3021189045749836e303, rel=1e-12)
 
 
 # ---------------------------------------------------------------- privacy

@@ -1,4 +1,3 @@
-import copy
 import json
 import math
 
@@ -10,7 +9,9 @@ from oracles import ReferenceMarkovClient
 
 import semfed.clients as clients_module
 from semfed.clients import (
+    Client,
     MarkovToyClient,
+    PairIndex,
     PrivateDataset,
     ScriptedClient,
     TrainingWeights,
@@ -174,9 +175,9 @@ def test_markov_order_validation():
 # never appears in training.
 WORDS = st.lists(st.sampled_from(["a", "b", "c", "d", "é"]), max_size=8).map(" ".join)
 EXAMPLES = st.lists(st.tuples(WORDS, WORDS), max_size=6)
-# alpha 0 or 1 leaves zero-weight candidates; 5e-324 makes subnormal
+# alpha 0, -0 or 1 leaves zero-weight candidates; 5e-324 makes subnormal
 # totals, where a scaled draw can land exactly on a running total.
-ALPHAS = st.sampled_from([0.0, 1.0, 0.5, 1 / 3, 5e-324])
+ALPHAS = st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.3, 1 / 3, 5e-324])
 PROMPTS = st.lists(st.sampled_from(["a", "b", "c", "é", "z"]), max_size=4).map(" ".join)
 
 
@@ -319,10 +320,14 @@ def test_generate_many_memo_never_outlives_a_call(order, monkeypatch):
     for pseudo in ([], [("", "b a c d")]):
         client.train(private(0), pseudo, weights)
         reference.train([], pseudo, weights.alpha, weights.beta)
-        state = copy.deepcopy(vars(client))
+        transitions = client.transitions
+        weights_before, present_before = client._weights.copy(), client._present.copy()
         resolved.clear()
         (texts,) = MarkovToyClient.generate_many([client], queries, 1, 32)
-        assert vars(client) == state
+        # generation leaves the model state as it was
+        assert client.transitions == transitions
+        assert np.array_equal(client._weights, weights_before)
+        assert np.array_equal(client._present, present_before)
         assert texts == [reference.generate(text, 32) for _, text in queries]
         # each key is resolved once per call, and later steps reuse it
         assert len(resolved) == len(set(resolved)) < sum(len(t.split()) for t in texts)
@@ -349,22 +354,7 @@ def test_generate_many_answers_an_overriding_subclass_through_its_generate():
         assert texts[1] == [text.upper() for text in texts[0]] != texts[0]
 
 
-# ------------------------------------------------------------ pair memo
-
-
-@pytest.fixture
-def fresh_memo(monkeypatch):
-    """An empty pair memo for one test; the process's memo is restored after."""
-    monkeypatch.setattr(clients_module, "_PAIRS", {})
-    monkeypatch.setattr(clients_module, "_pair_count", 0)
-
-
-def memo_pairs():
-    """The pairs the memo holds, checked against its running count and bound."""
-    held = sum(len(nexts) for _, nexts in clients_module._PAIRS.values())
-    assert held == clients_module._pair_count <= clients_module.PAIR_MEMO_SIZE
-    return held
-
+# ----------------------------------------------------------- pair index
 
 OVERLAPPING = [
     ("the sky is", "blue and the sky is wide"),
@@ -374,24 +364,80 @@ OVERLAPPING = [
 ]
 
 
-def test_memo_clients_of_every_order_interleaved_match_reference(fresh_memo):
+def check_index(index, *clients):
+    """Every pair id maps back to its context and word, and the index holds
+    exactly the pairs its clients have trained on."""
+    contexts, words = list(index.contexts), list(index.words)
+    pairs = [(contexts[c], words[w]) for c, w in zip(index.context_of, index.word_of)]
+    assert len(pairs) == len(set(pairs)) == len(index)
+    assert all(len(context) <= index.order for context, _ in pairs)
+    trained = {(context, word) for c in clients for context, bucket in c.transitions.items() for word in bucket}
+    assert trained == set(pairs)
+
+
+def test_clients_sharing_an_index_train_interleaved_like_the_reference():
     weights = TrainingWeights(alpha=0.3, beta=0.7)
+    index = PairIndex(2)
     models = [
-        (MarkovToyClient(order=order, seed=order), ReferenceMarkovClient(order=order, seed=order))
-        for order in (1, 2, 3)
+        (MarkovToyClient(order=2, seed=seed, index=index), ReferenceMarkovClient(order=2, seed=seed))
+        for seed in (0, 1)
     ]
+    prompts = ["the sky", "a b", "is", "z b a"]
     for turn in range(4):
-        for client, reference in models[turn % 3 :] + models[: turn % 3]:
+        for client, reference in models[turn % 2 :] + models[: turn % 2]:
             pseudo = OVERLAPPING[turn:] + OVERLAPPING[:turn]
-            client.train(private(0, *OVERLAPPING[1:]), pseudo, weights)
-            reference.train(OVERLAPPING[1:], pseudo, weights.alpha, weights.beta)
-            assert client.transitions == reference.transitions
-            memo_pairs()
-    # each order keeps its own entries for the same example
-    assert {order for order, _, _ in clients_module._PAIRS} == {1, 2, 3}
+            client.train(private(0, *OVERLAPPING[turn % 2 :]), pseudo, weights)
+            reference.train(OVERLAPPING[turn % 2 :], pseudo, weights.alpha, weights.beta)
+            for model, oracle in models:
+                assert model.transitions == oracle.transitions
+                assert [model.generate("p", text, 1, 16) for text in prompts] == [
+                    oracle.generate(text, 16) for text in prompts
+                ]
+            check_index(index, *(model for model, _ in models))
 
 
-def test_memo_repeated_non_dyadic_weights_sum_in_reference_order(fresh_memo):
+def test_a_client_reads_only_its_own_pairs_of_a_shared_index():
+    index = PairIndex(2)
+    first, second = (MarkovToyClient(order=2, seed=5, index=index) for _ in range(2))
+    reference = ReferenceMarkovClient(order=2, seed=5)
+    first.train(private(0, ("", "a b c")), [], EVEN)
+    reference.train([("", "a b c")], [], EVEN.alpha, EVEN.beta)
+    prompts = ["a", "a b", "x b", "b x", "x y b"]
+    expected = [reference.generate(text, 8) for text in prompts]
+    assert [first.generate("p", text, 1, 8) for text in prompts] == expected
+    # the sibling interns contexts after the first client's view was built:
+    # "x b" and "b x" exist in the index now, but not for the first client
+    second.train(private(1, ("", "x b x y b d")), [], EVEN)
+    assert [first.generate("p", text, 1, 8) for text in prompts] == expected
+    assert first.transitions == reference.transitions
+    check_index(index, first, second)
+
+
+def test_a_client_rejects_an_index_of_another_order():
+    with pytest.raises(ValueError, match="order"):
+        MarkovToyClient(order=2, seed=0, index=PairIndex(3))
+
+
+def test_index_gives_each_example_its_ids_in_training_order():
+    index = PairIndex(2)
+    ids = index.pair_ids("a b", "a b c")
+    # 5 words: 4 pairs of length 1, then 3 of length 2; a -> b twice
+    contexts, words = list(index.contexts), list(index.words)
+    named = [(contexts[index.context_of[i]], words[index.word_of[i]]) for i in ids.tolist()]
+    assert named == [
+        (("a",), "b"), (("b",), "a"), (("a",), "b"), (("b",), "c"),
+        (("a", "b"), "a"), (("b", "a"), "b"), (("a", "b"), "c"),
+    ]
+    assert len(index) == len(set(ids.tolist())) == 6
+    # the example is split once: the same array comes back
+    assert index.pair_ids("a b", "a b c") is ids
+    # another example with the same stream reuses every pair
+    assert index.pair_ids("a", "b a b c").tolist() == ids.tolist()
+    assert index.pair_ids("", "a").tolist() == []
+    assert len(index) == 6
+
+
+def test_repeated_non_dyadic_weights_sum_in_reference_order():
     weights = TrainingWeights(alpha=0.3, beta=0.7)
     client = MarkovToyClient(order=2, seed=0)
     reference = ReferenceMarkovClient(order=2, seed=0)
@@ -407,33 +453,31 @@ def test_memo_repeated_non_dyadic_weights_sum_in_reference_order(fresh_memo):
     for weight in additions:
         total += weight
     assert client.transitions[("a",)]["b"] == total != math.fsum(additions)
-    assert memo_pairs() == 7 + 6  # 8 words: 7 pairs of length 1, 6 of length 2
+    check_index(client.index, client)
 
 
-def test_memo_evicts_under_a_tiny_bound_and_never_stores_an_oversized_example(
-    fresh_memo, monkeypatch
-):
-    monkeypatch.setattr(clients_module, "PAIR_MEMO_SIZE", 5)
-    weights = TrainingWeights(alpha=0.3, beta=0.7)
-    client = MarkovToyClient(order=2, seed=0)
-    reference = ReferenceMarkovClient(order=2, seed=0)
-    small = [("", "a b"), ("", "b c"), ("a", "c"), ("", "c a b")]  # 1, 1, 1, 3 pairs
-    big = ("a b c", "a b c a")  # 7 words: 11 pairs at order 2
-    client.train(private(0, *small), [], weights)
-    reference.train(small, [], weights.alpha, weights.beta)
-    assert client.transitions == reference.transitions
-    # 3 + 3 pairs would pass the bound: the single pairs were dropped
-    assert list(clients_module._PAIRS) == [(2, "", "c a b")]
-    assert memo_pairs() == 3
-    for examples in (small[::-1], [big], small + [big], [big] + small):
-        client.train(private(0, *examples), examples[::-1], weights)
-        reference.train(examples, examples[::-1], weights.alpha, weights.beta)
-        assert client.transitions == reference.transitions
-        assert (2, *big) not in clients_module._PAIRS
-        memo_pairs()
+@pytest.mark.parametrize("alpha", [0.0, -0.0])
+def test_a_zero_weight_pair_is_a_candidate(alpha):
+    # a -> b holds the smallest subnormal and a -> c holds 0.0, so a draw
+    # above one half lands on c's running total and picks it; without c
+    # the context would have one next word and always give b
+    prompts = ["a", "x a", "b a", "c a"]
+    texts = []
+    for seed in range(4):
+        client = MarkovToyClient(order=2, seed=seed)
+        reference = ReferenceMarkovClient(order=2, seed=seed)
+        for weight, examples in ((5e-324, [("", "a b")]), (alpha, [("", "a c")])):
+            weights = TrainingWeights(alpha=weight, beta=1.0 - weight)
+            client.train(private(0, *examples), [], weights)
+            reference.train(examples, [], weights.alpha, weights.beta)
+        assert client.transitions == reference.transitions == {("a",): {"b": 5e-324, "c": 0.0}}
+        assert math.copysign(1.0, client.transitions[("a",)]["c"]) == 1.0
+        texts += [client.generate("p", text, 1, 4) for text in prompts]
+        assert texts[-4:] == [reference.generate(text, 4) for text in prompts]
+    assert {"b", "c"} == set(texts)
 
 
-def test_memo_empty_and_one_word_streams_add_nothing(fresh_memo):
+def test_empty_and_one_word_streams_add_nothing():
     client = MarkovToyClient(order=3, seed=0)
     reference = ReferenceMarkovClient(order=3, seed=0)
     examples = [("", ""), (" ", "\n"), ("a", ""), ("", "b"), ("  c ", " ")]
@@ -441,28 +485,60 @@ def test_memo_empty_and_one_word_streams_add_nothing(fresh_memo):
         client.train(private(0, *examples), examples, EVEN)
         reference.train(examples, examples, EVEN.alpha, EVEN.beta)
         assert client.transitions == reference.transitions == {}
-    assert clients_module._PAIRS == {}
-    assert memo_pairs() == 0
+        assert client.generate("p", "a", 1, 4) == ""
+    assert len(client.index) == 0
+    client.train(private(0), [], EVEN)
+    assert client.transitions == {}
+
+
+def test_a_view_is_built_once_per_training(monkeypatch):
+    builds = []
+    build = MarkovToyClient._build_view
+    monkeypatch.setattr(MarkovToyClient, "_build_view", lambda self: builds.append(self) or build(self))
+    index = PairIndex(1)
+    client, sibling = MarkovToyClient(order=1, seed=2, index=index), MarkovToyClient(order=1, seed=2, index=index)
+    reference = ReferenceMarkovClient(order=1, seed=2)
+    queries = [("p", "a"), ("q", "b"), ("r", "c")]
+    for examples in ([("", "a b a c")], [("", "c d b a")], [("", "d e")]):
+        client.train(private(0, *examples), [], EVEN)
+        reference.train(examples, [], EVEN.alpha, EVEN.beta)
+        sibling.train(private(1, ("", "e a")), [], EVEN)
+        builds.clear()
+        expected = [reference.generate(text, 12) for _, text in queries]
+        # generate right after train reads the new state, not the old view
+        assert [client.generate(pid, text, 1, 12) for pid, text in queries] == expected
+        assert MarkovToyClient.generate_many([client], queries, 1, 12) == [expected]
+        assert Client.generate_many([client], queries, 1, 12) == [expected]
+        assert builds == [client]
 
 
 @given(
-    bound=st.integers(0, 8),
-    orders=st.lists(st.integers(1, 3), min_size=1, max_size=4),
-    rounds=st.lists(st.tuples(EXAMPLES, EXAMPLES), min_size=1, max_size=3),
+    order=st.integers(1, 3),
+    rounds=st.lists(st.tuples(EXAMPLES, EXAMPLES, ALPHAS), min_size=1, max_size=3),
+    prompts=st.lists(PROMPTS, min_size=1, max_size=3),
 )
-def test_memo_stays_within_its_bound_and_matches_reference(bound, orders, rounds):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(clients_module, "_PAIRS", {})
-        patch.setattr(clients_module, "_pair_count", 0)
-        patch.setattr(clients_module, "PAIR_MEMO_SIZE", bound)
-        weights = TrainingWeights(alpha=0.3, beta=0.7)
-        models = [(MarkovToyClient(order=o), ReferenceMarkovClient(order=o, seed=0)) for o in orders]
-        for private_examples, pseudo in rounds:
-            for client, reference in models:
-                client.train(private(0, *private_examples), pseudo, weights)
-                reference.train(private_examples, pseudo, weights.alpha, weights.beta)
-                assert client.transitions == reference.transitions
-                memo_pairs()
+def test_clients_of_one_index_match_their_references(order, rounds, prompts):
+    index = PairIndex(order)
+    models = [
+        (MarkovToyClient(order=order, seed=seed, index=index), ReferenceMarkovClient(order=order, seed=seed))
+        for seed in (0, 9)
+    ]
+    for turn, (private_examples, pseudo, alpha) in enumerate(rounds):
+        weights = TrainingWeights(alpha=alpha, beta=1.0 - alpha)
+        # the clients take turns: one trains on the round's examples swapped
+        client, reference = models[turn % 2]
+        client.train(private(0, *pseudo), private_examples, weights)
+        reference.train(pseudo, private_examples, weights.alpha, weights.beta)
+        client, reference = models[1 - turn % 2]
+        client.train(private(0, *private_examples), pseudo, weights)
+        reference.train(private_examples, pseudo, weights.alpha, weights.beta)
+        for client, reference in models:
+            assert client.transitions == reference.transitions
+            queries = [(f"p{i}", text) for i, text in enumerate(prompts)]
+            assert MarkovToyClient.generate_many([client], queries, 1, 16) == [
+                [reference.generate(text, 16) for text in prompts]
+            ]
+        check_index(index, *(client for client, _ in models))
 
 
 # ------------------------------------------------------------ loaders

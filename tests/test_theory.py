@@ -55,6 +55,21 @@ def test_gap_golden_value_matches_high_precision_oracle():
     assert math.isclose(value, 3.9140192786565121629, rel_tol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "grad_bound, label_noise, public_batch, param_dim",
+    [(1e308, 1e-10, 10**12, 1), (1e308, 0.25, 10**15, 3), (2.0**1023, 1e-300, 10**18, 1)],
+)
+def test_gap_that_fits_a_float_near_its_limit_matches_the_oracle(
+    grad_bound, label_noise, public_batch, param_dim
+):
+    # 2.0 * grad_bound or 4.0 * grad_bound alone overflows; the gap does not
+    params = gap(grad_bound=grad_bound, kl_shift=0.0, label_noise=label_noise,
+                 public_batch=public_batch, param_dim=param_dim, total_steps=1, confidence=0.05)
+    want = mp_delta(grad_bound, 0.0, label_noise, public_batch, param_dim, 1, 0.05)
+    assert want < 1.7e308
+    assert math.isclose(delta_T(params), float(want), rel_tol=1e-12)
+
+
 @given(
     steps=st.integers(1, 10**6),
     factor=st.integers(2, 100),
