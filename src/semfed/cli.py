@@ -75,18 +75,17 @@ __all__ = ["main"]
 _STRATEGY_NAMES = {rule.value: rule for rule in SelectionRule}
 
 
-def _dumps(obj: dict) -> str:
-    """Canonical JSON text of ``obj``; a non-finite number raises ValueError."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _dumps(report: dict) -> str:
+    """Canonical JSON text of ``report``; a non-finite number raises ValueError."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"report is not valid JSON: {exc}") from exc
 
 
 def _emit(report: dict) -> int:
     """Print ``report`` as canonical JSON; a non-finite number raises ValueError."""
-    try:
-        text = _dumps(report)
-    except ValueError as exc:
-        raise ValueError(f"report is not valid JSON: {exc}") from exc
-    sys.stdout.write(text)
+    sys.stdout.write(_dumps(report))
     return 0
 
 
@@ -264,8 +263,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     session = _report("simulate", inputs_echo, report_to_dict(report), seed)
 
     # Write every file before printing, so a failed run leaves stdout empty.
+    text = _dumps(session)
     try:
-        text = _dumps(session)
         if args.output is not None:
             out_dir = Path(args.output)
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,8 @@ clamped; a total at or above 1 makes the guarantee vacuous and is
 flagged with a warning instead of being silently truncated.
 
 Ledgers are values: record_round returns a new ledger and never
-mutates its argument.
+mutates its argument.  The constructor holds the one rule that rounds
+strictly increase; the CSV loader builds each client's ledger once.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 
 __all__ = [
@@ -31,7 +33,11 @@ __all__ = [
 
 
 class NonMonotoneRoundError(ValueError):
-    """Raised when a recorded round index does not increase."""
+    """Raised when a round index does not increase; ``position`` indexes that round."""
+
+    def __init__(self, message: str, position: int = 0) -> None:
+        super().__init__(message)
+        self.position = position
 
 
 class PrivacyWarning(UserWarning):
@@ -65,18 +71,14 @@ class PrivacyLedger:
     def __post_init__(self) -> None:
         if self.client < 0:
             raise ValueError(f"client must be >= 0, got {self.client}")
-        indices = [b.round_index for b in self.rounds]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ValueError(f"round indices must strictly increase, got {indices}")
+        for position, (a, b) in enumerate(zip(self.rounds, self.rounds[1:]), start=1):
+            if b.round_index <= a.round_index:
+                what = f"round {b.round_index} does not follow round {a.round_index}"
+                raise NonMonotoneRoundError(f"{what} on client {self.client}'s ledger", position)
 
 
 def record_round(ledger: PrivacyLedger, budget: RoundBudget) -> PrivacyLedger:
     """Append one round's budget, returning a new ledger."""
-    if ledger.rounds and budget.round_index <= ledger.rounds[-1].round_index:
-        raise NonMonotoneRoundError(
-            f"round {budget.round_index} does not follow round "
-            f"{ledger.rounds[-1].round_index} on client {ledger.client}'s ledger"
-        )
     return replace(ledger, rounds=ledger.rounds + (budget,))
 
 
@@ -102,10 +104,10 @@ def total_budget(ledger: PrivacyLedger) -> tuple[float, float]:
 def load_ledgers_csv(path: str | Path) -> list[PrivacyLedger]:
     """Build per-client ledgers from a CSV with columns client, round, epsilon, delta.
 
-    Rows are sorted by (client, round) before recording, so file order
-    does not matter; duplicate rounds for a client still fail with
-    NonMonotoneRoundError.  Every error about a row starts with
-    ``path:lineno:``.
+    Rows are sorted by (client, round), so file order does not matter,
+    and each client's ledger is built in one constructor call; a repeated
+    round fails with NonMonotoneRoundError.  Every error about a row
+    starts with ``path:lineno:``.
     """
     rows: list[tuple[int, str, RoundBudget]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -119,21 +121,19 @@ def load_ledgers_csv(path: str | Path) -> list[PrivacyLedger]:
             for row in reader:
                 where = f"{path}:{reader.line_num}"
                 try:
-                    client = int(row["client"])
-                    budget = RoundBudget(
-                        int(row["round"]), float(row["epsilon"]), float(row["delta"])
-                    )
+                    client, round_index = int(row["client"]), int(row["round"])
+                    budget = RoundBudget(round_index, float(row["epsilon"]), float(row["delta"]))
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"{where}: malformed row {row}: {exc}") from exc
                 rows.append((client, where, budget))
         except csv.Error as exc:  # the record that failed starts on the next line
             raise ValueError(f"{path}:{reader.line_num + 1}: {exc}") from exc
     rows.sort(key=lambda r: (r[0], r[2].round_index))  # stable: duplicates keep file order
-    ledgers: dict[int, PrivacyLedger] = {}
-    for client, where, budget in rows:
+    ledgers = []
+    for client, group in groupby(rows, key=lambda r: r[0]):
+        _, wheres, budgets = zip(*group)
         try:
-            ledger = ledgers[client] if client in ledgers else PrivacyLedger(client=client)
-            ledgers[client] = record_round(ledger, budget)
-        except ValueError as exc:
-            raise type(exc)(f"{where}: {exc}") from exc
-    return [ledgers[c] for c in sorted(ledgers)]
+            ledgers.append(PrivacyLedger(client, budgets))
+        except ValueError as exc:  # name the round out of order, else the client's first row
+            raise type(exc)(f"{wheres[getattr(exc, 'position', 0)]}: {exc}") from exc
+    return ledgers

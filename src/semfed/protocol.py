@@ -25,6 +25,7 @@ and reruns give byte-identical output.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, groupby, islice
@@ -96,9 +97,9 @@ class PublicPromptSet:
     def from_jsonl(path: str | Path, limit: int | None = None) -> "PublicPromptSet":
         """Read {"prompt_id": str, "text": str} rows with ``jsonl.read_rows``.
 
-        ``limit`` caps how many rows are used; rows past it are never parsed.
+        ``limit`` caps the rows used (at most ``sys.maxsize``); rows past it are never parsed.
         """
-        rows = islice(read_rows(path, prompt_id=str, text=str), limit)
+        rows = islice(read_rows(path, prompt_id=str, text=str), limit and min(limit, sys.maxsize))
         return PublicPromptSet(prompts=tuple(Prompt(pid, text) for _, (pid, text) in rows))
 
 

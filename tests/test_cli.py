@@ -755,6 +755,30 @@ def test_simulate_rejects_a_bad_dp_budget_before_round_1(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: epsilon must be finite and >= 0, got -1.0\n")
 
 
+def test_simulate_report_that_is_not_json_fails_before_writing(tmp_path, capsys):
+    # each round's epsilon is finite, but their total overflows to inf
+    config_path, base = scripted_fixture(tmp_path)
+    dp = {"epsilon": 1e308, "delta": 1e-6}
+    config_path.write_text(json.dumps({**base, "dp": dp}), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(config_path), "--output", str(out_dir)
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: report is not valid JSON: Out of range float values are not JSON compliant: inf\n"
+    )
+    assert not out_dir.exists()
+
+
+def test_simulate_prompt_budget_above_maxsize_reads_every_prompt(tmp_path, capsys):
+    config_path, base = scripted_fixture(tmp_path)
+    config_path.write_text(json.dumps({**base, "prompt_budget": 2**70}), encoding="utf-8")
+    report = run_json(capsys, "simulate", "--config", str(config_path))
+    assert report["inputs"]["prompt_budget"] == 2**70
+    assert report["inputs"]["prompts_used"] == 2
+
+
 def test_simulate_negative_seed_with_markov_clients_fails_naming_it(tmp_path, capsys):
     prompts = write_jsonl(tmp_path / "prompts.jsonl", [{"prompt_id": "p0", "text": "a b"}])
     config_path = tmp_path / "config.json"

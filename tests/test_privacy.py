@@ -1,4 +1,6 @@
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -49,9 +51,12 @@ def test_round_indices_must_increase():
 
 
 def test_ledger_constructor_rejects_unordered_rounds():
-    with pytest.raises(ValueError):
-        PrivacyLedger(client=0, rounds=(RoundBudget(2, 0.1, 0.0), RoundBudget(1, 0.1, 0.0)))
-    with pytest.raises(ValueError):
+    rounds = tuple(RoundBudget(r, 0.1, 0.0) for r in (1, 4, 2, 3))
+    with pytest.raises(NonMonotoneRoundError) as info:
+        PrivacyLedger(client=5, rounds=rounds)
+    assert str(info.value) == "round 2 does not follow round 4 on client 5's ledger"
+    assert info.value.position == 2
+    with pytest.raises(ValueError, match="client must be >= 0"):
         PrivacyLedger(client=-1)
 
 
@@ -165,3 +170,61 @@ def test_csv_loader_rejects_malformed_rows(tmp_path):
 def test_csv_loader_empty_file_gives_no_ledgers(tmp_path):
     path = write_csv(tmp_path, "client,round,epsilon,delta\n")
     assert load_ledgers_csv(path) == []
+
+
+@given(
+    data=st.data(),
+    ledgers=st.dictionaries(
+        st.integers(0, 4),
+        st.dictionaries(
+            st.integers(1, 30),
+            st.tuples(st.floats(0, 10, allow_nan=False), st.floats(0, 0.01, allow_nan=False)),
+            min_size=1,
+            max_size=6,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_csv_loader_matches_record_round_in_sorted_order(data, ledgers):
+    rows = [(c, r, eps, delta) for c, rounds in ledgers.items() for r, (eps, delta) in rounds.items()]
+    rows = data.draw(st.permutations(rows))
+    expected = []
+    for client in sorted(ledgers):
+        ledger = PrivacyLedger(client=client)
+        for r in sorted(ledgers[client]):
+            ledger = record_round(ledger, RoundBudget(r, *ledgers[client][r]))
+        expected.append(ledger)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.csv"
+
+        def write(rows):
+            lines = "".join(f"{c},{r},{eps!r},{delta!r}\n" for c, r, eps, delta in rows)
+            path.write_text("client,round,epsilon,delta\n" + lines, encoding="utf-8")
+
+        write(rows)
+        assert load_ledgers_csv(path) == expected
+        # a copy of one row, put anywhere, fails naming the later of the two (line 1 is the header)
+        original = data.draw(st.integers(0, len(rows) - 1))
+        copy_at = data.draw(st.integers(0, len(rows)))
+        write(rows[:copy_at] + [rows[original]] + rows[copy_at:])
+        later = max(copy_at, original + (original >= copy_at)) + 2
+        client, r = rows[original][:2]
+        with pytest.raises(NonMonotoneRoundError) as info:
+            load_ledgers_csv(path)
+        assert str(info.value) == (
+            f"{path}:{later}: round {r} does not follow round {r} on client {client}'s ledger"
+        )
+
+
+def test_csv_loader_builds_each_ledger_once(tmp_path, monkeypatch):
+    built = []
+    check = PrivacyLedger.__post_init__
+    monkeypatch.setattr(
+        PrivacyLedger, "__post_init__", lambda self: (built.append(self.client), check(self))
+    )
+    rows = [f"{c},{r},0.5,0.0\n" for r in range(50, 0, -1) for c in range(4)]
+    path = write_csv(tmp_path, "client,round,epsilon,delta\n" + "".join(rows))
+    ledgers = load_ledgers_csv(path)
+    assert built == [0, 1, 2, 3]
+    assert [len(ledger.rounds) for ledger in ledgers] == [50] * 4
