@@ -245,43 +245,21 @@ def average_pairwise_distance(members: Sequence[int], dist: np.ndarray) -> float
 def select_consensus_cluster(clustering: Clustering, dist: np.ndarray) -> tuple[int, ...]:
     """Pick the consensus cluster's member positions.
 
-    Largest cluster wins: sizes come from one ``np.bincount``, and a
-    unique largest cluster is returned without reading ``dist``.  Tied
-    largest clusters compare average pairwise distance (smaller is
-    better, ties within TIE_TOL) read from the pairwise matrix ``dist``;
-    remaining ties go to the cluster containing the smallest position.
-    Tied clusters, their members taken from one stable ``argsort`` of
-    the labels, are examined in id order, a challenger replacing the
-    incumbent only when strictly better under that chain.  A smaller
-    cluster can never replace a larger one, so this equals one pass
-    over every cluster under the full chain.  When everything is an
-    outlier the consensus set falls back to all positions.
+    Largest cluster wins, sizes counted with one ``np.bincount``.  Tied
+    largest clusters, taken in id order, compare average pairwise
+    distance read from the pairwise matrix ``dist`` (smaller is better,
+    ties within TIE_TOL), then the smallest member position, through
+    ``_tie_winner``; spreads are computed only when clusters tie.  When
+    everything is an outlier the consensus set falls back to all
+    positions.
     """
     if clustering.num_clusters == 0:
         return tuple(range(len(clustering.labels)))
-
     labels = np.array(clustering.labels)
     sizes = np.bincount(labels + 1)[1:]
-    largest = np.flatnonzero(sizes == sizes.max()).tolist()
-    if len(largest) == 1:
-        return tuple(np.flatnonzero(labels == largest[0]).tolist())
-
-    # A stable sort of the labels lists every cluster's members in
-    # increasing position, cluster after cluster; cluster c's run starts
-    # after the outliers and every smaller cluster.
-    order = np.argsort(labels, kind="stable")
-    starts = np.cumsum(sizes) - sizes + (len(labels) - int(sizes.sum()))
-    size = int(sizes[largest[0]])
-    best_members = order[starts[largest[0]] : starts[largest[0]] + size]
-    best_spread = average_pairwise_distance(best_members, dist)
-    for cluster in largest[1:]:
-        members = order[starts[cluster] : starts[cluster] + size]
-        spread = average_pairwise_distance(members, dist)
-        if spread < best_spread - TIE_TOL or (
-            abs(spread - best_spread) <= TIE_TOL and members[0] < best_members[0]
-        ):
-            best_members, best_spread = members, spread
-    return tuple(best_members.tolist())
+    tied = [np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == sizes.max()).tolist()]
+    spreads = [average_pairwise_distance(m, dist) for m in tied] if len(tied) > 1 else [0.0]
+    return tuple(tied[_tie_winner(spreads, [m[0] for m in tied])].tolist())
 
 
 def normalized_centroid(members: Sequence[int], embeddings: Sequence[np.ndarray]) -> np.ndarray:
@@ -303,22 +281,30 @@ def normalized_centroid(members: Sequence[int], embeddings: Sequence[np.ndarray]
     return total / norm
 
 
+def _tie_winner(primary: Sequence[float], secondary: Sequence[int]) -> int:
+    """Index of the best candidate, scanning candidates in the order given.
+
+    A challenger replaces the incumbent when its primary value is lower
+    by more than TIE_TOL, or within TIE_TOL with a lower secondary key;
+    any remaining tie keeps the earlier candidate.
+    """
+    best = 0
+    for i in range(1, len(primary)):
+        p, top = primary[i], primary[best]
+        if p < top - TIE_TOL or (abs(p - top) <= TIE_TOL and secondary[i] < secondary[best]):
+            best = i
+    return best
+
+
 def _closest(members: Sequence[int], scores: np.ndarray, responses: Sequence[str]) -> int:
     """Member with the lowest score, scanning members in the order given.
 
-    Scores within TIE_TOL of the incumbent's count as ties and prefer
-    the shorter response in UTF-8 bytes; with members in increasing
-    order the incumbent already wins any remaining tie on position.
+    Scores within TIE_TOL count as ties and prefer the shorter response
+    in UTF-8 bytes; with members in increasing order the earlier member
+    wins any remaining tie on position.
     """
-    scores = scores.tolist()
-    best = members[0]
-    best_score = scores[0]
-    best_len = len(responses[best].encode("utf-8"))
-    for m, score in zip(members[1:], scores[1:]):
-        blen = len(responses[m].encode("utf-8"))
-        if score < best_score - TIE_TOL or (abs(score - best_score) <= TIE_TOL and blen < best_len):
-            best, best_score, best_len = m, score, blen
-    return best
+    lengths = [len(responses[m].encode("utf-8")) for m in members]
+    return members[_tie_winner(scores.tolist(), lengths)]
 
 
 def select_representative(

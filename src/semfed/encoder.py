@@ -83,8 +83,10 @@ class EncoderConfig:
 
     def __post_init__(self) -> None:
         for name in ("dimension", "ngram_size", "seed"):
-            if not isinstance(getattr(self, name), int):
+            if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if type(self.lowercase) is not bool:
+            raise ValueError(f"lowercase must be a bool, got {self.lowercase!r}")
         if not 8 <= self.dimension <= MAX_DIMENSION:
             raise ValueError(f"encoder dimension must be in [8, {MAX_DIMENSION}], got {self.dimension}")
         if self.ngram_size < 1:
@@ -175,6 +177,7 @@ def encode_batch(texts: Sequence[str], config: EncoderConfig) -> np.ndarray:
             return "".join(chr(key >> shift & _POINT_MASK) for shift in shifts)
 
     else:
+        # Wider n-grams packed into Python ints ran 1.7x slower at n=4 (object-array np.unique).
         index: dict[str, int] = {}
         ngrams = (joined[i : i + n] for i in starts.tolist())
         inverse = np.fromiter(

@@ -78,7 +78,11 @@ class PrivacyLedger:
 
 
 def record_round(ledger: PrivacyLedger, budget: RoundBudget) -> PrivacyLedger:
-    """Append one round's budget, returning a new ledger."""
+    """Append one round's budget, returning a new ledger.
+
+    Appending n rounds one call at a time is O(n**2), since each call copies
+    and re-checks every round; build a whole ledger with its constructor.
+    """
     return replace(ledger, rounds=ledger.rounds + (budget,))
 
 

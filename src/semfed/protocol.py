@@ -258,11 +258,11 @@ def run_round(
 ) -> RoundTranscript:
     """Execute one full round and return its transcript.
 
-    Rounds are 1-based, matching scripted-client tables.  The private
-    training pass before generation is skipped when
-    retrain_private_every_round is False and round_index > 1.  The
-    prompts are sorted by id once, before generation, so every list
-    below is built in the transcript's canonical order.
+    Rounds are 1-based, matching scripted-client tables.  The private dataset
+    at position i must have owner i; the private training pass before
+    generation is skipped when retrain_private_every_round is False and
+    round_index > 1.  The prompts are sorted by id once, before generation,
+    so every list below is built in the transcript's canonical order.
     """
     if round_index < 1:
         raise ConfigError(f"round_index must be >= 1, got {round_index}")
@@ -276,6 +276,9 @@ def run_round(
         raise ConfigError(
             f"{len(private_datasets)} private datasets for {len(clients)} clients"
         )
+    for position, private in enumerate(private_datasets):
+        if private.owner != position:
+            raise ConfigError(f"private dataset at position {position} has owner {private.owner}")
 
     do_private_pass = params.retrain_private_every_round or round_index == 1
 

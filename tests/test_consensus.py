@@ -182,6 +182,27 @@ def test_all_outliers_falls_back_to_everyone():
     assert select_consensus_cluster(clustering, cosine_distances(points)) == (0, 1, 2)
 
 
+# b - a is about -1.00009e-12, yet b < a - TIE_TOL is False in floats: the
+# challenger is neither better by more than TIE_TOL nor within it, so the
+# incumbent stays.  Written as b - a < -TIE_TOL the rule would pick b.
+BOUNDARY = (1.1555896156024061, 1.155589615601406)
+
+
+def test_closest_keeps_the_incumbent_at_the_tie_boundary():
+    a, b = BOUNDARY
+    assert (b < a - consensus.TIE_TOL, b - a < -consensus.TIE_TOL) == (False, True)
+    assert consensus._closest([0, 1], np.array(BOUNDARY), ["xx", "xx"]) == 0
+
+
+def test_cluster_choice_keeps_the_incumbent_at_the_tie_boundary():
+    # Two tied pairs whose spreads are the boundary values exactly.
+    dist = np.zeros((4, 4))
+    dist[0, 1] = dist[1, 0] = BOUNDARY[0]
+    dist[2, 3] = dist[3, 2] = BOUNDARY[1]
+    assert [average_pairwise_distance(m, dist) for m in ([0, 1], [2, 3])] == list(BOUNDARY)
+    assert select_consensus_cluster(Clustering((0, 0, 1, 1), 2), dist) == (0, 1)
+
+
 def test_average_pairwise_distance_singleton_is_zero():
     assert average_pairwise_distance([3], cosine_distances(np.eye(4))) == 0.0
 

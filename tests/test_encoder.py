@@ -96,6 +96,20 @@ def test_config_validation():
         EncoderConfig(dimension=384.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"ngram_size": True}, "ngram_size must be an int, got True"),
+        ({"seed": False}, "seed must be an int, got False"),
+        ({"lowercase": "no"}, "lowercase must be a bool, got 'no'"),
+        ({"lowercase": 1}, "lowercase must be a bool, got 1"),
+    ],
+)
+def test_config_rejects_bools_as_ints_and_non_bool_lowercase(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EncoderConfig(**kwargs)
+
+
 # Texts mix a small alphabet, so n-grams repeat, with any encodable
 # character: non-ASCII, astral (4 UTF-8 bytes), "\x00" (whose packed
 # code point is all zero bits), and letters whose lowercase form is

@@ -202,6 +202,22 @@ def test_round_and_session_validation():
             SessionParams(max_tokens=max_tokens)
 
 
+def test_private_datasets_out_of_owner_order_fail_before_training():
+    prompts = PublicPromptSet(prompts=(Prompt("p0", "sky"),))
+    swapped = [
+        PrivateDataset((("sky", "blue"),), owner=1),
+        PrivateDataset((("sky", "red"),), owner=0),
+    ]
+    markov = [MarkovToyClient(order=1, seed=0), MarkovToyClient(order=1, seed=1)]
+    message = "^private dataset at position 0 has owner 1$"
+    with pytest.raises(ConfigError, match=message):
+        run_round(markov, prompts, SessionParams(max_tokens=1), 1, private_datasets=swapped)
+    recording = [RecordingClient(c) for c in scripted_uniform(2, prompts, 1, "blue")]
+    with pytest.raises(ConfigError, match=message):
+        run_session(recording, prompts, 1, SessionParams(), private_datasets=swapped)
+    assert [c.train_calls for c in recording] == [[], []]
+
+
 def test_duplicate_prompt_ids_are_each_listed_once():
     ids = [f"p{i}" for i in range(100_000)] + ["p99999", "p7", "p7"]
     with pytest.raises(ConfigError, match=r"^duplicate prompt ids: \['p7', 'p99999'\]$"):
