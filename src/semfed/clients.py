@@ -2,30 +2,30 @@
 
 A client exposes two operations: generate a response for a public
 prompt and train on its private data plus the broadcast pseudo-labeled
-set.  A third, ``generate_many``, answers many prompts for many clients
-of one class in a call; by default it calls ``generate`` once per
-(client, prompt) pair, and a class may override it with a faster path
-that gives the same texts.  The orchestration layer never looks past
-this interface, so scripted fixtures and toy Markov generators (and, in
-principle, real model wrappers) can be mixed freely in one session.
+set.  Two class-level batch forms, ``generate_many`` and ``train_many``,
+serve many clients of one class in a call; by default they call
+``generate`` or ``train`` once per client (and prompt), and a class may
+override them with a faster path that gives the same texts and state.
+The orchestration layer never looks past this interface, so scripted
+fixtures and toy Markov generators (and, in principle, real model
+wrappers) can be mixed freely in one session.
 
 The Markov client treats tokens as whitespace-separated words.  That is
 unrelated to the bytes-per-token constant in the cost calculators; the
 two are deliberately independent knobs.  Its weights are arrays over the
-ids of a ``PairIndex``, which interns each (context, next word) pair
-once; the clients of one session and one order share an index, and a
-client built alone gets its own, so no state outlives the clients that
-hold it.
+pair ids of a ``PairIndex``, which packs each context into one int64 key
+and interns each (context, next word) pair once; the clients of one
+session and one order share an index, and a client built alone gets its
+own, so no state outlives the clients that hold it.  Generation walks
+all (client, prompt) lanes of a call in lockstep over those keys.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -94,6 +94,8 @@ class Client(ABC):
     clients are free to ignore both.  generate_many answers every
     (prompt id, prompt text) pair for every client in a list; its
     default calls generate client by client, prompt by prompt.
+    train_many trains every client in a list; its default calls train
+    client by client.
     """
 
     @abstractmethod
@@ -127,6 +129,23 @@ class Client(ABC):
         weights: TrainingWeights,
     ) -> None:
         """Update internal state on private plus pseudo-labeled examples."""
+
+    @classmethod
+    def train_many(
+        cls,
+        clients: Sequence[Client],
+        privates: Sequence[PrivateDataset],
+        pseudo: Sequence[tuple[str, str]],
+        weights: TrainingWeights,
+    ) -> None:
+        """Train each client on its private dataset and the shared pseudo set.
+
+        Called on the class of the clients; ``privates[i]`` belongs to
+        ``clients[i]``.  The result equals calling ``client.train`` for
+        each client in turn, which is what this default does.
+        """
+        for client, private in zip(clients, privates, strict=True):
+            client.train(private, pseudo, weights)
 
 
 class ScriptedClient(Client):
@@ -242,33 +261,116 @@ def _pcg64_states(seeds: Sequence[int], hashes: Sequence[int]) -> list[list[tupl
     return [states[row : row + width] for row in range(0, len(states), width)]
 
 
+# Bits per word of a packed context up to order 3; higher orders get
+# 63 // order, so every context fits a non-negative int64.
+_WORD_BITS = 21
+# Closes every sorted key table, with id -1, so a search always lands on an
+# entry; no context or pair key reaches it.
+_END = np.iinfo(np.int64).max
+
+
+def _merge(table: tuple[np.ndarray, np.ndarray], keys: np.ndarray):
+    """Intern ``keys`` into a (sorted keys, id at each position) table.
+
+    Keys the table lacks get the next free ids in sorted order and are
+    inserted where ``searchsorted`` places them.  Returns the new table,
+    each key's id and the new keys.
+    """
+    known, ids = table
+    unique, inverse = np.unique(keys, return_inverse=True)
+    at = np.searchsorted(known, unique)
+    fresh = known[at] != unique
+    new = unique[fresh]
+    unique_ids = ids[at]
+    unique_ids[fresh] = np.arange(len(known) - 1, len(known) - 1 + len(new))
+    table = np.insert(known, at[fresh], new), np.insert(ids, at[fresh], unique_ids[fresh])
+    return table, unique_ids[inverse], new
+
+
 class PairIndex:
     """The (context, next word) pairs of one Markov order, interned as ids.
 
-    A pair gets the next free int id the first time an example holding it
-    is read, and its context and word get ids in ``contexts`` and
-    ``words`` at that moment; ``context_of`` and ``word_of`` map a pair id
-    to them.  ``pair_ids`` gives an example's pair ids in the order
-    training adds to them and keeps that array per (prompt, response), so
-    each example's stream is split once per index.  The index only grows.
-    Clients that share one index read the same ids; ``_build_clients``
-    makes one per session for all clients of one order, and a client built
-    without one gets its own, so nothing is shared between sessions.
+    Every word the index reads, prompt-only words included, gets an id
+    from 1 up (``words[i]`` is the word of id ``i``; ``words[0]`` is no
+    word).  A context of up to ``order`` words is one int64 key: ``bits``
+    per word, the latest word lowest, id 0 in the slots a shorter context
+    leaves.  The key after word ``w`` is ``((key << bits) | w) & mask``
+    (``advance``) and its suffix of length ``k`` is
+    ``key & ((1 << bits * k) - 1)``, looked up by ``find``.
+    ``unknown`` (``2**bits - 1``) stands for a word the index never read;
+    no context holds it or 0 as a word, so a key holding one never
+    matches.  ``bits`` is 21 up to order 3 and ``63 // order`` above; a
+    vocabulary past ``unknown - 1`` words raises ``ValueError``.
+
+    Contexts and pairs keep the ids they are given: ``context_keys[c]`` is
+    context ``c``'s key, and ``context_of`` and ``word_of`` map a pair id
+    to its context id and word id.  ``intern`` reads a batch of examples
+    at once: the batch's new contexts and pairs get the next free ids in
+    key order and are merged into tables sorted by key.  Each example's
+    pair-id array is kept, so an example is split once per index.  The
+    index only grows.  Clients that share one index read the same ids;
+    ``_build_clients`` makes one per session for all clients of one order,
+    and a client built without one gets its own, so nothing is shared
+    between sessions.
     """
 
     def __init__(self, order: int):
+        if type(order) is not int or order < 1:
+            raise ValueError(f"order must be an integer >= 1, got {order!r}")
         self.order = order
-        self.contexts: dict[tuple[str, ...], int] = {}
-        self.words: dict[str, int] = {}
-        self.context_of = array("q")
-        self.word_of = array("q")
-        # the context's words, then the next word -> pair id
-        self._pairs: dict[tuple[str, ...], int] = {}
+        self.bits = min(_WORD_BITS, 63 // order)
+        self.unknown = (1 << self.bits) - 1
+        self.words = [""]
+        self._word_ids: dict[str, int] = {}
+        self.context_keys = self.context_of = self.word_of = np.zeros(0, dtype=np.int64)
+        # (keys sorted, the id at each position) for contexts and for pairs;
+        # a pair's key is its context id, then its word id in the low bits
+        self._contexts = self._pairs = (np.array([_END]), np.array([-1]))
         self._examples: dict[tuple[str, str], np.ndarray] = {}
-        self._ordered: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._ordered: np.ndarray | None = None
+        self._names = np.zeros(0, dtype=object)
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self.word_of)
+
+    @property
+    def contexts(self) -> list[tuple[str, ...]]:
+        """Each context id's words, oldest first."""
+        found = []
+        for key in self.context_keys.tolist():
+            ids = []
+            while key:
+                ids.append(key & self.unknown)
+                key >>= self.bits
+            found.append(tuple(self.words[i] for i in reversed(ids)))
+        return found
+
+    def key(self, words: Sequence[str]) -> int:
+        """The packed key of the last ``order`` words."""
+        key = 0
+        for word in words[-self.order :]:
+            key = key << self.bits | self._word_ids.get(word, self.unknown)
+        return key
+
+    def find(self, keys: np.ndarray, length: int) -> np.ndarray:
+        """The context id of the last ``length`` words of each packed key.
+
+        -1 where the index has no such context.
+        """
+        known, ids = self._contexts
+        keys = keys & (1 << self.bits * length) - 1
+        at = known.searchsorted(keys)
+        return np.where(known[at] == keys, ids[at], -1)
+
+    def advance(self, keys: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """Each packed key followed by its word, kept to the last ``order`` words."""
+        return (keys << self.bits | words) & (1 << self.bits * self.order) - 1
+
+    def spell(self, ids: np.ndarray) -> list[str]:
+        """The words of the given word ids."""
+        if len(self._names) != len(self.words):
+            self._names = np.array(self.words, dtype=object)
+        return self._names[ids].tolist()
 
     def pair_ids(self, prompt: str, response: str) -> np.ndarray:
         """The ids of the (context, next word) pairs one example adds to.
@@ -277,53 +379,72 @@ class PairIndex:
         Contexts of length 1 come first, then length 2, ... up to
         ``order``; within one length the pairs follow the stream.
         """
-        key = (prompt, response)
-        ids = self._examples.get(key)
-        if ids is not None:
-            return ids
-        stream = prompt.split() + response.split()
-        n = len(stream)
-        pairs = self._pairs
-        found = []
-        for length in range(1, min(self.order, n - 1) + 1):
-            for pair in zip(*(stream[k : n - length + k] for k in range(length + 1))):
-                pair_id = pairs.get(pair)
-                if pair_id is None:
-                    pair_id = pairs[pair] = len(pairs)
-                    self.context_of.append(self.contexts.setdefault(pair[:-1], len(self.contexts)))
-                    self.word_of.append(self.words.setdefault(pair[-1], len(self.words)))
-                found.append(pair_id)
-        ids = self._examples[key] = np.array(found, dtype=np.intp)
-        return ids
+        return self.intern([(prompt, response)])[0]
 
-    def ordered(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every pair id sorted by (context id, word), with lookups over ids.
+    def intern(self, examples: Sequence[tuple[str, str]]) -> list[np.ndarray]:
+        """Each example's ``pair_ids``; the examples not yet read, in one batch."""
+        known = self._examples
+        new = [example for example in dict.fromkeys(examples) if example not in known]
+        if new:
+            self._read(new)
+        return [known[example] for example in examples]
 
-        Returns the sorted ids, each pair's context id, and each pair's
-        word as an object array.  Words sort as ``sorted`` sorts strings.
+    def _read(self, examples: list[tuple[str, str]]) -> None:
+        streams = [prompt.split() + response.split() for prompt, response in examples]
+        word_ids = self._word_ids
+        fresh = dict.fromkeys(word for stream in streams for word in stream if word not in word_ids)
+        if fresh and len(self.words) + len(fresh) > self.unknown:
+            raise ValueError(
+                f"a Markov chain of order {self.order} packs {self.bits} bits per word and holds "
+                f"at most {max(self.unknown - 1, 0)} distinct words; training reads "
+                f"{len(self.words) - 1 + len(fresh)}"
+            )
+        for word in fresh:
+            word_ids[word] = len(self.words)
+            self.words.append(word)
+        lengths = np.array([len(stream) for stream in streams], dtype=np.int64)
+        stream = np.fromiter(
+            map(word_ids.__getitem__, chain.from_iterable(streams)), dtype=np.int64, count=int(lengths.sum())
+        )
+        owner = np.repeat(np.arange(len(examples)), lengths)
+        position = np.arange(len(stream)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        last = np.repeat(lengths - 1, lengths)
+        key = stream.copy()
+        at_length = []
+        for length in range(1, self.order + 1):
+            if length > 1:
+                key[length - 1 :] |= stream[: len(stream) - length + 1] << self.bits * (length - 1)
+            at = np.flatnonzero((position >= length - 1) & (position < last))
+            if not len(at):
+                break
+            at_length.append((key[at], stream[at + 1], owner[at]))
+        if at_length:
+            context, word, owner = (np.concatenate(parts) for parts in zip(*at_length))
+        else:
+            context = word = owner = np.zeros(0, dtype=np.int64)
+        self._contexts, context_id, new_contexts = _merge(self._contexts, context)
+        self._pairs, pair_id, new_pairs = _merge(self._pairs, context_id << self.bits | word)
+        self.context_keys = np.concatenate((self.context_keys, new_contexts))
+        self.context_of = np.concatenate((self.context_of, new_pairs >> self.bits))
+        self.word_of = np.concatenate((self.word_of, new_pairs & self.unknown))
+        self._ordered = None
+        # each example's pairs: lengths in turn, the stream within a length
+        grouped = pair_id[np.argsort(owner, kind="stable")]
+        counts = np.bincount(owner, minlength=len(examples))
+        self._examples.update(zip(examples, np.split(grouped, np.cumsum(counts)[:-1])))
+
+    def ordered(self) -> np.ndarray:
+        """Every pair id sorted by context id, then by word as ``sorted`` sorts strings.
+
         Built when first asked for after the index grew, and kept until it
         grows again.
         """
-        if self._ordered is None or len(self._ordered[0]) != len(self):
-            words = list(self.words)
+        if self._ordered is None:
+            words = self.words
             rank = np.empty(len(words), dtype=np.int64)
             rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
-            context_of = np.array(self.context_of, dtype=np.int64)
-            word_of = np.array(self.word_of, dtype=np.int64)
-            ids = np.argsort(context_of * len(words) + rank[word_of])
-            self._ordered = ids, context_of, np.array(words, dtype=object)[word_of]
+            self._ordered = np.argsort(self.context_of * len(words) + rank[self.word_of], kind="stable")
         return self._ordered
-
-
-# How MarkovToyClient's walk steps from one context (see its _sampler):
-# (word, next key) for a lone candidate, else (words, cuts, total, kept).
-_Sampler = (
-    tuple[str, tuple[str, ...]]
-    | tuple[list[str], list[float], float, tuple[str, ...]]
-)
-# A client's candidates (see MarkovToyClient._view): where each context
-# id's pairs start, then their words and weights, context by context.
-_View = tuple[array, list[str], array]
 
 
 class MarkovToyClient(Client):
@@ -344,11 +465,6 @@ class MarkovToyClient(Client):
     owns the k-th uniform double of that stream and reads it only when
     its context has several next words, and candidate words are scanned
     in sorted order.  An untrained client generates the empty string.
-    ``generate`` builds that generator per call; ``generate_many`` seeds
-    every (client, prompt) stream of the batch in one vectorized
-    SeedSequence pass (``_pcg64_states``) and sets each state on one
-    reused generator, so both give the same bytes.  A subclass that
-    overrides ``generate`` is answered through it instead.
 
     The model state is two arrays over the ids of a ``PairIndex``: a
     float64 weight and a bool presence per (context, next word) pair.
@@ -356,17 +472,20 @@ class MarkovToyClient(Client):
     the concatenated pair ids of its examples, private ones first, which
     applies repeated ids in order, so every float sum is the one the
     per-example walk gives.  A pair trained with weight 0.0 is present and
-    stays a candidate.  ``transitions`` rebuilds the context -> {word:
-    weight} table from the arrays.
+    stays a candidate.  ``train_many`` interns a run's new examples in one
+    batch per index, then trains each client.  ``transitions`` rebuilds
+    the context -> {word: weight} table from the arrays.
 
-    Generation reads a view of the present pairs sorted by (context,
-    word), built on first use after each ``train`` and kept until the
-    next one (``_view``).  One walk (``_walk``) serves ``generate`` and
-    ``generate_many``: a sampler memo keyed by the context's last
-    ``order`` words holds each context's step, worked out once per call
-    from its slice of the view (``_sampler``).  ``generate`` passes a
-    fresh memo and ``generate_many`` one per client, dropped after that
-    client's prompts.
+    Generation reads a view of the present pairs, built on first use
+    after each ``train`` and kept until the next one (``_build_views``,
+    which builds the stale views of a ``generate_many`` call in one pass).
+    One walk (``_lockstep``) serves both entry points: it steps every
+    (client, prompt) lane of a call at once over packed context keys.
+    ``generate`` is one lane seeded by ``default_rng``; ``generate_many``
+    seeds all lanes in one vectorized SeedSequence pass (``_pcg64_states``)
+    and walks the clients of each index together, so both give the same
+    bytes.  A subclass that overrides ``generate`` or ``train`` is answered
+    or trained through it instead.
     """
 
     def __init__(self, order: int = 1, seed: int = 0, index: PairIndex | None = None):
@@ -383,17 +502,19 @@ class MarkovToyClient(Client):
         self.index = index
         self._weights = np.zeros(0, dtype=np.float64)
         self._present = np.zeros(0, dtype=bool)
-        self._cached_view: _View | None = None
+        self._cached_view: tuple[tuple[np.ndarray, ...], int, int] | None = None
 
     @property
     def transitions(self) -> dict[tuple[str, ...], dict[str, float]]:
         """Each trained context's next words and their weights."""
         index = self.index
-        contexts, words = list(index.contexts), list(index.words)
+        contexts, words = index.contexts, index.words
         table: dict[tuple[str, ...], dict[str, float]] = {}
-        present = self._present
-        for pair, weight in zip(np.flatnonzero(present).tolist(), self._weights[present].tolist()):
-            table.setdefault(contexts[index.context_of[pair]], {})[words[index.word_of[pair]]] = weight
+        present = np.flatnonzero(self._present)
+        for context, word, weight in zip(
+            index.context_of[present].tolist(), index.word_of[present].tolist(), self._weights[present].tolist()
+        ):
+            table.setdefault(contexts[context], {})[words[word]] = weight
         return table
 
     def train(
@@ -402,12 +523,10 @@ class MarkovToyClient(Client):
         pseudo: Sequence[tuple[str, str]],
         weights: TrainingWeights,
     ) -> None:
-        pair_ids = self.index.pair_ids
-        groups = [pair_ids(prompt, response) for prompt, response in private.examples]
-        split = sum(map(len, groups))
-        groups += [pair_ids(prompt, response) for prompt, response in pseudo]
+        groups = self.index.intern([*private.examples, *pseudo])
         if not groups:
             return
+        split = sum(map(len, groups[: len(private.examples)]))
         ids = np.concatenate(groups)
         added = np.full(len(ids), weights.beta)
         added[:split] = weights.alpha
@@ -421,130 +540,230 @@ class MarkovToyClient(Client):
         self._present[ids] = True
         self._cached_view = None
 
-    def _view(self) -> _View:
-        """The present pairs as generation reads them, built once per training.
+    @classmethod
+    def train_many(
+        cls,
+        clients: Sequence[Client],
+        privates: Sequence[PrivateDataset],
+        pseudo: Sequence[tuple[str, str]],
+        weights: TrainingWeights,
+    ) -> None:
+        if all(type(client).train is MarkovToyClient.train for client in clients):
+            # One batch per index interns faster than one per train call.
+            batches: dict[int, tuple[PairIndex, list[tuple[str, str]]]] = {}
+            for client, private in zip(clients, privates):
+                batches.setdefault(id(client.index), (client.index, list(pseudo)))[1].extend(private.examples)
+            for index, examples in batches.values():
+                index.intern(examples)
+        super().train_many(clients, privates, pseudo, weights)
 
-        ``(starts, words, weights)``: ``words`` and ``weights`` list the
-        client's present pairs sorted by (context id, word), and context
-        id ``c`` holds positions ``starts[c]`` up to ``starts[c + 1]``,
-        none when the client has no pair there.  ``starts`` has an entry
-        per context of the index and two more, equal, so that
-        ``starts[-2]`` up to ``starts[-1]`` is empty too: that is the span
-        of a key the index does not hold.  Contexts that clients sharing
-        the index add after the view was built get empty spans here.
+    def _view(self) -> tuple[tuple[np.ndarray, ...], int, int]:
+        if self._cached_view is None:
+            self._build_view()
+        return self._cached_view
+
+    def _build_view(self) -> None:
+        self._build_views([self])
+
+    @staticmethod
+    def _build_views(clients: Sequence[MarkovToyClient]) -> None:
+        """Build the views of clients that share one index, all in one pass.
+
+        A view is the client's present pairs as generation reads them,
+        built once per training.  The pairs of every client of the pass,
+        client after client and each client's sorted by (context id,
+        word), form one segment per (client, context) in one batch of
+        arrays ``(contexts, starts, words, cuts, totals, others)``: segment
+        ``s`` holds context id ``contexts[s]`` and its ``others[s] + 1``
+        words from position ``starts[s]`` of ``words`` (word ids) and
+        ``cuts`` (the segment's running totals).  ``totals[s]`` is the
+        segment's numpy sum: the segments of one length are summed as the
+        rows of one block, and a row sums as the segment alone would.
+        ``totals`` ends with an extra 0.0, read by a lane that found no
+        segment (index -1).  A client's view is ``(batch, lo, hi)``, its
+        segments being ``lo`` up to ``hi``.  Context ids never change, so
+        contexts that clients sharing the index add later leave the view
+        valid.
         """
-        view = self._cached_view
-        if view is None:
-            view = self._cached_view = self._build_view()
-        else:
-            starts = view[0]
-            starts.extend([starts[-1]] * (len(self.index.contexts) + 2 - len(starts)))
-        return view
+        index = clients[0].index
+        ordered = index.ordered()
+        owns, cuts = [], []
+        for client in clients:
+            present = np.zeros(len(index), dtype=bool)
+            present[: len(client._present)] = client._present
+            owns.append(ordered[present[ordered]])
+            cuts.append(client._weights[owns[-1]])
+        ends = np.cumsum([len(pairs) for pairs in owns])
+        # every array here is as long as all the clients' pairs together,
+        # so each goes as soon as it is used
+        own = np.concatenate(owns)
+        del owns
+        cuts = np.concatenate(cuts)
+        context = index.context_of[own]
+        words = index.word_of[own].astype(np.int32)
+        del own
+        opens = np.ones(len(context), dtype=bool)
+        np.not_equal(context[1:], context[:-1], out=opens[1:])
+        # each client's first pair opens a segment
+        opens[ends[ends < len(context)]] = True
+        first = np.flatnonzero(opens)
+        sizes = np.diff(first, append=len(context))
+        # cuts holds the weights until each segment's running totals replace them
+        totals = np.zeros(len(first) + 1)
+        np.take(cuts, first, out=totals[:-1])
+        for size in np.unique(sizes[sizes > 1]).tolist():
+            rows = np.flatnonzero(sizes == size)
+            block_at = first[rows, None] + np.arange(size)
+            block = cuts[block_at]
+            totals[rows] = block.sum(axis=1)
+            cuts[block_at] = np.cumsum(block, axis=1)
+        batch = context[first], first, words, cuts, totals, (sizes - 1).astype(np.int32)
+        segment_ends = np.searchsorted(first, ends).tolist()
+        for client, lo, hi in zip(clients, [0, *segment_ends], segment_ends):
+            client._cached_view = batch, lo, hi
 
-    def _build_view(self) -> _View:
-        ordered, context_of, words = self.index.ordered()
-        present = np.zeros(len(ordered), dtype=bool)
-        present[: len(self._present)] = self._present
-        own = ordered.compress(present[ordered])
-        count = len(self.index.contexts)
-        starts = np.zeros(count + 2, dtype=np.int64)
-        np.cumsum(np.bincount(context_of[own], minlength=count), out=starts[1 : count + 1])
-        starts[-1] = starts[-2]
-        weights = array("d", self._weights[own].tobytes())
-        return array("q", starts.tobytes()), words[own].tolist(), weights
-
-    def _sampler(self, key: tuple[str, ...]) -> _Sampler | None:
-        """How to take a step from a context whose last words are ``key``.
-
-        Reads the view ``_walk`` has built.  The longest suffix of ``key``
-        with candidates in the view gives them; none, or weights summing
-        to at most zero, means stop (``None``).  A lone candidate is
-        ``(word, next key)``: the draw cannot change it.  Several
-        candidates are ``(words, cuts, total, kept)``: the words sorted,
-        ``cuts`` their running totals but the last and ``total`` their
-        numpy sum, so ``bisect_right(cuts, uniform * total)`` is the
-        first word whose running total exceeds the draw, else the last
-        word.  Training adds only finite non-negative weights, so the
-        running totals are sorted.  ``kept`` is the part of ``key`` that
-        stays in the next key (at most ``order - 1`` words), so the key
-        after ``word`` is ``kept + (word,)`` in both shapes.
-        """
-        starts, words, weights = self._cached_view
-        context = self.index.contexts.get
-        at = context(key, -2)
-        lo, hi = starts[at], starts[at + 1]
-        if lo == hi:
-            for cut in range(1, len(key)):
-                at = context(key[cut:], -2)
-                lo, hi = starts[at], starts[at + 1]
-                if lo < hi:
-                    break
-            else:
-                return None
-        kept = key[1:] if len(key) == self.order else key
-        if hi - lo == 1:
-            if weights[lo] <= 0.0:
-                return None
-            word = words[lo]
-            return word, kept + (word,)
-        segment = weights[lo:hi]
-        total = float(np.frombuffer(segment).sum())
-        if total <= 0.0:
-            return None
-        return words[lo:hi], list(accumulate(segment))[:-1], total, kept
-
-    def _walk(
-        self,
-        rng: np.random.Generator,
-        prompt_text: str,
+    @staticmethod
+    def _lockstep(
+        clients: Sequence[MarkovToyClient],
+        texts: Sequence[str],
+        states: Sequence[Sequence[tuple[int, int]]],
         max_tokens: int,
-        samplers: dict[tuple[str, ...], _Sampler | None],
-    ) -> str:
-        """The response drawn from ``rng``, freshly seeded for this prompt.
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Every (client, prompt) lane of a call, walked at once.
 
-        ``samplers`` maps a key (the last ``order`` words of the context)
-        to its ``_sampler``; it is filled on first use and must not
-        outlive a change to the model.  A step with several candidates
-        appends the drawn word to the sampler's ``kept`` there and then:
-        building every candidate's key up front costs more than the few
-        steps that use them.
+        The clients share one index; lane ``c * len(texts) + p`` answers
+        prompt ``p`` for client ``c`` and draws from PCG64 state
+        ``states[c][p]`` (state, inc).  Returns, per step, the lanes still
+        live and the word id each took; a lane that stops never resumes.
+
+        The clients' views are laid end to end.  Each step finds every live
+        lane's segment at once: ``find`` gives the context id of the
+        lane's key, and a table over (client, context id) gives the
+        segment; lanes without one back off to shorter suffixes, and
+        ``advance`` appends the word taken.  A lane
+        stops when no suffix matches or the segment's total is at most
+        zero.  Otherwise it takes the segment's first word plus the number
+        of its running totals but the last that are ``<= u * total``,
+        which is ``bisect_right``'s answer; ``u`` is the lane's draw for
+        this step.  The multi-candidate lanes' running totals are compared
+        in one flat array (``np.repeat``) and counted per lane
+        (``np.add.reduceat``).  Draws come in batches that double with the
+        output, so memory stays O(output) however large ``max_tokens`` is;
+        a lane live past a batch draws the next from its saved state.
         """
-        self._view()
-        order = self.order
-        key = tuple(prompt_text.split()[-order:])
-        words: list[str] = []
-        uniforms: list[float] = []
+        index = clients[0].index
+        # the batches that the clients' views are in, each with the number
+        # of segments of the batches before it
+        batches: dict[int, tuple[tuple[np.ndarray, ...], int]] = {}
+        segments = 0
+        for client in clients:
+            batch = client._view()[0]
+            if id(batch) not in batches:
+                batches[id(batch)] = batch, segments
+                segments += len(batch[0])
+        if not segments:
+            return []
+        # the segment of (client slot, context id + 1); column 0 (no
+        # context) and the contexts a client lacks hold -1
+        width = len(index.context_keys) + 1
+        segment_of = np.full(len(clients) * width, -1, dtype=np.int32)
+        for slot, client in enumerate(clients):
+            batch, lo, hi = client._cached_view
+            before = batches[id(batch)][1]
+            segment_of[slot * width + 1 + batch[0][lo:hi]] = np.arange(before + lo, before + hi, dtype=np.int32)
+        if len(batches) == 1:
+            (((_, starts, words, cuts, totals, others), _),) = batches.values()
+        else:
+            parts = [batch for batch, _ in batches.values()]
+            shift = np.cumsum([0] + [len(batch[2]) for batch in parts])
+            starts = np.concatenate([batch[1] + at for batch, at in zip(parts, shift)])
+            words, cuts, others = (np.concatenate([batch[i] for batch in parts]) for i in (2, 3, 5))
+            totals = np.concatenate([batch[4][:-1] for batch in parts] + [np.zeros(1)])
+
+        lane = np.arange(len(clients) * len(texts))
+        key = np.tile(np.array([index.key(text.split()) for text in texts], dtype=np.int64), len(clients))
+        base = np.repeat(np.arange(len(clients), dtype=np.int64) * width + 1, len(texts))
+        saved = [state for row in states for state in row]
+        rng = np.random.Generator(np.random.PCG64(0))
+        bit_generator = rng.bit_generator
+
+        def draw(lane: np.ndarray, drawn: int) -> np.ndarray:
+            size = min(max(drawn, 32), max_tokens - drawn)
+            uniforms = np.empty((len(lane), size))
+            for row, i in enumerate(lane.tolist()):
+                state, inc = saved[i]
+                bit_generator.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                rng.random(out=uniforms[row])
+                if drawn + size < max_tokens:
+                    now = bit_generator.state["state"]
+                    saved[i] = now["state"], now["inc"]
+            return uniforms
+
+        # uniforms[row[i], step - drawn] is live lane i's draw for this step
+        uniforms, row, drawn = draw(lane, 0), lane, 0
+        steps = []
         for step in range(max_tokens):
-            sampler = samplers.get(key)
-            if sampler is None:
-                if key in samplers:
+            if step == drawn + uniforms.shape[1]:
+                uniforms, row, drawn = draw(lane, step), np.arange(len(lane)), step
+            segment = segment_of[base + index.find(key, index.order)]
+            todo = (segment < 0).nonzero()[0]
+            for length in range(index.order - 1, 0, -1):
+                if not len(todo):
                     break
-                sampler = samplers[key] = self._sampler(key)
-                if sampler is None:
+                found = segment_of[base[todo] + index.find(key[todo], length)]
+                segment[todo] = found
+                todo = todo[found < 0]
+            total = totals[segment]
+            live = total > 0.0
+            if not live.all():
+                keep = live.nonzero()[0]
+                if not len(keep):
                     break
-            if len(sampler) == 2:
-                word, key = sampler
-            else:
-                choices, cuts, total, kept = sampler
-                while step >= len(uniforms):
-                    # Step k reads draw k, so a one-candidate step's draw
-                    # is skipped, not saved; rng.random(n) yields the
-                    # doubles of n scalar calls, and the batch doubles with
-                    # the output, so memory stays O(output) however large
-                    # max_tokens is.
-                    drawn = len(uniforms)
-                    uniforms += rng.random(min(max(drawn, 32), max_tokens - drawn)).tolist()
-                word = choices[bisect_right(cuts, uniforms[step] * total)]
-                key = kept + (word,)
-            words.append(word)
-        return " ".join(words)
+                lane, key, base, row, segment, total = (
+                    array[keep] for array in (lane, key, base, row, segment, total)
+                )
+            pick = starts[segment]
+            count = others[segment]
+            multi = count.nonzero()[0]
+            # one searchsorted over totals keyed as complex numbers ran ~1.7x slower at 5,000 lanes
+            if len(multi):
+                counts = count[multi]
+                offsets = counts.cumsum() - counts
+                owner = np.arange(len(multi)).repeat(counts)
+                at = (pick[multi] - offsets).repeat(counts) + np.arange(offsets[-1] + counts[-1])
+                threshold = uniforms[row[multi], step - drawn] * total[multi]
+                pick[multi] += np.add.reduceat(cuts[at] <= threshold[owner], offsets, dtype=np.int64)
+            word = words[pick]
+            steps.append((lane, word))
+            key = index.advance(key, word)
+        return steps
+
+    @staticmethod
+    def _spell(index: PairIndex, steps: list[tuple[np.ndarray, np.ndarray]], lanes: int) -> list[str]:
+        """Each lane's text from ``_lockstep``'s steps."""
+        produced = np.zeros(lanes, dtype=np.int64)
+        for step, (lane, _) in enumerate(steps):
+            produced[lane] = step + 1
+        ends = np.cumsum(produced)
+        begins = ends - produced
+        tokens = np.empty(int(ends[-1]), dtype=np.int32)
+        for step, (lane, word) in enumerate(steps):
+            tokens[begins[lane] + step] = word
+        names = index.spell(tokens)
+        return [" ".join(names[begin:end]) for begin, end in zip(begins.tolist(), ends.tolist())]
 
     def generate(self, prompt_id: str, prompt_text: str, round_index: int, max_tokens: int) -> str:
         if max_tokens < 1:
             return ""
         # default_rng took 28 us here against 233 us for a one-lane _pcg64_states.
-        rng = np.random.default_rng([self.seed, _text_u64(prompt_text)])
-        return self._walk(rng, prompt_text, max_tokens, {})
+        state = np.random.default_rng([self.seed, _text_u64(prompt_text)]).bit_generator.state["state"]
+        steps = self._lockstep([self], [prompt_text], [[(state["state"], state["inc"])]], max_tokens)
+        return self._spell(self.index, steps, 1)[0]
 
     @classmethod
     def generate_many(
@@ -560,22 +779,20 @@ class MarkovToyClient(Client):
             return [[""] * len(prompts) for _ in clients]
         # Batched seeding costs ~2 us per lane against ~21 us for a SeedSequence each.
         states = _pcg64_states([c.seed for c in clients], [_text_u64(text) for _, text in prompts])
-        rng = np.random.Generator(np.random.PCG64(0))
-        bit_generator = rng.bit_generator
-        responses = []
-        for client, lanes in zip(clients, states):
-            # A memo kept per training version cost ~20 MB more RSS and 5-10% throughput.
-            samplers: dict[tuple[str, ...], _Sampler | None] = {}
-            texts = []
-            for (_, text), (state, inc) in zip(prompts, lanes):
-                bit_generator.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-                texts.append(client._walk(rng, text, max_tokens, samplers))
-            responses.append(texts)
+        texts = [text for _, text in prompts]
+        by_index: dict[int, list[int]] = {}
+        for position, client in enumerate(clients):
+            by_index.setdefault(id(client.index), []).append(position)
+        responses: list[list[str]] = [[] for _ in clients]
+        for positions in by_index.values():
+            group = [clients[i] for i in positions]
+            stale = [client for client in group if client._cached_view is None]
+            if stale:
+                cls._build_views(stale)
+            steps = cls._lockstep(group, texts, [states[i] for i in positions], max_tokens)
+            spelled = cls._spell(group[0].index, steps, len(group) * len(texts))
+            for slot, position in enumerate(positions):
+                responses[position] = spelled[slot * len(texts) : (slot + 1) * len(texts)]
         return responses
 
 

@@ -6,11 +6,13 @@ private data, every client answers every public prompt (one
 class), the server embeds each prompt's distinct responses as one
 matrix, normalizes its rows once and runs consensus on them, and the
 resulting (prompt id, pseudo-label) pairs are broadcast back for a
-joint training pass.  Uploads are the UTF-8 byte lengths of the
-response payloads; downloads are the pseudo-label bytes times the
-number of receiving clients.  Message framing, ids and serialization
-overhead are deliberately excluded so measured totals match the
-closed-form calculators byte for byte.
+joint training pass; both training passes make one
+``Client.train_many`` call per run of consecutive clients of one class.
+Uploads are the UTF-8 byte lengths of the response payloads; downloads
+are the pseudo-label bytes times the number of receiving clients.
+Message framing, ids and serialization overhead are deliberately
+excluded so measured totals match the closed-form calculators byte for
+byte.
 
 Consensus failures on a prompt (for example, every client generated an
 un-embeddable empty string) never abort the round: the prompt is
@@ -249,6 +251,20 @@ def consensus_phase(
     return outcome, result, errors
 
 
+def _train_runs(
+    clients: Sequence[Client],
+    private_datasets: Sequence[PrivateDataset],
+    pseudo: Sequence[tuple[str, str]],
+    weights: TrainingWeights,
+) -> None:
+    """One ``Client.train_many`` call per run of consecutive clients of one class."""
+    start = 0
+    for kind, run in groupby(clients, key=type):
+        run = list(run)
+        kind.train_many(run, private_datasets[start : start + len(run)], pseudo, weights)
+        start += len(run)
+
+
 def run_round(
     clients: Sequence[Client],
     prompts: PublicPromptSet,
@@ -283,8 +299,7 @@ def run_round(
     do_private_pass = params.retrain_private_every_round or round_index == 1
 
     if do_private_pass:
-        for client, private in zip(clients, private_datasets):
-            client.train(private, [], params.weights)
+        _train_runs(clients, private_datasets, [], params.weights)
     # One generate_many call per run of consecutive clients of one class;
     # a client's responses depend on its own state only, so training every
     # client first changes no text.
@@ -318,8 +333,7 @@ def run_round(
 
     prompt_text = dict(queries)
     pseudo_pairs = [(prompt_text[pid], label) for pid, label in broadcast]
-    for client, private in zip(clients, private_datasets):
-        client.train(private, pseudo_pairs, params.weights)
+    _train_runs(clients, private_datasets, pseudo_pairs, params.weights)
 
     return RoundTranscript(
         round_index=round_index,

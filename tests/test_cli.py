@@ -744,6 +744,23 @@ def test_simulate_markov_clients_with_private_data(tmp_path, capsys):
     assert privacy[1]["delta_total"] == pytest.approx(2e-6, rel=1e-12)
 
 
+def test_simulate_markov_vocabulary_past_the_packed_width_fails(tmp_path, capsys):
+    # order 21 packs 3 bits per word, so the chain holds at most 6 words
+    prompts = write_jsonl(tmp_path / "prompts.jsonl", [{"prompt_id": "p0", "text": "a b"}])
+    private = write_jsonl(
+        tmp_path / "private.jsonl", [{"client": 0, "prompt": "a b", "response": "c d e f g"}]
+    )
+    config_path = tmp_path / "config.json"
+    config = {
+        "clients": {"type": "markov", "count": 1, "order": 21, "private_file": private.name},
+        "prompt_file": prompts.name,
+    }
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config_path))
+    message = "a Markov chain of order 21 packs 3 bits per word and holds at most 6 distinct words; training reads 7"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_simulate_rejects_a_bad_dp_budget_before_round_1(tmp_path, capsys):
     # The script has no round-1 rows, so running round 1 first would fail on it.
     config_path, base = scripted_fixture(tmp_path)

@@ -295,7 +295,7 @@ def test_generate_many_matches_per_call_and_reference(order, seeds, corpora, pro
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_generate_many_memo_never_outlives_a_call(order, monkeypatch):
+def test_generate_many_reads_the_state_after_each_training(order):
     weights = TrainingWeights(alpha=0.3, beta=0.7)
     corpus = [("", "a b a c a b")]
     client = MarkovToyClient(order=order, seed=3)
@@ -309,11 +309,6 @@ def test_generate_many_memo_never_outlives_a_call(order, monkeypatch):
     assert all(len(client.transitions[tail]) == 1 for tail in tails)
     queries = [(f"p{i}", text) for i, text in enumerate(["a", "b a", "c a", "z a"])]
 
-    resolved = []
-    sampler = MarkovToyClient._sampler
-    monkeypatch.setattr(
-        MarkovToyClient, "_sampler", lambda self, key: resolved.append(key) or sampler(self, key)
-    )
     batches = []
     # the first call follows no new training; the second follows training
     # that gives every tail a second next word
@@ -322,19 +317,48 @@ def test_generate_many_memo_never_outlives_a_call(order, monkeypatch):
         reference.train([], pseudo, weights.alpha, weights.beta)
         transitions = client.transitions
         weights_before, present_before = client._weights.copy(), client._present.copy()
-        resolved.clear()
         (texts,) = MarkovToyClient.generate_many([client], queries, 1, 32)
         # generation leaves the model state as it was
         assert client.transitions == transitions
         assert np.array_equal(client._weights, weights_before)
         assert np.array_equal(client._present, present_before)
         assert texts == [reference.generate(text, 32) for _, text in queries]
-        # each key is resolved once per call, and later steps reuse it
-        assert len(resolved) == len(set(resolved)) < sum(len(t.split()) for t in texts)
         batches.append(texts)
     # the second call saw the new next word
     assert all(len(client.transitions[tail]) == 2 for tail in tails)
     assert batches[0] != batches[1]
+
+
+@given(
+    orders=st.lists(st.integers(1, 3), min_size=2, max_size=5),
+    corpora=st.lists(st.one_of(st.just(CYCLE), st.just(BRANCHING), EXAMPLES), min_size=1, max_size=3),
+    prompts=st.lists(PROMPTS, min_size=1, max_size=4),
+    max_tokens=st.sampled_from([1, 31, 33, 100]),
+)
+# every order in one call, each index's clients apart, walked past the first batch
+@example(orders=[1, 2, 3, 2, 1], corpora=[BRANCHING, CYCLE], prompts=EDGE_PROMPTS, max_tokens=100)
+def test_generate_many_over_mixed_orders_and_indexes_matches_per_call_and_reference(
+    orders, corpora, prompts, max_tokens
+):
+    """One call over clients of orders 1-3: the clients of one order share
+    an index, except every third client, which has its own."""
+    shared = {order: PairIndex(order) for order in set(orders)}
+    clients, references = [], []
+    for slot, order in enumerate(orders):
+        examples = corpora[slot % len(corpora)]
+        index = PairIndex(order) if slot % 3 == 2 else shared[order]
+        client = MarkovToyClient(order=order, seed=slot, index=index)
+        reference = ReferenceMarkovClient(order=order, seed=slot)
+        client.train(private(slot, *examples), [], EVEN)
+        reference.train(examples, [], EVEN.alpha, EVEN.beta)
+        clients.append(client)
+        references.append(reference)
+    queries = [(f"p{i}", text) for i, text in enumerate(prompts)]
+
+    batched = MarkovToyClient.generate_many(clients, queries, 1, max_tokens)
+    per_call = [[c.generate(pid, text, 1, max_tokens) for pid, text in queries] for c in clients]
+    oracle = [[r.generate(text, max_tokens) for _, text in queries] for r in references]
+    assert batched == per_call == oracle
 
 
 class UpperMarkov(MarkovToyClient):
@@ -539,6 +563,144 @@ def test_clients_of_one_index_match_their_references(order, rounds, prompts):
                 [reference.generate(text, 16) for text in prompts]
             ]
         check_index(index, *(client for client, _ in models))
+
+
+def test_views_built_in_one_pass_keep_each_clients_segments():
+    # every client holds one context, "a", so in the pass that builds their
+    # views together one client's last segment meets the next one's first
+    index = PairIndex(1)
+    corpora = [[("", "a b"), ("", "a c")], [("", "a c"), ("", "a d"), ("", "a c")], [("", "a b a e")]]
+    clients = [MarkovToyClient(order=1, seed=seed, index=index) for seed in range(len(corpora))]
+    references = [ReferenceMarkovClient(order=1, seed=seed) for seed in range(len(corpora))]
+    for client, reference, corpus in zip(clients, references, corpora):
+        client.train(private(0, *corpus), [], EVEN)
+        reference.train(corpus, [], EVEN.alpha, EVEN.beta)
+    queries = [(f"p{i}", text) for i, text in enumerate(["a", "x a", "b a", "a a", "e a", "c a"])]
+    assert MarkovToyClient.generate_many(clients, queries, 1, 1) == [
+        [reference.generate(text, 1) for _, text in queries] for reference in references
+    ]
+
+
+def test_generate_many_walks_views_built_in_different_passes():
+    index = PairIndex(2)
+    corpora = [BRANCHING, CYCLE, [("", "a b c a c b")]]
+    clients = [MarkovToyClient(order=2, seed=seed, index=index) for seed in range(3)]
+    references = [ReferenceMarkovClient(order=2, seed=seed) for seed in range(3)]
+    for slot, (client, reference) in enumerate(zip(clients, references)):
+        client.train(private(slot, *corpora[slot]), [], EVEN)
+        reference.train(corpora[slot], [], EVEN.alpha, EVEN.beta)
+    queries = [(f"p{i}", text) for i, text in enumerate(EDGE_PROMPTS)]
+    # client 0's view comes from a per-call generate, client 1's from a
+    # pass over clients 1 and 2, and client 2's from its own pass after
+    # it trains again
+    clients[0].generate("p", "a", 1, 4)
+    MarkovToyClient.generate_many(clients[1:], queries, 1, 4)
+    clients[2].train(private(2, ("", "c a b b")), [], EVEN)
+    references[2].train([("", "c a b b")], [], EVEN.alpha, EVEN.beta)
+    assert MarkovToyClient.generate_many(clients, queries, 1, 40) == [
+        [reference.generate(text, 40) for _, text in queries] for reference in references
+    ]
+
+
+class CountingMarkov(MarkovToyClient):
+    """Trains through its own train, which counts its calls."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.trained = 0
+
+    def train(self, private, pseudo, weights):
+        self.trained += 1
+        super().train(private, pseudo, weights)
+
+
+@given(
+    order=st.integers(1, 3),
+    rounds=st.lists(
+        st.tuples(st.lists(EXAMPLES, min_size=3, max_size=3), EXAMPLES, ALPHAS), min_size=2, max_size=3
+    ),
+)
+# round 2's pseudo pairs merge into round 1's contexts and add new ones;
+# alpha 0 leaves private pairs present with weight 0.0
+@example(
+    order=2,
+    rounds=[
+        ([[("a b", "c")], [("", "a b c d")], []], [("", "b c")], 0.0),
+        ([[("a b", "c")], [], [("c", "a")]], [("a b", "d"), ("", "c a b e")], 0.3),
+    ],
+)
+def test_train_many_matches_per_client_train(order, rounds):
+    """train_many gives, float for float, the weights and transitions of
+    train called client by client; both sets of clients share one index,
+    so their pair ids agree."""
+    index = PairIndex(order)
+    batched = [MarkovToyClient(order=order, seed=i, index=index) for i in range(3)]
+    single = [MarkovToyClient(order=order, seed=i, index=index) for i in range(3)]
+    counting = [CountingMarkov(order=order, seed=i) for i in range(3)]
+    references = [ReferenceMarkovClient(order=order, seed=i) for i in range(3)]
+    for turn, (privates, pseudo, alpha) in enumerate(rounds):
+        weights = TrainingWeights(alpha=alpha, beta=1.0 - alpha)
+        datasets = [private(i, *examples) for i, examples in enumerate(privates)]
+        MarkovToyClient.train_many(batched, datasets, pseudo, weights)
+        for client, dataset in zip(single, datasets):
+            client.train(dataset, pseudo, weights)
+        # a subclass that overrides train is trained through it
+        MarkovToyClient.train_many(counting, datasets, pseudo, weights)
+        assert [client.trained for client in counting] == [turn + 1] * 3
+        for reference, examples in zip(references, privates):
+            reference.train(examples, pseudo, weights.alpha, weights.beta)
+        for many, one, count, reference in zip(batched, single, counting, references):
+            assert many.transitions == one.transitions == count.transitions == reference.transitions
+            assert np.array_equal(many._weights, one._weights)
+            assert np.array_equal(many._present, one._present)
+        check_index(index, *batched, *single)
+        queries = [("p", "a"), ("q", "b c"), ("r", "z a b")]
+        assert MarkovToyClient.generate_many(batched, queries, 1, 16) == [
+            [reference.generate(text, 16) for _, text in queries] for reference in references
+        ]
+
+
+EXAMPLES_ABOVE_THREE = [("c a b", "a c b c a b d"), ("d d", "a b c d e f")]
+
+
+@pytest.mark.parametrize("order", [4, 5, 9])
+def test_orders_above_three_pack_fewer_bits_and_match_the_reference(order):
+    client = MarkovToyClient(order=order, seed=4)
+    reference = ReferenceMarkovClient(order=order, seed=4)
+    assert client.index.bits == 63 // order
+    corpus = BRANCHING + [("a b c d", "e a b c d f a b")] + EXAMPLES_ABOVE_THREE
+    for pseudo in ([], [("b a", "a b b a c")]):
+        client.train(private(0, *corpus), pseudo, EVEN)
+        reference.train(corpus, pseudo, EVEN.alpha, EVEN.beta)
+        assert client.transitions == reference.transitions
+        prompts = EDGE_PROMPTS + ["a b c d", "z a b c d", "a a b b a b", "f a b"]
+        assert [client.generate("p", text, 1, 40) for text in prompts] == [
+            reference.generate(text, 40) for text in prompts
+        ]
+        queries = [(f"p{i}", text) for i, text in enumerate(prompts)]
+        assert MarkovToyClient.generate_many([client], queries, 1, 40) == [
+            [reference.generate(text, 40) for text in prompts]
+        ]
+
+
+def test_a_vocabulary_past_the_packed_width_fails_and_adds_nothing():
+    # order 21 packs 3 bits per word: ids 1..6, 7 is the unknown word
+    client = MarkovToyClient(order=21, seed=0)
+    client.train(private(0, ("a b", "c d e f")), [], EVEN)
+    state = client.transitions
+    message = r"^a Markov chain of order 21 packs 3 bits per word and holds at most 6 distinct words; training reads 7$"
+    with pytest.raises(ValueError, match=message):
+        client.train(private(0, ("a", "g")), [("b", "c")], EVEN)
+    with pytest.raises(ValueError, match=message):
+        MarkovToyClient.train_many([client], [private(0)], [("g", "a")], EVEN)
+    assert client.index.words == ["", "a", "b", "c", "d", "e", "f"]
+    assert client.transitions == state
+    # 64 and above leave no bits at all; an empty stream still trains
+    high = MarkovToyClient(order=64, seed=0)
+    high.train(private(0, ("", " ")), [], EVEN)
+    with pytest.raises(ValueError, match="holds at most 0 distinct words"):
+        high.train(private(0, ("", "a")), [], EVEN)
+    assert high.generate("p", "a", 1, 4) == ""
 
 
 # ------------------------------------------------------------ loaders
