@@ -17,7 +17,9 @@ pair ids of a ``PairIndex``, which packs each context into one int64 key
 and interns each (context, next word) pair once; the clients of one
 session and one order share an index, and a client built alone gets its
 own, so no state outlives the clients that hold it.  Generation walks
-all (client, prompt) lanes of a call in lockstep over those keys.
+all (client, prompt) lanes of a call in lockstep over those keys; each
+lane's PCG64 stream is seeded and drawn by jump-ahead arithmetic on
+uint64 arrays, bit for bit the stream numpy's ``default_rng`` gives.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -177,12 +180,16 @@ class ScriptedClient(Client):
 # numpy's SeedSequence constants (pool of four 32-bit words) and PCG64's
 # 128-bit LCG multiplier.
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# Draws per chunk of lanes in ``_pcg64_random``: each uint64 temporary is
+# 128 KiB.
+_CHUNK = 1 << 14
 
 
 def _u32_words(value: int) -> tuple[int, ...]:
@@ -238,27 +245,118 @@ def _seed_state_words(entropy: np.ndarray) -> np.ndarray:
     return state.view("<u8")
 
 
-def _pcg64_states(seeds: Sequence[int], hashes: Sequence[int]) -> list[list[tuple[int, int]]]:
-    """PCG64 (state, inc) of ``default_rng([seed, hash])`` for each seed, hash.
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """``a * b mod 2**128`` on uint64 (hi, lo) halves, broadcast.
 
-    Lanes are grouped by their number of entropy words and each group is
-    mixed in one ``_seed_state_words`` pass; PCG64's seeding (two LCG
-    steps from state 0) then runs on Python ints.
+    The high word of ``a_lo * b_lo`` is summed from 32-bit limbs.  At
+    least one operand of each product is an array, so products wrap
+    without numpy's scalar overflow warning.
     """
-    seed_words = [_u32_words(seed) for seed in seeds]
-    hash_words = [_u32_words(h) for h in hashes]
-    lanes = [sw + hw for sw in seed_words for hw in hash_words]
+    a0, a1 = a_lo & _MASK32, a_lo >> 32
+    b0, b1 = b_lo & _MASK32, b_lo >> 32
+    cross_a, cross_b = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (cross_a & _MASK32) + (cross_b & _MASK32)
+    hi = a1 * b1 + (cross_a >> 32) + (cross_b >> 32) + (mid >> 32) + a_hi * b_lo + a_lo * b_hi
+    return hi, a_lo * b_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """``a + b mod 2**128`` on uint64 (hi, lo) halves, broadcast."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _length_groups(words: list[tuple[int, ...]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The positions of the word tuples of each length, with those tuples as rows."""
     groups: dict[int, list[int]] = {}
-    for index, lane in enumerate(lanes):
-        groups.setdefault(len(lane), []).append(index)
-    states: list[tuple[int, int]] = [(0, 0)] * len(lanes)
-    for indices in groups.values():
-        entropy = np.array([lanes[i] for i in indices], dtype=np.uint32)
-        for i, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(indices, _seed_state_words(entropy).tolist()):
-            inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
-            states[i] = (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
-    width = len(hashes)
-    return [states[row : row + width] for row in range(0, len(states), width)]
+    for position, row in enumerate(words):
+        groups.setdefault(len(row), []).append(position)
+    return [(np.array(at), np.array([words[i] for i in at], dtype=np.uint32)) for at in groups.values()]
+
+
+def _pcg64_states(seeds: Sequence[int], hashes: Sequence[int]) -> np.ndarray:
+    """PCG64 state of ``default_rng([seed, hash])`` for each seed, hash.
+
+    Returns uint64 rows (state hi, state lo, inc hi, inc lo), each
+    seeds x hashes.  The lanes of each (seed word count, hash word count)
+    block are mixed in one ``_seed_state_words`` pass over entropy rows
+    built by broadcasting; PCG64's seeding (two LCG steps from state 0)
+    then runs on uint64 halves.
+    """
+    words = np.empty((4, len(seeds), len(hashes)), dtype=np.uint64)
+    for rows, seed_block in _length_groups([_u32_words(seed) for seed in seeds]):
+        for cols, hash_block in _length_groups([_u32_words(h) for h in hashes]):
+            entropy = np.hstack((seed_block.repeat(len(cols), axis=0), np.tile(hash_block, (len(rows), 1))))
+            words[:, rows[:, None], cols] = _seed_state_words(entropy).T.reshape(4, len(rows), len(cols))
+    seed_hi, seed_lo, word_hi, word_lo = words
+    inc = word_hi << 1 | word_lo >> 63, word_lo << 1 | 1
+    seeded = _add128(seed_hi, seed_lo, *inc)
+    state = _add128(*_mul128(_PCG64_MULT >> 64, _PCG64_MULT & _MASK64, *seeded), *inc)
+    return np.stack((*state, *inc))
+
+
+@lru_cache(maxsize=64)
+def _jumps(columns: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """``(A_j, C_j)`` for j = 1..columns, as ints and as a uint64 table.
+
+    PCG64's state after j steps from ``s`` is ``A_j * s + C_j * inc``
+    (mod 2**128), with ``A_j = M**j`` and ``C_j = M**(j-1) + ... + 1``.
+    The table's rows are A hi, A lo, C hi, C lo, each columns x 1.
+    """
+    a, c, pairs = 1, 0, []
+    for _ in range(columns):
+        a, c = a * _PCG64_MULT & _MASK128, (c * _PCG64_MULT + 1) & _MASK128
+        pairs.append((a, c))
+    halves = [(a >> 64, a & _MASK64, c >> 64, c & _MASK64) for a, c in pairs]
+    table = np.ascontiguousarray(np.array(halves, dtype=np.uint64).T)[..., None]
+    table.flags.writeable = False  # shared by every caller through the cache
+    return tuple(pairs), table
+
+
+def _doubles(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """numpy's doubles from PCG64 states given as uint64 hi and lo words.
+
+    XSL-RR output ``rotr64(hi ^ lo, hi >> 58)``, then ``(out >> 11) *
+    2**-53``.
+    """
+    spin = hi >> 58
+    mixed = hi ^ lo
+    return ((mixed >> spin | mixed << (-spin & 63)) >> 11) * 2.0**-53
+
+
+def _pcg64_random(states: np.ndarray, size: int) -> np.ndarray:
+    """The next ``size`` doubles of each lane's PCG64 stream.
+
+    ``states`` is ``_pcg64_states``' rows with one column per lane; the
+    result is lanes x size, and each lane's state moves past the draws.
+    Every column is jumped to straight from the lane's state (``_jumps``),
+    never stepped from the column before, in uint64 arithmetic over the
+    lanes of a chunk of about ``_CHUNK`` draws, which bounds the
+    temporaries.  A lone lane, which every per-call ``generate`` draws, is
+    jumped on Python ints instead.
+    """
+    pairs, table = _jumps(size)
+    lanes = states.shape[1]
+    if lanes == 1:
+        # Per-call generate, one lane, ran about 5% over its cost before
+        # the array draws through the ~30 numpy calls below, and 1.4% over
+        # with these ints.
+        state_hi, state_lo, inc_hi, inc_lo = states[:, 0].tolist()
+        state, inc = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
+        jumped = [(a * state + c * inc) & _MASK128 for a, c in pairs]
+        states[0, 0], states[1, 0] = jumped[-1] >> 64, jumped[-1] & _MASK64
+        hi = np.array([value >> 64 for value in jumped], dtype=np.uint64)
+        return _doubles(hi, np.array([value & _MASK64 for value in jumped], dtype=np.uint64))[None]
+    a_hi, a_lo, c_hi, c_lo = table
+    out = np.empty((size, lanes))
+    rows = max(1, _CHUNK // size)
+    for begin in range(0, lanes, rows):
+        chunk = slice(begin, begin + rows)
+        state_hi, state_lo, inc_hi, inc_lo = states[:, chunk]
+        hi, lo = _add128(*_mul128(a_hi, a_lo, state_hi, state_lo), *_mul128(c_hi, c_lo, inc_hi, inc_lo))
+        states[0, chunk], states[1, chunk] = hi[-1], lo[-1]
+        out[:, chunk] = _doubles(hi, lo)
+    return out.T
 
 
 # Bits per word of a packed context up to order 3; higher orders get
@@ -484,8 +582,10 @@ class MarkovToyClient(Client):
     ``generate`` is one lane seeded by ``default_rng``; ``generate_many``
     seeds all lanes in one vectorized SeedSequence pass (``_pcg64_states``)
     and walks the clients of each index together, so both give the same
-    bytes.  A subclass that overrides ``generate`` or ``train`` is answered
-    or trained through it instead.
+    bytes.  Either way each lane's PCG64 state is held as uint64 halves and
+    its draws are jumped to, not stepped (``_pcg64_random``).  A
+    subclass that overrides ``generate`` or ``train`` is answered or
+    trained through it instead.
     """
 
     def __init__(self, order: int = 1, seed: int = 0, index: PairIndex | None = None):
@@ -626,14 +726,15 @@ class MarkovToyClient(Client):
     def _lockstep(
         clients: Sequence[MarkovToyClient],
         texts: Sequence[str],
-        states: Sequence[Sequence[tuple[int, int]]],
+        states: np.ndarray,
         max_tokens: int,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Every (client, prompt) lane of a call, walked at once.
 
         The clients share one index; lane ``c * len(texts) + p`` answers
-        prompt ``p`` for client ``c`` and draws from PCG64 state
-        ``states[c][p]`` (state, inc).  Returns, per step, the lanes still
+        prompt ``p`` for client ``c`` and draws from the PCG64 state in
+        column ``c * len(texts) + p`` of ``states`` (``_pcg64_states``'
+        rows), which the draws overwrite.  Returns, per step, the lanes still
         live and the word id each took; a lane that stops never resumes.
 
         The clients' views are laid end to end.  Each step finds every live
@@ -648,8 +749,10 @@ class MarkovToyClient(Client):
         this step.  The multi-candidate lanes' running totals are compared
         in one flat array (``np.repeat``) and counted per lane
         (``np.add.reduceat``).  Draws come in batches that double with the
-        output, so memory stays O(output) however large ``max_tokens`` is;
-        a lane live past a batch draws the next from its saved state.
+        output, so memory stays O(output) however large ``max_tokens`` is.
+        ``_pcg64_random`` draws a batch for every live lane at once; past a
+        batch, the live lanes' states are gathered and each resumes from
+        the batch's last column.
         """
         index = clients[0].index
         # the batches that the clients' views are in, each with the number
@@ -683,33 +786,15 @@ class MarkovToyClient(Client):
         lane = np.arange(len(clients) * len(texts))
         key = np.tile(np.array([index.key(text.split()) for text in texts], dtype=np.int64), len(clients))
         base = np.repeat(np.arange(len(clients), dtype=np.int64) * width + 1, len(texts))
-        saved = [state for row in states for state in row]
-        rng = np.random.Generator(np.random.PCG64(0))
-        bit_generator = rng.bit_generator
-
-        def draw(lane: np.ndarray, drawn: int) -> np.ndarray:
-            size = min(max(drawn, 32), max_tokens - drawn)
-            uniforms = np.empty((len(lane), size))
-            for row, i in enumerate(lane.tolist()):
-                state, inc = saved[i]
-                bit_generator.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-                rng.random(out=uniforms[row])
-                if drawn + size < max_tokens:
-                    now = bit_generator.state["state"]
-                    saved[i] = now["state"], now["inc"]
-            return uniforms
-
-        # uniforms[row[i], step - drawn] is live lane i's draw for this step
-        uniforms, row, drawn = draw(lane, 0), lane, 0
+        # uniforms[row[i], step - drawn] is live lane i's draw for this step,
+        # and column row[i] of states its PCG64 state
+        uniforms, row, drawn = _pcg64_random(states, min(32, max_tokens)), lane, 0
         steps = []
         for step in range(max_tokens):
             if step == drawn + uniforms.shape[1]:
-                uniforms, row, drawn = draw(lane, step), np.arange(len(lane)), step
+                states = states[:, row]
+                uniforms = _pcg64_random(states, min(step, max_tokens - step))
+                row, drawn = np.arange(len(lane)), step
             segment = segment_of[base + index.find(key, index.order)]
             todo = (segment < 0).nonzero()[0]
             for length in range(index.order - 1, 0, -1):
@@ -760,9 +845,10 @@ class MarkovToyClient(Client):
     def generate(self, prompt_id: str, prompt_text: str, round_index: int, max_tokens: int) -> str:
         if max_tokens < 1:
             return ""
-        # default_rng took 28 us here against 233 us for a one-lane _pcg64_states.
+        # default_rng took 18 us here against 220 us for a one-lane _pcg64_states.
         state = np.random.default_rng([self.seed, _text_u64(prompt_text)]).bit_generator.state["state"]
-        steps = self._lockstep([self], [prompt_text], [[(state["state"], state["inc"])]], max_tokens)
+        halves = [half for part in (state["state"], state["inc"]) for half in (part >> 64, part & _MASK64)]
+        steps = self._lockstep([self], [prompt_text], np.array(halves, dtype=np.uint64)[:, None], max_tokens)
         return self._spell(self.index, steps, 1)[0]
 
     @classmethod
@@ -777,7 +863,7 @@ class MarkovToyClient(Client):
             return super().generate_many(clients, prompts, round_index, max_tokens)
         if max_tokens < 1 or not prompts:
             return [[""] * len(prompts) for _ in clients]
-        # Batched seeding costs ~2 us per lane against ~21 us for a SeedSequence each.
+        # Batched seeding costs ~0.2 us per lane against ~21 us for a SeedSequence each.
         states = _pcg64_states([c.seed for c in clients], [_text_u64(text) for _, text in prompts])
         texts = [text for _, text in prompts]
         by_index: dict[int, list[int]] = {}
@@ -789,7 +875,7 @@ class MarkovToyClient(Client):
             stale = [client for client in group if client._cached_view is None]
             if stale:
                 cls._build_views(stale)
-            steps = cls._lockstep(group, texts, [states[i] for i in positions], max_tokens)
+            steps = cls._lockstep(group, texts, states[:, positions].reshape(4, -1), max_tokens)
             spelled = cls._spell(group[0].index, steps, len(group) * len(texts))
             for slot, position in enumerate(positions):
                 responses[position] = spelled[slot * len(texts) : (slot + 1) * len(texts)]

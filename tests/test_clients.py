@@ -211,7 +211,8 @@ def test_markov_matches_reference_client(order, seed, rounds, prompts, max_token
 
 
 def test_markov_huge_token_budget_stops_with_the_chain():
-    # the draws come in batches sized by the output, never by the budget
+    # the draws and their jump-ahead constants come in batches sized by the
+    # output, never by the budget
     client = MarkovToyClient(order=2, seed=0)
     reference = ReferenceMarkovClient(order=2, seed=0)
     examples = [("", "a b c d"), ("", "a b d"), ("", "b c e")]
@@ -242,12 +243,89 @@ HASHES = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
 )
 def test_batched_seeding_matches_default_rng(seeds, hashes):
     states = clients_module._pcg64_states(seeds, hashes)
-    assert len(states) == len(seeds)
-    for seed, lanes in zip(seeds, states):
-        assert len(lanes) == len(hashes)
-        for text_hash, (state, inc) in zip(hashes, lanes):
+    assert states.shape == (4, len(seeds), len(hashes))
+    for i, seed in enumerate(seeds):
+        for j, text_hash in enumerate(hashes):
+            state_hi, state_lo, inc_hi, inc_lo = states[:, i, j].tolist()
             want = np.random.default_rng([seed, text_hash]).bit_generator.state["state"]
-            assert {"state": state, "inc": inc} == want
+            assert {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo} == want
+
+
+def walk_draws(states, n):
+    """n doubles per lane, drawn in the walk's batches: 32, 32, 64, ..."""
+    parts, drawn = [], 0
+    while drawn < n:
+        size = min(max(drawn, 32), n - drawn)
+        parts.append(clients_module._pcg64_random(states, size))
+        drawn += size
+    return np.hstack(parts)
+
+
+@given(
+    seeds=st.lists(SEEDS, min_size=1, max_size=3),
+    hashes=st.lists(HASHES, min_size=1, max_size=3),
+    n=st.sampled_from([1, 32, 33, 64, 200]),
+)
+# a lone lane is jumped on Python ints, several lanes on uint64 arrays
+@example(seeds=[2**64 - 1], hashes=[2**32], n=200)
+@example(seeds=[0, 2**64 - 1], hashes=[1, 2**32], n=200)
+def test_array_draws_match_default_rng(seeds, hashes, n):
+    """Seeded by ``_pcg64_states`` and drawn by jump-ahead, batch after
+    batch, each lane reads the doubles of ``default_rng([seed, hash])``."""
+    states = clients_module._pcg64_states(seeds, hashes).reshape(4, -1)
+    draws = walk_draws(states, n)
+    lanes = [(seed, text_hash) for seed in seeds for text_hash in hashes]
+    for column, (row, lane) in enumerate(zip(draws, lanes)):
+        rng = np.random.default_rng(list(lane))
+        assert row.tobytes() == rng.random(n).tobytes()
+        state_hi, state_lo, inc_hi, inc_lo = states[:, column].tolist()
+        # the lane's state has moved past its n draws
+        assert rng.bit_generator.state["state"] == {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
+
+
+def test_array_draws_in_several_chunks_match_default_rng(monkeypatch):
+    # one lane per chunk, where the walk's rounds chunk thousands of lanes
+    monkeypatch.setattr(clients_module, "_CHUNK", 32)
+    seeds, hashes = [0, 7, 2**40], [1, 2**63]
+    states = clients_module._pcg64_states(seeds, hashes).reshape(4, -1)
+    draws = walk_draws(states, 200)
+    expected = [np.random.default_rng([seed, text_hash]).random(200) for seed in seeds for text_hash in hashes]
+    assert draws.tobytes() == np.array(expected).tobytes()
+
+
+_MULT = clients_module._PCG64_MULT
+_LOW = (1 << 64) - 1
+_INC = 0x9E3779B97F4A7C15_F39CC0605CEDC835
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize(
+    "after, rotation, carry",
+    [
+        (0x0123456789ABCDEF_FEDCBA9876543210, 0, False),
+        (0xFC23456789ABCDEF_FEDCBA9876543210, 63, False),
+        # M * state ends in 64 one bits, so adding inc's low word carries
+        (_LOW + _INC, 39, True),
+    ],
+)
+def test_array_draws_match_numpy_on_edge_states(after, rotation, carry, lanes):
+    """The first draw reads the state ``after`` one step, whose output
+    rotates by ``rotation`` bits and whose step carries from the low word
+    to the high one if ``carry``; every lane holds that state."""
+    after &= (1 << 128) - 1
+    state = (after - _INC) * pow(_MULT, -1, 1 << 128) & (1 << 128) - 1
+    assert after >> 122 == rotation
+    assert ((state * _MULT & _LOW) + (_INC & _LOW) > _LOW) == carry
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": _INC}, "has_uint32": 0, "uinteger": 0
+    }
+    halves = [state >> 64, state & _LOW, _INC >> 64, _INC & _LOW]
+    states = np.array(halves, dtype=np.uint64)[:, None].repeat(lanes, axis=1)
+    # both streams carry on from one n to the next
+    for n in (1, 33, 200):
+        expected = np.random.Generator(bit_generator).random(n)
+        assert walk_draws(states, n).tobytes() == np.tile(expected, (lanes, 1)).tobytes()
 
 
 CYCLE = [("", "a b c a b c a")]  # a -> b -> c -> a: the chain never stops
@@ -270,9 +348,11 @@ EDGE_PROMPTS = ["", "a", "z a", "b a", "z b a", "b b a"]
     prompts=st.lists(PROMPTS, max_size=4),
     max_tokens=st.sampled_from([0, 1, 31, 32, 33, 100]),
 )
-# a long chain, an untrained client, and a budget past the first batch
+# a long chain, an untrained client, and a budget past the first batch, so
+# live lanes resume from the first batch's last column
 @example(order=2, seeds=[0, 2**64 - 1], corpora=[CYCLE, []], prompts=["a", "z", ""], max_tokens=100)
-# key edge cases at every order, walked past the first 32-draw batch
+# key edge cases at every order, walked past the first 32-draw batch into a
+# resumed one
 @example(order=1, seeds=[0, 7], corpora=[BRANCHING, CYCLE], prompts=EDGE_PROMPTS, max_tokens=100)
 @example(order=2, seeds=[0, 7], corpora=[BRANCHING, CYCLE], prompts=EDGE_PROMPTS, max_tokens=100)
 @example(order=3, seeds=[0, 7], corpora=[BRANCHING, CYCLE], prompts=EDGE_PROMPTS, max_tokens=100)
@@ -292,6 +372,31 @@ def test_generate_many_matches_per_call_and_reference(order, seeds, corpora, pro
     per_call = [[c.generate(pid, text, 1, max_tokens) for pid, text in queries] for c in clients]
     oracle = [[r.generate(text, max_tokens) for _, text in queries] for r in references]
     assert batched == per_call == oracle
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_generate_many_resumes_every_lane_across_draw_batches(order):
+    """300 tokens are drawn in batches of 32, 32, 64, 128 and 44, so every
+    lane of these never-ending chains resumes four times from the last
+    column of its batch."""
+    seeds = [0, 7, 2**64 - 1]
+    clients, references = [], []
+    for slot, seed in enumerate(seeds):
+        examples = (CYCLE, BRANCHING)[slot % 2]
+        client = MarkovToyClient(order=order, seed=seed)
+        reference = ReferenceMarkovClient(order=order, seed=seed)
+        client.train(private(slot, *examples), [], EVEN)
+        reference.train(examples, [], EVEN.alpha, EVEN.beta)
+        clients.append(client)
+        references.append(reference)
+    queries = [(f"p{i}", text) for i, text in enumerate(EDGE_PROMPTS)]
+
+    batched = MarkovToyClient.generate_many(clients, queries, 1, 300)
+    per_call = [[c.generate(pid, text, 1, 300) for pid, text in queries] for c in clients]
+    oracle = [[r.generate(text, 300) for _, text in queries] for r in references]
+    assert batched == per_call == oracle
+    # the empty prompt has no context; every other one walks the full budget
+    assert [[len(text.split()) for text in texts] for texts in batched] == [[0] + [300] * 5] * len(seeds)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
