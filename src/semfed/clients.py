@@ -181,15 +181,18 @@ class ScriptedClient(Client):
 # 128-bit LCG multiplier.
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-# Draws per chunk of lanes in ``_pcg64_random``: each uint64 temporary is
-# 128 KiB.
-_CHUNK = 1 << 14
+# Draws per chunk of lanes in ``_pcg64_random``: each uint64 temporary,
+# which holds a chunk's two products, is 128 KiB.
+_CHUNK = 1 << 13
+# Batches up to this size keep their jump-ahead constants: every batch of
+# a walk of at most 64 tokens and the first three of any walk (32, 32,
+# 64).  Larger ones, whose size follows the output, build theirs per call.
+_CACHED_JUMPS = 64
 
 
 def _u32_words(value: int) -> tuple[int, ...]:
@@ -245,18 +248,26 @@ def _seed_state_words(entropy: np.ndarray) -> np.ndarray:
     return state.view("<u8")
 
 
-def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+def _parts(value: int) -> tuple[int, int, int, int]:
+    """A 128-bit int as ``_mul128`` takes its constant factor: the high
+    word, the low word and the low word's low and high 32-bit limbs."""
+    low = value & _MASK64
+    return value >> 64, low, low & _MASK32, low >> 32
+
+
+def _mul128(a, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
     """``a * b mod 2**128`` on uint64 (hi, lo) halves, broadcast.
 
-    The high word of ``a_lo * b_lo`` is summed from 32-bit limbs.  At
-    least one operand of each product is an array, so products wrap
-    without numpy's scalar overflow warning.
+    ``a`` is the constant factor as ``_parts`` splits it.  The high word
+    of ``a_lo * b_lo`` is summed from 32-bit limbs, no partial sum reaching
+    2**64.  ``b`` is an array, so products wrap without numpy's scalar
+    overflow warning.
     """
-    a0, a1 = a_lo & _MASK32, a_lo >> 32
+    a_hi, a_lo, a0, a1 = a
     b0, b1 = b_lo & _MASK32, b_lo >> 32
-    cross_a, cross_b = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (cross_a & _MASK32) + (cross_b & _MASK32)
-    hi = a1 * b1 + (cross_a >> 32) + (cross_b >> 32) + (mid >> 32) + a_hi * b_lo + a_lo * b_hi
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    cross = a0 * b1 + (mid & _MASK32)
+    hi = a1 * b1 + (mid >> 32) + (cross >> 32) + a_hi * b_lo + a_lo * b_hi
     return hi, a_lo * b_lo
 
 
@@ -291,37 +302,50 @@ def _pcg64_states(seeds: Sequence[int], hashes: Sequence[int]) -> np.ndarray:
     seed_hi, seed_lo, word_hi, word_lo = words
     inc = word_hi << 1 | word_lo >> 63, word_lo << 1 | 1
     seeded = _add128(seed_hi, seed_lo, *inc)
-    state = _add128(*_mul128(_PCG64_MULT >> 64, _PCG64_MULT & _MASK64, *seeded), *inc)
+    state = _add128(*_mul128(_parts(_PCG64_MULT), *seeded), *inc)
     return np.stack((*state, *inc))
 
 
-@lru_cache(maxsize=64)
-def _jumps(columns: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
-    """``(A_j, C_j)`` for j = 1..columns, as ints and as a uint64 table.
+def _jumps(columns: int) -> tuple[np.ndarray, ...]:
+    """``A_j`` and ``C_j`` for j = 1..columns, split by ``_parts``.
 
     PCG64's state after j steps from ``s`` is ``A_j * s + C_j * inc``
     (mod 2**128), with ``A_j = M**j`` and ``C_j = M**(j-1) + ... + 1``.
-    The table's rows are A hi, A lo, C hi, C lo, each columns x 1.
+    Each of the four parts is 2 (A, C) x columns x 1.  The table doubles
+    from ``A_1 = M``, ``C_1 = 1``: ``A_(k+i) = A_k * A_i`` and ``C_(k+i) =
+    A_k * C_i + C_k``.
     """
-    a, c, pairs = 1, 0, []
-    for _ in range(columns):
-        a, c = a * _PCG64_MULT & _MASK128, (c * _PCG64_MULT + 1) & _MASK128
-        pairs.append((a, c))
-    halves = [(a >> 64, a & _MASK64, c >> 64, c & _MASK64) for a, c in pairs]
-    table = np.ascontiguousarray(np.array(halves, dtype=np.uint64).T)[..., None]
-    table.flags.writeable = False  # shared by every caller through the cache
-    return tuple(pairs), table
+    hi, lo = np.zeros((2, 2, columns), dtype=np.uint64)
+    hi[0, 0], lo[0, 0], lo[1, 0] = _PCG64_MULT >> 64, _PCG64_MULT & _MASK64, 1
+    done = 1
+    while done < columns:
+        more = min(done, columns - done)
+        a, c = (int(hi[row, done - 1]) << 64 | int(lo[row, done - 1]) for row in (0, 1))
+        top, low = _mul128(_parts(a), hi[:, :more], lo[:, :more])
+        top[1], low[1] = _add128(top[1], low[1], c >> 64, c & _MASK64)
+        hi[:, done : done + more], lo[:, done : done + more] = top, low
+        done += more
+    return tuple(part[..., None] for part in (hi, lo, lo & _MASK32, lo >> 32))
 
 
-def _doubles(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """numpy's doubles from PCG64 states given as uint64 hi and lo words.
+@lru_cache(maxsize=_CACHED_JUMPS)
+def _cached_jumps(columns: int) -> tuple[np.ndarray, ...]:
+    parts = _jumps(columns)
+    for part in parts:
+        part.flags.writeable = False  # shared by every caller through the cache
+    return parts
 
-    XSL-RR output ``rotr64(hi ^ lo, hi >> 58)``, then ``(out >> 11) *
+
+def _doubles(hi: np.ndarray, lo: np.ndarray, out: np.ndarray) -> None:
+    """numpy's doubles from PCG64 states given as uint64 hi and lo words,
+    written to ``out``.
+
+    XSL-RR output ``x = rotr64(hi ^ lo, hi >> 58)``, then ``(x >> 11) *
     2**-53``.
     """
     spin = hi >> 58
     mixed = hi ^ lo
-    return ((mixed >> spin | mixed << (-spin & 63)) >> 11) * 2.0**-53
+    np.multiply((mixed >> spin | mixed << (-spin & 63)) >> 11, 2.0**-53, out=out)
 
 
 def _pcg64_random(states: np.ndarray, size: int) -> np.ndarray:
@@ -330,32 +354,21 @@ def _pcg64_random(states: np.ndarray, size: int) -> np.ndarray:
     ``states`` is ``_pcg64_states``' rows with one column per lane; the
     result is lanes x size, and each lane's state moves past the draws.
     Every column is jumped to straight from the lane's state (``_jumps``),
-    never stepped from the column before, in uint64 arithmetic over the
-    lanes of a chunk of about ``_CHUNK`` draws, which bounds the
-    temporaries.  A lone lane, which every per-call ``generate`` draws, is
-    jumped on Python ints instead.
+    never stepped from the column before: one ``_mul128`` pass gives both
+    ``A_j * s`` and ``C_j * inc`` over the lanes of a chunk of about
+    ``_CHUNK`` draws, which bounds the temporaries.
     """
-    pairs, table = _jumps(size)
+    table = _cached_jumps(size) if size <= _CACHED_JUMPS else _jumps(size)
     lanes = states.shape[1]
-    if lanes == 1:
-        # Per-call generate, one lane, ran about 5% over its cost before
-        # the array draws through the ~30 numpy calls below, and 1.4% over
-        # with these ints.
-        state_hi, state_lo, inc_hi, inc_lo = states[:, 0].tolist()
-        state, inc = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
-        jumped = [(a * state + c * inc) & _MASK128 for a, c in pairs]
-        states[0, 0], states[1, 0] = jumped[-1] >> 64, jumped[-1] & _MASK64
-        hi = np.array([value >> 64 for value in jumped], dtype=np.uint64)
-        return _doubles(hi, np.array([value & _MASK64 for value in jumped], dtype=np.uint64))[None]
-    a_hi, a_lo, c_hi, c_lo = table
     out = np.empty((size, lanes))
     rows = max(1, _CHUNK // size)
     for begin in range(0, lanes, rows):
         chunk = slice(begin, begin + rows)
-        state_hi, state_lo, inc_hi, inc_lo = states[:, chunk]
-        hi, lo = _add128(*_mul128(a_hi, a_lo, state_hi, state_lo), *_mul128(c_hi, c_lo, inc_hi, inc_lo))
+        # rows 0 and 2 (state hi, inc hi), then 1 and 3, each 2 x 1 x lanes
+        hi, lo = _mul128(table, states[0::2, None, chunk], states[1::2, None, chunk])
+        hi, lo = _add128(hi[0], lo[0], hi[1], lo[1])
         states[0, chunk], states[1, chunk] = hi[-1], lo[-1]
-        out[:, chunk] = _doubles(hi, lo)
+        _doubles(hi, lo, out[:, chunk])
     return out.T
 
 
@@ -845,7 +858,7 @@ class MarkovToyClient(Client):
     def generate(self, prompt_id: str, prompt_text: str, round_index: int, max_tokens: int) -> str:
         if max_tokens < 1:
             return ""
-        # default_rng took 18 us here against 220 us for a one-lane _pcg64_states.
+        # default_rng took 28 us here against 343 us for a one-lane _pcg64_states.
         state = np.random.default_rng([self.seed, _text_u64(prompt_text)]).bit_generator.state["state"]
         halves = [half for part in (state["state"], state["inc"]) for half in (part >> 64, part & _MASK64)]
         steps = self._lockstep([self], [prompt_text], np.array(halves, dtype=np.uint64)[:, None], max_tokens)

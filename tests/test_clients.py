@@ -266,7 +266,7 @@ def walk_draws(states, n):
     hashes=st.lists(HASHES, min_size=1, max_size=3),
     n=st.sampled_from([1, 32, 33, 64, 200]),
 )
-# a lone lane is jumped on Python ints, several lanes on uint64 arrays
+# one lane and four, each past four batches
 @example(seeds=[2**64 - 1], hashes=[2**32], n=200)
 @example(seeds=[0, 2**64 - 1], hashes=[1, 2**32], n=200)
 def test_array_draws_match_default_rng(seeds, hashes, n):
@@ -397,6 +397,18 @@ def test_generate_many_resumes_every_lane_across_draw_batches(order):
     assert batched == per_call == oracle
     # the empty prompt has no context; every other one walks the full budget
     assert [[len(text.split()) for text in texts] for texts in batched] == [[0] + [300] * 5] * len(seeds)
+
+
+def test_long_walk_keeps_only_short_jump_tables():
+    """A walk's batches grow with its output; only those of at most
+    ``_CACHED_JUMPS`` draws keep their jump-ahead constants after the call."""
+    assert clients_module._CACHED_JUMPS == 64
+    client = MarkovToyClient(order=1, seed=0)
+    client.train(private(0, *CYCLE), [], EVEN)
+    clients_module._cached_jumps.cache_clear()
+    # batches of 32, 32, 64, 128, 256, 512, 1024 and 952
+    assert len(client.generate("p", "a", 1, 3000).split()) == 3000
+    assert clients_module._cached_jumps.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
