@@ -18,8 +18,9 @@ and interns each (context, next word) pair once; the clients of one
 session and one order share an index, and a client built alone gets its
 own, so no state outlives the clients that hold it.  Generation walks
 all (client, prompt) lanes of a call in lockstep over those keys; each
-lane's PCG64 stream is seeded and drawn by jump-ahead arithmetic on
-uint64 arrays, bit for bit the stream numpy's ``default_rng`` gives.
+lane's PCG64 stream is seeded, and stepped once per walk step, by
+128-bit LCG arithmetic on uint64 arrays, bit for bit the stream numpy's
+``default_rng`` gives.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -178,7 +178,8 @@ class ScriptedClient(Client):
 
 
 # numpy's SeedSequence constants (pool of four 32-bit words) and PCG64's
-# 128-bit LCG multiplier.
+# 128-bit LCG multiplier M, as ``_step`` reads it: the high word, the low
+# word and the low word's low and high 32-bit limbs.
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _POOL_SIZE = 4
@@ -186,13 +187,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-# Draws per chunk of lanes in ``_pcg64_random``: each uint64 temporary,
-# which holds a chunk's two products, is 128 KiB.
-_CHUNK = 1 << 13
-# Batches up to this size keep their jump-ahead constants: every batch of
-# a walk of at most 64 tokens and the first three of any walk (32, 32,
-# 64).  Larger ones, whose size follows the output, build theirs per call.
-_CACHED_JUMPS = 64
+_M_HI, _M_LO = _PCG64_MULT >> 64, _PCG64_MULT & _MASK64
+_M0, _M1 = _M_LO & _MASK32, _M_LO >> 32
 
 
 def _u32_words(value: int) -> tuple[int, ...]:
@@ -248,27 +244,18 @@ def _seed_state_words(entropy: np.ndarray) -> np.ndarray:
     return state.view("<u8")
 
 
-def _parts(value: int) -> tuple[int, int, int, int]:
-    """A 128-bit int as ``_mul128`` takes its constant factor: the high
-    word, the low word and the low word's low and high 32-bit limbs."""
-    low = value & _MASK64
-    return value >> 64, low, low & _MASK32, low >> 32
+def _step(s_hi, s_lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """One PCG64 LCG step, ``M * s + inc mod 2**128``, on uint64 (hi, lo) halves.
 
-
-def _mul128(a, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    """``a * b mod 2**128`` on uint64 (hi, lo) halves, broadcast.
-
-    ``a`` is the constant factor as ``_parts`` splits it.  The high word
-    of ``a_lo * b_lo`` is summed from 32-bit limbs, no partial sum reaching
-    2**64.  ``b`` is an array, so products wrap without numpy's scalar
-    overflow warning.
+    The high word of ``M_lo * s_lo`` is summed from 32-bit limbs, no
+    partial sum reaching 2**64.  ``s`` is an array, so products wrap
+    without numpy's scalar overflow warning.
     """
-    a_hi, a_lo, a0, a1 = a
-    b0, b1 = b_lo & _MASK32, b_lo >> 32
-    mid = a1 * b0 + (a0 * b0 >> 32)
-    cross = a0 * b1 + (mid & _MASK32)
-    hi = a1 * b1 + (mid >> 32) + (cross >> 32) + a_hi * b_lo + a_lo * b_hi
-    return hi, a_lo * b_lo
+    b0, b1 = s_lo & _MASK32, s_lo >> 32
+    mid = _M1 * b0 + (_M0 * b0 >> 32)
+    cross = _M0 * b1 + (mid & _MASK32)
+    hi = _M1 * b1 + (mid >> 32) + (cross >> 32) + _M_HI * s_lo + _M_LO * s_hi
+    return _add128(hi, _M_LO * s_lo, inc_hi, inc_lo)
 
 
 def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +279,7 @@ def _pcg64_states(seeds: Sequence[int], hashes: Sequence[int]) -> np.ndarray:
     seeds x hashes.  The lanes of each (seed word count, hash word count)
     block are mixed in one ``_seed_state_words`` pass over entropy rows
     built by broadcasting; PCG64's seeding (two LCG steps from state 0)
-    then runs on uint64 halves.
+    then runs on uint64 halves, its second step by ``_step``.
     """
     words = np.empty((4, len(seeds), len(hashes)), dtype=np.uint64)
     for rows, seed_block in _length_groups([_u32_words(seed) for seed in seeds]):
@@ -301,75 +288,23 @@ def _pcg64_states(seeds: Sequence[int], hashes: Sequence[int]) -> np.ndarray:
             words[:, rows[:, None], cols] = _seed_state_words(entropy).T.reshape(4, len(rows), len(cols))
     seed_hi, seed_lo, word_hi, word_lo = words
     inc = word_hi << 1 | word_lo >> 63, word_lo << 1 | 1
-    seeded = _add128(seed_hi, seed_lo, *inc)
-    state = _add128(*_mul128(_parts(_PCG64_MULT), *seeded), *inc)
+    state = _step(*_add128(seed_hi, seed_lo, *inc), *inc)
     return np.stack((*state, *inc))
 
 
-def _jumps(columns: int) -> tuple[np.ndarray, ...]:
-    """``A_j`` and ``C_j`` for j = 1..columns, split by ``_parts``.
+def _pcg64_next(states: np.ndarray) -> np.ndarray:
+    """Each lane's next double of its PCG64 stream, as numpy draws it.
 
-    PCG64's state after j steps from ``s`` is ``A_j * s + C_j * inc``
-    (mod 2**128), with ``A_j = M**j`` and ``C_j = M**(j-1) + ... + 1``.
-    Each of the four parts is 2 (A, C) x columns x 1.  The table doubles
-    from ``A_1 = M``, ``C_1 = 1``: ``A_(k+i) = A_k * A_i`` and ``C_(k+i) =
-    A_k * C_i + C_k``.
-    """
-    hi, lo = np.zeros((2, 2, columns), dtype=np.uint64)
-    hi[0, 0], lo[0, 0], lo[1, 0] = _PCG64_MULT >> 64, _PCG64_MULT & _MASK64, 1
-    done = 1
-    while done < columns:
-        more = min(done, columns - done)
-        a, c = (int(hi[row, done - 1]) << 64 | int(lo[row, done - 1]) for row in (0, 1))
-        top, low = _mul128(_parts(a), hi[:, :more], lo[:, :more])
-        top[1], low[1] = _add128(top[1], low[1], c >> 64, c & _MASK64)
-        hi[:, done : done + more], lo[:, done : done + more] = top, low
-        done += more
-    return tuple(part[..., None] for part in (hi, lo, lo & _MASK32, lo >> 32))
-
-
-@lru_cache(maxsize=_CACHED_JUMPS)
-def _cached_jumps(columns: int) -> tuple[np.ndarray, ...]:
-    parts = _jumps(columns)
-    for part in parts:
-        part.flags.writeable = False  # shared by every caller through the cache
-    return parts
-
-
-def _doubles(hi: np.ndarray, lo: np.ndarray, out: np.ndarray) -> None:
-    """numpy's doubles from PCG64 states given as uint64 hi and lo words,
-    written to ``out``.
-
-    XSL-RR output ``x = rotr64(hi ^ lo, hi >> 58)``, then ``(x >> 11) *
+    ``states`` is ``_pcg64_states``' rows with one column per lane; every
+    column steps once, in place.  numpy outputs XSL-RR of the new state,
+    ``x = rotr64(hi ^ lo, hi >> 58)``, and its double is ``(x >> 11) *
     2**-53``.
     """
+    hi, lo = _step(*states)
+    states[0], states[1] = hi, lo
     spin = hi >> 58
     mixed = hi ^ lo
-    np.multiply((mixed >> spin | mixed << (-spin & 63)) >> 11, 2.0**-53, out=out)
-
-
-def _pcg64_random(states: np.ndarray, size: int) -> np.ndarray:
-    """The next ``size`` doubles of each lane's PCG64 stream.
-
-    ``states`` is ``_pcg64_states``' rows with one column per lane; the
-    result is lanes x size, and each lane's state moves past the draws.
-    Every column is jumped to straight from the lane's state (``_jumps``),
-    never stepped from the column before: one ``_mul128`` pass gives both
-    ``A_j * s`` and ``C_j * inc`` over the lanes of a chunk of about
-    ``_CHUNK`` draws, which bounds the temporaries.
-    """
-    table = _cached_jumps(size) if size <= _CACHED_JUMPS else _jumps(size)
-    lanes = states.shape[1]
-    out = np.empty((size, lanes))
-    rows = max(1, _CHUNK // size)
-    for begin in range(0, lanes, rows):
-        chunk = slice(begin, begin + rows)
-        # rows 0 and 2 (state hi, inc hi), then 1 and 3, each 2 x 1 x lanes
-        hi, lo = _mul128(table, states[0::2, None, chunk], states[1::2, None, chunk])
-        hi, lo = _add128(hi[0], lo[0], hi[1], lo[1])
-        states[0, chunk], states[1, chunk] = hi[-1], lo[-1]
-        _doubles(hi, lo, out[:, chunk])
-    return out.T
+    return ((mixed >> spin | mixed << (-spin & 63)) >> 11) * 2.0**-53
 
 
 # Bits per word of a packed context up to order 3; higher orders get
@@ -595,10 +530,10 @@ class MarkovToyClient(Client):
     ``generate`` is one lane seeded by ``default_rng``; ``generate_many``
     seeds all lanes in one vectorized SeedSequence pass (``_pcg64_states``)
     and walks the clients of each index together, so both give the same
-    bytes.  Either way each lane's PCG64 state is held as uint64 halves and
-    its draws are jumped to, not stepped (``_pcg64_random``).  A
-    subclass that overrides ``generate`` or ``train`` is answered or
-    trained through it instead.
+    bytes.  Either way each lane's PCG64 state is held as uint64 halves
+    and steps once per walk step with the other live lanes'
+    (``_pcg64_next``).  A subclass that overrides ``generate`` or
+    ``train`` is answered or trained through it instead.
     """
 
     def __init__(self, order: int = 1, seed: int = 0, index: PairIndex | None = None):
@@ -747,7 +682,7 @@ class MarkovToyClient(Client):
         The clients share one index; lane ``c * len(texts) + p`` answers
         prompt ``p`` for client ``c`` and draws from the PCG64 state in
         column ``c * len(texts) + p`` of ``states`` (``_pcg64_states``'
-        rows), which the draws overwrite.  Returns, per step, the lanes still
+        rows), which the walk consumes.  Returns, per step, the lanes still
         live and the word id each took; a lane that stops never resumes.
 
         The clients' views are laid end to end.  Each step finds every live
@@ -761,11 +696,11 @@ class MarkovToyClient(Client):
         which is ``bisect_right``'s answer; ``u`` is the lane's draw for
         this step.  The multi-candidate lanes' running totals are compared
         in one flat array (``np.repeat``) and counted per lane
-        (``np.add.reduceat``).  Draws come in batches that double with the
-        output, so memory stays O(output) however large ``max_tokens`` is.
-        ``_pcg64_random`` draws a batch for every live lane at once; past a
-        batch, the live lanes' states are gathered and each resumes from
-        the batch's last column.
+        (``np.add.reduceat``).  Every live lane's state steps once per step
+        (``_pcg64_next``), whether or not the lane has a choice to make, so
+        step k reads the k-th double of its stream; a lane that stops drops
+        its state column with its other arrays, and the draws take O(live
+        lanes) memory however large ``max_tokens`` is.
         """
         index = clients[0].index
         # the batches that the clients' views are in, each with the number
@@ -799,15 +734,8 @@ class MarkovToyClient(Client):
         lane = np.arange(len(clients) * len(texts))
         key = np.tile(np.array([index.key(text.split()) for text in texts], dtype=np.int64), len(clients))
         base = np.repeat(np.arange(len(clients), dtype=np.int64) * width + 1, len(texts))
-        # uniforms[row[i], step - drawn] is live lane i's draw for this step,
-        # and column row[i] of states its PCG64 state
-        uniforms, row, drawn = _pcg64_random(states, min(32, max_tokens)), lane, 0
         steps = []
-        for step in range(max_tokens):
-            if step == drawn + uniforms.shape[1]:
-                states = states[:, row]
-                uniforms = _pcg64_random(states, min(step, max_tokens - step))
-                row, drawn = np.arange(len(lane)), step
+        for _ in range(max_tokens):
             segment = segment_of[base + index.find(key, index.order)]
             todo = (segment < 0).nonzero()[0]
             for length in range(index.order - 1, 0, -1):
@@ -822,9 +750,9 @@ class MarkovToyClient(Client):
                 keep = live.nonzero()[0]
                 if not len(keep):
                     break
-                lane, key, base, row, segment, total = (
-                    array[keep] for array in (lane, key, base, row, segment, total)
-                )
+                lane, key, base, segment, total = (array[keep] for array in (lane, key, base, segment, total))
+                states = states[:, keep]
+            uniform = _pcg64_next(states)
             pick = starts[segment]
             count = others[segment]
             multi = count.nonzero()[0]
@@ -834,7 +762,7 @@ class MarkovToyClient(Client):
                 offsets = counts.cumsum() - counts
                 owner = np.arange(len(multi)).repeat(counts)
                 at = (pick[multi] - offsets).repeat(counts) + np.arange(offsets[-1] + counts[-1])
-                threshold = uniforms[row[multi], step - drawn] * total[multi]
+                threshold = uniform[multi] * total[multi]
                 pick[multi] += np.add.reduceat(cuts[at] <= threshold[owner], offsets, dtype=np.int64)
             word = words[pick]
             steps.append((lane, word))
@@ -858,7 +786,7 @@ class MarkovToyClient(Client):
     def generate(self, prompt_id: str, prompt_text: str, round_index: int, max_tokens: int) -> str:
         if max_tokens < 1:
             return ""
-        # default_rng took 28 us here against 343 us for a one-lane _pcg64_states.
+        # default_rng took 28 us here against 362 us for a one-lane _pcg64_states.
         state = np.random.default_rng([self.seed, _text_u64(prompt_text)]).bit_generator.state["state"]
         halves = [half for part in (state["state"], state["inc"]) for half in (part >> 64, part & _MASK64)]
         steps = self._lockstep([self], [prompt_text], np.array(halves, dtype=np.uint64)[:, None], max_tokens)

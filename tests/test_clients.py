@@ -211,8 +211,7 @@ def test_markov_matches_reference_client(order, seed, rounds, prompts, max_token
 
 
 def test_markov_huge_token_budget_stops_with_the_chain():
-    # the draws and their jump-ahead constants come in batches sized by the
-    # output, never by the budget
+    # each step draws once per live lane, so nothing is sized by the budget
     client = MarkovToyClient(order=2, seed=0)
     reference = ReferenceMarkovClient(order=2, seed=0)
     examples = [("", "a b c d"), ("", "a b d"), ("", "b c e")]
@@ -252,13 +251,9 @@ def test_batched_seeding_matches_default_rng(seeds, hashes):
 
 
 def walk_draws(states, n):
-    """n doubles per lane, drawn in the walk's batches: 32, 32, 64, ..."""
-    parts, drawn = [], 0
-    while drawn < n:
-        size = min(max(drawn, 32), n - drawn)
-        parts.append(clients_module._pcg64_random(states, size))
-        drawn += size
-    return np.hstack(parts)
+    """n doubles per lane, lanes x n, drawn as the walk draws them: one
+    ``_pcg64_next`` step of every lane at a time."""
+    return np.array([clients_module._pcg64_next(states) for _ in range(n)]).T
 
 
 @given(
@@ -266,12 +261,12 @@ def walk_draws(states, n):
     hashes=st.lists(HASHES, min_size=1, max_size=3),
     n=st.sampled_from([1, 32, 33, 64, 200]),
 )
-# one lane and four, each past four batches
+# one lane and four, each 200 steps long
 @example(seeds=[2**64 - 1], hashes=[2**32], n=200)
 @example(seeds=[0, 2**64 - 1], hashes=[1, 2**32], n=200)
 def test_array_draws_match_default_rng(seeds, hashes, n):
-    """Seeded by ``_pcg64_states`` and drawn by jump-ahead, batch after
-    batch, each lane reads the doubles of ``default_rng([seed, hash])``."""
+    """Seeded by ``_pcg64_states`` and stepped draw by draw, each lane
+    reads the doubles of ``default_rng([seed, hash])``."""
     states = clients_module._pcg64_states(seeds, hashes).reshape(4, -1)
     draws = walk_draws(states, n)
     lanes = [(seed, text_hash) for seed in seeds for text_hash in hashes]
@@ -281,16 +276,6 @@ def test_array_draws_match_default_rng(seeds, hashes, n):
         state_hi, state_lo, inc_hi, inc_lo = states[:, column].tolist()
         # the lane's state has moved past its n draws
         assert rng.bit_generator.state["state"] == {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
-
-
-def test_array_draws_in_several_chunks_match_default_rng(monkeypatch):
-    # one lane per chunk, where the walk's rounds chunk thousands of lanes
-    monkeypatch.setattr(clients_module, "_CHUNK", 32)
-    seeds, hashes = [0, 7, 2**40], [1, 2**63]
-    states = clients_module._pcg64_states(seeds, hashes).reshape(4, -1)
-    draws = walk_draws(states, 200)
-    expected = [np.random.default_rng([seed, text_hash]).random(200) for seed in seeds for text_hash in hashes]
-    assert draws.tobytes() == np.array(expected).tobytes()
 
 
 _MULT = clients_module._PCG64_MULT
@@ -348,11 +333,9 @@ EDGE_PROMPTS = ["", "a", "z a", "b a", "z b a", "b b a"]
     prompts=st.lists(PROMPTS, max_size=4),
     max_tokens=st.sampled_from([0, 1, 31, 32, 33, 100]),
 )
-# a long chain, an untrained client, and a budget past the first batch, so
-# live lanes resume from the first batch's last column
+# a long chain, an untrained client, and a budget of 100 steps
 @example(order=2, seeds=[0, 2**64 - 1], corpora=[CYCLE, []], prompts=["a", "z", ""], max_tokens=100)
-# key edge cases at every order, walked past the first 32-draw batch into a
-# resumed one
+# key edge cases at every order, walked for 100 steps
 @example(order=1, seeds=[0, 7], corpora=[BRANCHING, CYCLE], prompts=EDGE_PROMPTS, max_tokens=100)
 @example(order=2, seeds=[0, 7], corpora=[BRANCHING, CYCLE], prompts=EDGE_PROMPTS, max_tokens=100)
 @example(order=3, seeds=[0, 7], corpora=[BRANCHING, CYCLE], prompts=EDGE_PROMPTS, max_tokens=100)
@@ -375,10 +358,9 @@ def test_generate_many_matches_per_call_and_reference(order, seeds, corpora, pro
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_generate_many_resumes_every_lane_across_draw_batches(order):
-    """300 tokens are drawn in batches of 32, 32, 64, 128 and 44, so every
-    lane of these never-ending chains resumes four times from the last
-    column of its batch."""
+def test_generate_many_walks_never_ending_chains_for_300_tokens(order):
+    """Every lane of these never-ending chains steps its PCG64 state 300
+    times in one walk."""
     seeds = [0, 7, 2**64 - 1]
     clients, references = [], []
     for slot, seed in enumerate(seeds):
@@ -399,16 +381,32 @@ def test_generate_many_resumes_every_lane_across_draw_batches(order):
     assert [[len(text.split()) for text in texts] for texts in batched] == [[0] + [300] * 5] * len(seeds)
 
 
-def test_long_walk_keeps_only_short_jump_tables():
-    """A walk's batches grow with its output; only those of at most
-    ``_CACHED_JUMPS`` draws keep their jump-ahead constants after the call."""
-    assert clients_module._CACHED_JUMPS == 64
-    client = MarkovToyClient(order=1, seed=0)
-    client.train(private(0, *CYCLE), [], EVEN)
-    clients_module._cached_jumps.cache_clear()
-    # batches of 32, 32, 64, 128, 256, 512, 1024 and 952
-    assert len(client.generate("p", "a", 1, 3000).split()) == 3000
-    assert clients_module._cached_jumps.cache_info().currsize == 2
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_generate_many_steps_the_live_lanes_as_others_stop(order):
+    """Lanes prompted "z", "y" and "x" stop after 1, 2 and 3 words, while
+    the "a" lanes branch, and so draw, at every step: the live lanes'
+    states must stay with their lanes as the others drop out.  The clients
+    share an index, so all their lanes walk together."""
+    examples = [*BRANCHING, ("", "x y z w")]
+    seeds = [0, 7, 2**64 - 1]
+    index = PairIndex(order)
+    clients, references = [], []
+    for slot, seed in enumerate(seeds):
+        client = MarkovToyClient(order=order, seed=seed, index=index)
+        reference = ReferenceMarkovClient(order=order, seed=seed)
+        client.train(private(slot, *examples), [], EVEN)
+        reference.train(examples, [], EVEN.alpha, EVEN.beta)
+        clients.append(client)
+        references.append(reference)
+    queries = [(f"p{i}", text) for i, text in enumerate(["a", "z", "y", "x"])]
+
+    batched = MarkovToyClient.generate_many(clients, queries, 1, 40)
+    per_call = [[c.generate(pid, text, 1, 40) for pid, text in queries] for c in clients]
+    oracle = [[r.generate(text, 40) for _, text in queries] for r in references]
+    assert batched == per_call == oracle
+    assert [[len(text.split()) for text in texts] for texts in batched] == [[40, 1, 2, 3]] * len(seeds)
+    # the seeds' branching walks differ, so each lane read its own stream
+    assert len({texts[0] for texts in batched}) == len(seeds)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -452,7 +450,7 @@ def test_generate_many_reads_the_state_after_each_training(order):
     prompts=st.lists(PROMPTS, min_size=1, max_size=4),
     max_tokens=st.sampled_from([1, 31, 33, 100]),
 )
-# every order in one call, each index's clients apart, walked past the first batch
+# every order in one call, each index's clients apart, walked for 100 steps
 @example(orders=[1, 2, 3, 2, 1], corpora=[BRANCHING, CYCLE], prompts=EDGE_PROMPTS, max_tokens=100)
 def test_generate_many_over_mixed_orders_and_indexes_matches_per_call_and_reference(
     orders, corpora, prompts, max_tokens
