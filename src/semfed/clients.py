@@ -522,11 +522,11 @@ class MarkovToyClient(Client):
     batch per index, then trains each client.  ``transitions`` rebuilds
     the context -> {word: weight} table from the arrays.
 
-    Generation reads a view of the present pairs, built on first use
-    after each ``train`` and kept until the next one (``_build_views``,
-    which builds the stale views of a ``generate_many`` call in one pass).
     One walk (``_lockstep``) serves both entry points: it steps every
-    (client, prompt) lane of a call at once over packed context keys.
+    (client, prompt) lane of a call at once over packed context keys,
+    reading views of the clients' present pairs that it builds from their
+    arrays each time it runs (``_views``), so nothing derived from the
+    model state outlives a call or needs invalidating after ``train``.
     ``generate`` is one lane seeded by ``default_rng``; ``generate_many``
     seeds all lanes in one vectorized SeedSequence pass (``_pcg64_states``)
     and walks the clients of each index together, so both give the same
@@ -550,7 +550,6 @@ class MarkovToyClient(Client):
         self.index = index
         self._weights = np.zeros(0, dtype=np.float64)
         self._present = np.zeros(0, dtype=bool)
-        self._cached_view: tuple[tuple[np.ndarray, ...], int, int] | None = None
 
     @property
     def transitions(self) -> dict[tuple[str, ...], dict[str, float]]:
@@ -586,7 +585,6 @@ class MarkovToyClient(Client):
         # is stored as 0.0.
         np.add.at(self._weights, ids, added)
         self._present[ids] = True
-        self._cached_view = None
 
     @classmethod
     def train_many(
@@ -605,33 +603,21 @@ class MarkovToyClient(Client):
                 index.intern(examples)
         super().train_many(clients, privates, pseudo, weights)
 
-    def _view(self) -> tuple[tuple[np.ndarray, ...], int, int]:
-        if self._cached_view is None:
-            self._build_view()
-        return self._cached_view
-
-    def _build_view(self) -> None:
-        self._build_views([self])
-
     @staticmethod
-    def _build_views(clients: Sequence[MarkovToyClient]) -> None:
-        """Build the views of clients that share one index, all in one pass.
+    def _views(clients: Sequence[MarkovToyClient]) -> tuple[np.ndarray, ...]:
+        """The views of clients that share one index, as one batch of arrays.
 
-        A view is the client's present pairs as generation reads them,
-        built once per training.  The pairs of every client of the pass,
-        client after client and each client's sorted by (context id,
-        word), form one segment per (client, context) in one batch of
-        arrays ``(contexts, starts, words, cuts, totals, others)``: segment
-        ``s`` holds context id ``contexts[s]`` and its ``others[s] + 1``
-        words from position ``starts[s]`` of ``words`` (word ids) and
-        ``cuts`` (the segment's running totals).  ``totals[s]`` is the
-        segment's numpy sum: the segments of one length are summed as the
-        rows of one block, and a row sums as the segment alone would.
-        ``totals`` ends with an extra 0.0, read by a lane that found no
-        segment (index -1).  A client's view is ``(batch, lo, hi)``, its
-        segments being ``lo`` up to ``hi``.  Context ids never change, so
-        contexts that clients sharing the index add later leave the view
-        valid.
+        A view is the client's present pairs as generation reads them.
+        The pairs of every client, client after client and each client's
+        sorted by (context id, word), form one segment per (client,
+        context) in ``(contexts, slots, starts, words, cuts, totals,
+        others)``: segment ``s`` holds context id ``contexts[s]`` of
+        ``clients[slots[s]]`` and its ``others[s] + 1`` words from position
+        ``starts[s]`` of ``words`` (word ids) and ``cuts`` (the segment's
+        running totals).  ``totals[s]`` is the segment's numpy sum: the
+        segments of one length are summed as the rows of one block, and a
+        row sums as the segment alone would.  ``totals`` ends with an extra
+        0.0, read by a lane that found no segment (index -1).
         """
         index = clients[0].index
         ordered = index.ordered()
@@ -665,10 +651,10 @@ class MarkovToyClient(Client):
             block = cuts[block_at]
             totals[rows] = block.sum(axis=1)
             cuts[block_at] = np.cumsum(block, axis=1)
-        batch = context[first], first, words, cuts, totals, (sizes - 1).astype(np.int32)
-        segment_ends = np.searchsorted(first, ends).tolist()
-        for client, lo, hi in zip(clients, [0, *segment_ends], segment_ends):
-            client._cached_view = batch, lo, hi
+        # a client's pairs end at its entry of ends, so a segment's client
+        # is the number of ends at or before its first pair
+        slots = np.searchsorted(ends, first, side="right")
+        return context[first], slots, first, words, cuts, totals, (sizes - 1).astype(np.int32)
 
     @staticmethod
     def _lockstep(
@@ -685,17 +671,17 @@ class MarkovToyClient(Client):
         rows), which the walk consumes.  Returns, per step, the lanes still
         live and the word id each took; a lane that stops never resumes.
 
-        The clients' views are laid end to end.  Each step finds every live
-        lane's segment at once: ``find`` gives the context id of the
-        lane's key, and a table over (client, context id) gives the
-        segment; lanes without one back off to shorter suffixes, and
-        ``advance`` appends the word taken.  A lane
-        stops when no suffix matches or the segment's total is at most
-        zero.  Otherwise it takes the segment's first word plus the number
-        of its running totals but the last that are ``<= u * total``,
-        which is ``bisect_right``'s answer; ``u`` is the lane's draw for
-        this step.  The multi-candidate lanes' running totals are compared
-        in one flat array (``np.repeat``) and counted per lane
+        The walk builds every client's view, in one batch (``_views``),
+        each time it runs.  Each step finds every live lane's segment at
+        once: ``find`` gives the context id of the lane's key, and a table
+        over (client slot, context id) gives the segment; lanes without one
+        back off to shorter suffixes, and ``advance`` appends the word
+        taken.  A lane stops when no suffix matches or the segment's total
+        is at most zero.  Otherwise it takes the segment's first word plus
+        the number of its running totals but the last that are ``<= u *
+        total``, which is ``bisect_right``'s answer; ``u`` is the lane's
+        draw for this step.  The multi-candidate lanes' running totals are
+        compared in one flat array (``np.repeat``) and counted per lane
         (``np.add.reduceat``).  Every live lane's state steps once per step
         (``_pcg64_next``), whether or not the lane has a choice to make, so
         step k reads the k-th double of its stream; a lane that stops drops
@@ -703,33 +689,14 @@ class MarkovToyClient(Client):
         lanes) memory however large ``max_tokens`` is.
         """
         index = clients[0].index
-        # the batches that the clients' views are in, each with the number
-        # of segments of the batches before it
-        batches: dict[int, tuple[tuple[np.ndarray, ...], int]] = {}
-        segments = 0
-        for client in clients:
-            batch = client._view()[0]
-            if id(batch) not in batches:
-                batches[id(batch)] = batch, segments
-                segments += len(batch[0])
-        if not segments:
+        contexts, slots, starts, words, cuts, totals, others = MarkovToyClient._views(clients)
+        if not len(contexts):
             return []
         # the segment of (client slot, context id + 1); column 0 (no
         # context) and the contexts a client lacks hold -1
         width = len(index.context_keys) + 1
         segment_of = np.full(len(clients) * width, -1, dtype=np.int32)
-        for slot, client in enumerate(clients):
-            batch, lo, hi = client._cached_view
-            before = batches[id(batch)][1]
-            segment_of[slot * width + 1 + batch[0][lo:hi]] = np.arange(before + lo, before + hi, dtype=np.int32)
-        if len(batches) == 1:
-            (((_, starts, words, cuts, totals, others), _),) = batches.values()
-        else:
-            parts = [batch for batch, _ in batches.values()]
-            shift = np.cumsum([0] + [len(batch[2]) for batch in parts])
-            starts = np.concatenate([batch[1] + at for batch, at in zip(parts, shift)])
-            words, cuts, others = (np.concatenate([batch[i] for batch in parts]) for i in (2, 3, 5))
-            totals = np.concatenate([batch[4][:-1] for batch in parts] + [np.zeros(1)])
+        segment_of[slots * width + 1 + contexts] = np.arange(len(contexts), dtype=np.int32)
 
         lane = np.arange(len(clients) * len(texts))
         key = np.tile(np.array([index.key(text.split()) for text in texts], dtype=np.int64), len(clients))
@@ -813,9 +780,6 @@ class MarkovToyClient(Client):
         responses: list[list[str]] = [[] for _ in clients]
         for positions in by_index.values():
             group = [clients[i] for i in positions]
-            stale = [client for client in group if client._cached_view is None]
-            if stale:
-                cls._build_views(stale)
             steps = cls._lockstep(group, texts, states[:, positions].reshape(4, -1), max_tokens)
             spelled = cls._spell(group[0].index, steps, len(group) * len(texts))
             for slot, position in enumerate(positions):

@@ -452,6 +452,9 @@ def test_generate_many_reads_the_state_after_each_training(order):
 )
 # every order in one call, each index's clients apart, walked for 100 steps
 @example(orders=[1, 2, 3, 2, 1], corpora=[BRANCHING, CYCLE], prompts=EDGE_PROMPTS, max_tokens=100)
+# the shared index's clients are untrained, trained, untrained, trained, so
+# each segment of the walk's views must map to its own client's slot
+@example(orders=[2, 2, 2, 2, 2], corpora=[[], CYCLE, BRANCHING], prompts=EDGE_PROMPTS, max_tokens=100)
 def test_generate_many_over_mixed_orders_and_indexes_matches_per_call_and_reference(
     orders, corpora, prompts, max_tokens
 ):
@@ -544,7 +547,7 @@ def test_a_client_reads_only_its_own_pairs_of_a_shared_index():
     prompts = ["a", "a b", "x b", "b x", "x y b"]
     expected = [reference.generate(text, 8) for text in prompts]
     assert [first.generate("p", text, 1, 8) for text in prompts] == expected
-    # the sibling interns contexts after the first client's view was built:
+    # the sibling interns contexts after the first client has answered:
     # "x b" and "b x" exist in the index now, but not for the first client
     second.train(private(1, ("", "x b x y b d")), [], EVEN)
     assert [first.generate("p", text, 1, 8) for text in prompts] == expected
@@ -630,10 +633,7 @@ def test_empty_and_one_word_streams_add_nothing():
     assert client.transitions == {}
 
 
-def test_a_view_is_built_once_per_training(monkeypatch):
-    builds = []
-    build = MarkovToyClient._build_view
-    monkeypatch.setattr(MarkovToyClient, "_build_view", lambda self: builds.append(self) or build(self))
+def test_every_generate_path_reads_the_state_right_after_each_training():
     index = PairIndex(1)
     client, sibling = MarkovToyClient(order=1, seed=2, index=index), MarkovToyClient(order=1, seed=2, index=index)
     reference = ReferenceMarkovClient(order=1, seed=2)
@@ -642,13 +642,12 @@ def test_a_view_is_built_once_per_training(monkeypatch):
         client.train(private(0, *examples), [], EVEN)
         reference.train(examples, [], EVEN.alpha, EVEN.beta)
         sibling.train(private(1, ("", "e a")), [], EVEN)
-        builds.clear()
         expected = [reference.generate(text, 12) for _, text in queries]
-        # generate right after train reads the new state, not the old view
+        # each path, right after train and the sibling's training, reads the
+        # new state, not the state of the previous turn
         assert [client.generate(pid, text, 1, 12) for pid, text in queries] == expected
         assert MarkovToyClient.generate_many([client], queries, 1, 12) == [expected]
         assert Client.generate_many([client], queries, 1, 12) == [expected]
-        assert builds == [client]
 
 
 @given(
@@ -681,8 +680,8 @@ def test_clients_of_one_index_match_their_references(order, rounds, prompts):
 
 
 def test_views_built_in_one_pass_keep_each_clients_segments():
-    # every client holds one context, "a", so in the pass that builds their
-    # views together one client's last segment meets the next one's first
+    # every client holds one context, "a", so in the batch of views the
+    # walk builds one client's last segment meets the next one's first
     index = PairIndex(1)
     corpora = [[("", "a b"), ("", "a c")], [("", "a c"), ("", "a d"), ("", "a c")], [("", "a b a e")]]
     clients = [MarkovToyClient(order=1, seed=seed, index=index) for seed in range(len(corpora))]
@@ -696,7 +695,7 @@ def test_views_built_in_one_pass_keep_each_clients_segments():
     ]
 
 
-def test_generate_many_walks_views_built_in_different_passes():
+def test_generate_many_after_per_call_generate_a_subset_call_and_retraining():
     index = PairIndex(2)
     corpora = [BRANCHING, CYCLE, [("", "a b c a c b")]]
     clients = [MarkovToyClient(order=2, seed=seed, index=index) for seed in range(3)]
@@ -705,9 +704,9 @@ def test_generate_many_walks_views_built_in_different_passes():
         client.train(private(slot, *corpora[slot]), [], EVEN)
         reference.train(corpora[slot], [], EVEN.alpha, EVEN.beta)
     queries = [(f"p{i}", text) for i, text in enumerate(EDGE_PROMPTS)]
-    # client 0's view comes from a per-call generate, client 1's from a
-    # pass over clients 1 and 2, and client 2's from its own pass after
-    # it trains again
+    # client 0 answers per call, clients 1 and 2 answer one batched call,
+    # and client 2 trains again; the last call over all three must read
+    # every client's state as it stands then
     clients[0].generate("p", "a", 1, 4)
     MarkovToyClient.generate_many(clients[1:], queries, 1, 4)
     clients[2].train(private(2, ("", "c a b b")), [], EVEN)
