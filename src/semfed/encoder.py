@@ -9,18 +9,21 @@ from JSONL (``load_embeddings_jsonl``); everything downstream assumes
 only unit-norm float64 vectors.
 
 ``encode_batch`` embeds a list of texts as one matrix.  It reads every
-code point at once, packs each n-gram of up to three code points into
-one integer (21 bits per code point) and finds the distinct keys with
-one ``np.unique``; longer n-grams are keyed by their string.  Each
-distinct key's (bucket, sign) comes from a table bounded by
-``NGRAM_MEMO_SIZE`` entries and keyed by (seed, dimension, n-gram
-size); only keys missing from it go through the keyed hash.  One
-``np.bincount`` then sums the signs of every text.  The vectors are
-bit-identical to hashing every n-gram afresh and adding the signs one
-at a time: every entry is a sum of +/-1.0, an integer far below 2**53,
-so it is exact in any order.  The server encodes each prompt's
-distinct response texts in one batch (``protocol.encode_responses``)
-and normalizes that matrix with one ``normalize_rows`` call.
+code point at once and packs each n-gram of up to three code points
+into one integer (21 bits per code point).  All of a batch's packed
+keys are looked up at once in an open-addressing table held in two
+numpy arrays (keys and codes), probed linearly from a Fibonacci hash;
+only the keys it misses are deduplicated with ``np.unique`` and go
+through the keyed hash, every one of them before any is added.
+Longer n-grams are keyed by their string in a dict.  The tables are
+keyed by (seed, dimension, n-gram size) and hold at most
+``NGRAM_MEMO_SIZE`` entries together.  One ``np.bincount`` then sums
+the signs of every text.  The vectors are bit-identical to hashing
+every n-gram afresh and adding the signs one at a time: every entry is
+a sum of +/-1.0, an integer far below 2**53, so it is exact in any
+order.  The server encodes each prompt's distinct response texts in
+one batch (``protocol.encode_responses``) and normalizes that matrix
+with one ``normalize_rows`` call.
 
 Distances between the unit vectors are not computed here: one
 pairwise matrix per prompt, built by ``consensus.cosine_distances``,
@@ -32,7 +35,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -100,19 +103,23 @@ def _text_u64(text: str) -> int:
     return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "little")
 
 
-# Entries kept by the n-gram table, summed over every config; full of
-# packed trigram keys it holds about 6 MB.
+# Entries kept by the n-gram tables, summed over every config.  A table
+# of packed keys keeps at least two slots per entry, each two int64s:
+# full, it holds 65,536 entries in 131,072 slots, 2 MiB.
 NGRAM_MEMO_SIZE = 1 << 16
 
 # N-grams of up to _PACKED_MAX code points are packed into one int64 key.
 _POINT_BITS = 21
-_POINT_MASK = (1 << _POINT_BITS) - 1
 _PACKED_MAX = 3
 
-# (seed, dimension, ngram_size) -> {n-gram key: bucket * 2 + sign bit}.
+# Fibonacci hashing's multiplier: 2**64 over the golden ratio, made odd.
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
+
+# (seed, dimension, ngram_size) -> the config's n-gram codes: a
+# _PackedTable for n <= _PACKED_MAX, else {n-gram: bucket * 2 + sign bit}.
 # The n-gram size is part of the config key because a 2-gram and a
 # 3-gram that starts with "\x00" pack to the same integer.
-_TABLES: dict[tuple[int, int, int], dict] = {}
+_TABLES: dict[tuple[int, int, int], _PackedTable | dict[str, int]] = {}
 
 
 def _hash_ngram(ngram: str, key: bytes, dimension: int) -> int:
@@ -123,24 +130,131 @@ def _hash_ngram(ngram: str, key: bytes, dimension: int) -> int:
     return (value >> 1) % dimension << 1 | value & 1
 
 
-def _codes(keys: list, ngram_of: Callable, config: EncoderConfig) -> np.ndarray:
-    """Table codes of the distinct n-gram ``keys``; ``ngram_of(key)`` is the n-gram.
+def _hash_ngrams(ngrams: list[str], config: EncoderConfig) -> list[int]:
+    """``_hash_ngram`` of each n-gram under the config's seed and dimension."""
+    key = config.seed.to_bytes(8, "little")
+    return [_hash_ngram(ngram, key, config.dimension) for ngram in ngrams]
 
-    Keys missing from the table are hashed and added.  When the table
-    would outgrow NGRAM_MEMO_SIZE it is emptied first.
+
+def _make_room(count: int) -> bool:
+    """Empty every table if ``count`` more entries would pass NGRAM_MEMO_SIZE; True if it did."""
+    if sum(map(len, _TABLES.values())) + count <= NGRAM_MEMO_SIZE:
+        return False
+    _TABLES.clear()
+    return True
+
+
+class _PackedTable:
+    """Open-addressing table from packed n-gram keys to their codes.
+
+    ``keys`` holds -1 in an empty slot (a packed key is never negative)
+    and ``codes`` the bucket * 2 + sign bit of the key in the same slot.
+    A key's probe starts at its Fibonacci hash and steps one slot at a
+    time, wrapping at the end.  The capacity is a power of two at least
+    twice the entries, so every probe meets an empty slot.
+    """
+
+    __slots__ = ("keys", "codes", "size")
+
+    def __init__(self, capacity: int = 2) -> None:
+        self.keys = np.full(capacity, -1, dtype=np.int64)
+        self.codes = np.zeros(capacity, dtype=np.int64)
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def _homes(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's first slot: the top log2(capacity) bits of key * _FIBONACCI mod 2**64."""
+        # An array product wraps mod 2**64 without a warning.
+        homes = keys.view(np.uint64) * _FIBONACCI
+        homes >>= np.uint64(65 - len(self.keys).bit_length())
+        return homes.view(np.int64)
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's slot, or the empty slot that ends its probe when it is absent.
+
+        All keys are probed at once; each step moves only the lanes whose
+        slot holds another key.
+        """
+        mask = len(self.keys) - 1
+        slots = self._homes(keys)
+        held = self.keys[slots]
+        pending = np.flatnonzero((held != keys) & (held != -1))
+        while pending.size:
+            probe = (slots[pending] + 1) & mask
+            slots[pending] = probe
+            held = self.keys[probe]
+            pending = pending[(held != keys[pending]) & (held != -1)]
+        return slots
+
+    def insert(self, keys: np.ndarray, codes: list[int]) -> None:
+        """Add distinct keys that are not in the table, with their codes.
+
+        When the entries would fill more than half the slots, the table
+        is first rebuilt with the smallest power-of-two capacity that
+        holds them all at half load.
+        """
+        if 2 * (self.size + len(keys)) > len(self.keys):
+            held = self.keys != -1
+            keys = np.concatenate([self.keys[held], keys])
+            codes = self.codes[held].tolist() + codes
+            self.__init__(1 << (2 * len(keys) - 1).bit_length())
+        mask = len(self.keys) - 1
+        table_keys, table_codes = self.keys, self.codes
+        for key, code, slot in zip(keys.tolist(), codes, self._homes(keys).tolist()):
+            while table_keys[slot] != -1:
+                slot = (slot + 1) & mask
+            table_keys[slot] = key
+            table_codes[slot] = code
+        self.size += len(keys)
+
+
+def _packed_codes(
+    packed: np.ndarray, joined: str, starts: np.ndarray, config: EncoderConfig
+) -> np.ndarray:
+    """Table codes of the packed n-gram keys ``packed``, one per key.
+
+    The key at position i packs the n-gram ``joined[starts[i]:][:n]``.
+    Keys missing from the config's table are hashed, all of them before
+    any is added, and then added; when the tables would outgrow
+    NGRAM_MEMO_SIZE they are emptied first.
+    """
+    n = config.ngram_size
+    config_key = (config.seed, config.dimension, n)
+    table = _TABLES.get(config_key)
+    if table is None:
+        table = _TABLES[config_key] = _PackedTable()
+    slots = table.find(packed)
+    codes = table.codes[slots]
+    missing = table.keys[slots] != packed
+    if missing.any():
+        keys, first, inverse = np.unique(packed[missing], return_index=True, return_inverse=True)
+        ngrams = [joined[i : i + n] for i in starts[missing][first].tolist()]
+        new_codes = _hash_ngrams(ngrams, config)
+        if _make_room(len(keys)):
+            table = _TABLES[config_key] = _PackedTable()
+        table.insert(keys[:NGRAM_MEMO_SIZE], new_codes[:NGRAM_MEMO_SIZE])
+        codes[missing] = np.array(new_codes, dtype=np.int64)[inverse]
+    return codes
+
+
+def _string_codes(ngrams: list[str], config: EncoderConfig) -> np.ndarray:
+    """Table codes of the distinct n-grams ``ngrams``, each keyed by its string.
+
+    N-grams missing from the table are hashed and added.  When the
+    tables would outgrow NGRAM_MEMO_SIZE they are emptied first.
     """
     config_key = (config.seed, config.dimension, config.ngram_size)
     table = _TABLES.get(config_key, {})
-    codes = list(map(table.get, keys))
+    codes = list(map(table.get, ngrams))
     misses = [i for i, code in enumerate(codes) if code is None]
     if misses:
-        seed_key = config.seed.to_bytes(8, "little")
-        for i in misses:
-            codes[i] = _hash_ngram(ngram_of(keys[i]), seed_key, config.dimension)
-        if sum(map(len, _TABLES.values())) + len(misses) > NGRAM_MEMO_SIZE:
-            _TABLES.clear()
+        for i, code in zip(misses, _hash_ngrams([ngrams[i] for i in misses], config)):
+            codes[i] = code
+        if _make_room(len(misses)):
             table = {}
-        table.update((keys[i], codes[i]) for i in misses[:NGRAM_MEMO_SIZE])
+        table.update((ngrams[i], codes[i]) for i in misses[:NGRAM_MEMO_SIZE])
         _TABLES[config_key] = table
     return np.array(codes, dtype=np.int64)
 
@@ -166,16 +280,12 @@ def encode_batch(texts: Sequence[str], config: EncoderConfig) -> np.ndarray:
 
     if n <= _PACKED_MAX:
         points = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        packed = points[starts].astype(np.int64)
+        # Pack at every position with slices, then keep the starts: one gather.
+        packed = points[:count].astype(np.int64)
         for offset in range(1, n):
-            packed = packed << _POINT_BITS | points[starts + offset]
-        distinct, inverse = np.unique(packed, return_inverse=True)
-        keys = distinct.tolist()
-        shifts = range(_POINT_BITS * (n - 1), -1, -_POINT_BITS)
-
-        def ngram_of(key: int) -> str:
-            return "".join(chr(key >> shift & _POINT_MASK) for shift in shifts)
-
+            packed <<= _POINT_BITS
+            packed |= points[offset : offset + count]
+        codes = _packed_codes(packed[starts], joined, starts, config)
     else:
         # Wider n-grams packed into Python ints ran 1.7x slower at n=4 (object-array np.unique).
         index: dict[str, int] = {}
@@ -183,10 +293,8 @@ def encode_batch(texts: Sequence[str], config: EncoderConfig) -> np.ndarray:
         inverse = np.fromiter(
             (index.setdefault(ngram, len(index)) for ngram in ngrams), np.int64, len(starts)
         )
-        keys = list(index)
-        ngram_of = str
+        codes = _string_codes(list(index), config)[inverse]
 
-    codes = _codes(keys, ngram_of, config)[inverse]
     flat = np.bincount(
         row_of[starts] * dimension + (codes >> 1),
         weights=(codes & 1) * 2.0 - 1.0,

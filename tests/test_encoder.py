@@ -218,6 +218,55 @@ def test_ngram_table_stays_bounded():
         assert got.tobytes() == expected.tobytes()
 
 
+def test_packed_table_probes_grows_and_keeps_its_entries_when_a_batch_fails(monkeypatch):
+    """A batch encoded cold (a third of it first, so the table doubles),
+    then under another seed and another dimension, then warm; then a
+    batch whose last new n-gram holds a lone surrogate.  Every encode
+    equals the reference, and each n-gram is hashed only on its first
+    successful encode under a config."""
+    config = EncoderConfig(dimension=64, ngram_size=2)
+    points = np.random.default_rng(7).integers(0x4E00, 0x4E00 + 80, 6000)
+    batch = ["".join(map(chr, points[i : i + 600])) for i in range(0, 6000, 600)]
+    distinct = {text[i : i + 2] for text in batch for i in range(len(text) - 1)}
+    hashed = []
+    hash_ngram = encoder._hash_ngram
+    monkeypatch.setattr(
+        encoder, "_hash_ngram", lambda ngram, *rest: hashed.append(ngram) or hash_ngram(ngram, *rest)
+    )
+
+    def check(texts, variant):
+        """Encode and compare; return the n-grams hashed on the way."""
+        hashed.clear()
+        expected = reference_encode_batch(texts, variant.dimension, 2, variant.seed, False)
+        assert encode_batch(texts, variant).tobytes() == expected.tobytes()
+        assert len(hashed) == len(set(hashed))
+        return set(hashed)
+
+    encoder._TABLES.clear()
+    first = check(batch[:3], config)
+    table = encoder._TABLES[(0, 64, 2)]
+    assert len(table) == len(first) and len(table.keys) == 4096
+    rest = check(batch, config)  # cold for most n-grams: the table doubles
+    assert not first & rest and first | rest == distinct
+    assert len(table) == len(distinct) > 3000 and len(table.keys) == 8192
+    keys = table.keys[table.keys != -1]
+    slots, homes = table.find(keys), table._homes(keys)
+    # keys stored past their first slot, and some whose probe wrapped to the front
+    assert (slots != homes).sum() > 100 and (slots < homes).any()
+    assert check(batch, replace(config, seed=1)) == distinct
+    assert check(batch, replace(config, dimension=128)) == distinct
+    assert check(batch, config) == set()
+    assert len(table) == len(distinct) and table_entries() == 3 * len(distinct)
+
+    # "\ud800x" sorts after every other new 2-gram, so it is hashed last
+    with pytest.raises(UnicodeEncodeError):
+        encode_batch(["fresh text", "\ud800x"], config)
+    assert hashed[-1] == "\ud800x"
+    assert len(table) == len(distinct) and table_entries() == 3 * len(distinct)
+    assert len(check(["fresh text"] + batch, config)) == 9
+    assert len(table) == len(distinct) + 9
+
+
 def test_normalize_examples():
     out = normalize(np.array([3.0, 4.0]))
     assert np.allclose(out, [0.6, 0.8])
