@@ -17,10 +17,12 @@ pair ids of a ``PairIndex``, which packs each context into one int64 key
 and interns each (context, next word) pair once; the clients of one
 session and one order share an index, and a client built alone gets its
 own, so no state outlives the clients that hold it.  Generation walks
-all (client, prompt) lanes of a call in lockstep over those keys; each
-lane's PCG64 stream is seeded, and stepped once per walk step, by
-128-bit LCG arithmetic on uint64 arrays, bit for bit the stream numpy's
-``default_rng`` gives.
+all (client, prompt) lanes of a call in lockstep: it looks up the
+prompts' packed keys once, and after that moves each lane from the pair
+it took to that pair's successor contexts, a table the index builds once
+per growth; each lane's PCG64 stream is seeded, and stepped once per
+walk step, by 128-bit LCG arithmetic on uint64 arrays, bit for bit the
+stream numpy's ``default_rng`` gives.
 """
 
 from __future__ import annotations
@@ -354,10 +356,11 @@ class PairIndex:
     at once: the batch's new contexts and pairs get the next free ids in
     key order and are merged into tables sorted by key.  Each example's
     pair-id array is kept, so an example is split once per index.  The
-    index only grows.  Clients that share one index read the same ids;
-    ``_build_clients`` makes one per session for all clients of one order,
-    and a client built without one gets its own, so nothing is shared
-    between sessions.
+    index only grows; ``ordered`` and ``successors``, the tables the walk
+    reads, are built when first asked for after it grew.  Clients that
+    share one index read the same ids; ``_build_clients`` makes one per
+    session for all clients of one order, and a client built without one
+    gets its own, so nothing is shared between sessions.
     """
 
     def __init__(self, order: int):
@@ -374,6 +377,7 @@ class PairIndex:
         self._contexts = self._pairs = (np.array([_END]), np.array([-1]))
         self._examples: dict[tuple[str, str], np.ndarray] = {}
         self._ordered: np.ndarray | None = None
+        self._successors: np.ndarray | None = None
         self._names = np.zeros(0, dtype=object)
 
     def __len__(self) -> int:
@@ -473,7 +477,7 @@ class PairIndex:
         self.context_keys = np.concatenate((self.context_keys, new_contexts))
         self.context_of = np.concatenate((self.context_of, new_pairs >> self.bits))
         self.word_of = np.concatenate((self.word_of, new_pairs & self.unknown))
-        self._ordered = None
+        self._ordered = self._successors = None
         # each example's pairs: lengths in turn, the stream within a length
         grouped = pair_id[np.argsort(owner, kind="stable")]
         counts = np.bincount(owner, minlength=len(examples))
@@ -491,6 +495,25 @@ class PairIndex:
             rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
             self._ordered = np.argsort(self.context_of * len(words) + rank[self.word_of], kind="stable")
         return self._ordered
+
+    def successors(self) -> np.ndarray:
+        """The contexts each pair leads to, ``order x len(self)`` int32.
+
+        Row ``k - 1`` holds, for pair (context ``c``, word ``w``), the
+        context id of the last ``k`` words of ``c + w``: -1 where the index
+        lacks that context or ``c + w`` has fewer than ``k`` words.  Built
+        when first asked for after the index grew, and kept until it grows
+        again.
+        """
+        if self._successors is None:
+            after = self.advance(self.context_keys[self.context_of], self.word_of)
+            rows = np.empty((self.order, len(self)), dtype=np.int32)
+            for length in range(1, self.order + 1):
+                # a key of fewer words would read as its own context here
+                longer = after >> self.bits * (length - 1) > 0
+                rows[length - 1] = np.where(longer, self.find(after, length), -1)
+            self._successors = rows
+        return self._successors
 
 
 class MarkovToyClient(Client):
@@ -523,10 +546,12 @@ class MarkovToyClient(Client):
     the context -> {word: weight} table from the arrays.
 
     One walk (``_lockstep``) serves both entry points: it steps every
-    (client, prompt) lane of a call at once over packed context keys,
-    reading views of the clients' present pairs that it builds from their
-    arrays each time it runs (``_views``), so nothing derived from the
-    model state outlives a call or needs invalidating after ``train``.
+    (client, prompt) lane of a call at once, from the prompts' packed keys
+    and then from the successor contexts of the pair each lane took
+    (``PairIndex.successors``), reading views of the clients' present
+    pairs that it builds from their arrays each time it runs (``_views``),
+    so nothing derived from one client's state outlives a call or needs
+    invalidating after ``train``.
     ``generate`` is one lane seeded by ``default_rng``; ``generate_many``
     seeds all lanes in one vectorized SeedSequence pass (``_pcg64_states``)
     and walks the clients of each index together, so both give the same
@@ -584,6 +609,10 @@ class MarkovToyClient(Client):
         # 0.0 + weight on a pair's first addition, as the sum did: -0.0
         # is stored as 0.0.
         np.add.at(self._weights, ids, added)
+        # Every window of an example is marked, so a client's present
+        # contexts are prefix-closed: holding context c + v means holding
+        # (c, v), hence c.  The walk relies on it to skip contexts longer
+        # than the pair it took plus one word (see _lockstep).
         self._present[ids] = True
 
     @classmethod
@@ -610,14 +639,14 @@ class MarkovToyClient(Client):
         A view is the client's present pairs as generation reads them.
         The pairs of every client, client after client and each client's
         sorted by (context id, word), form one segment per (client,
-        context) in ``(contexts, slots, starts, words, cuts, totals,
+        context) in ``(contexts, slots, starts, pairs, cuts, totals,
         others)``: segment ``s`` holds context id ``contexts[s]`` of
-        ``clients[slots[s]]`` and its ``others[s] + 1`` words from position
-        ``starts[s]`` of ``words`` (word ids) and ``cuts`` (the segment's
-        running totals).  ``totals[s]`` is the segment's numpy sum: the
-        segments of one length are summed as the rows of one block, and a
-        row sums as the segment alone would.  ``totals`` ends with an extra
-        0.0, read by a lane that found no segment (index -1).
+        ``clients[slots[s]]`` and its ``others[s] + 1`` pairs from position
+        ``starts[s]`` of ``pairs`` (int32 pair ids) and ``cuts`` (the
+        segment's running totals).  ``totals[s]`` is the segment's numpy
+        sum: the segments of one length are summed as the rows of one
+        block, and a row sums as the segment alone would.  ``totals`` ends
+        with an extra 0.0, read by a lane that found no segment (index -1).
         """
         index = clients[0].index
         ordered = index.ordered()
@@ -634,7 +663,7 @@ class MarkovToyClient(Client):
         del owns
         cuts = np.concatenate(cuts)
         context = index.context_of[own]
-        words = index.word_of[own].astype(np.int32)
+        pairs = own.astype(np.int32)
         del own
         opens = np.ones(len(context), dtype=bool)
         np.not_equal(context[1:], context[:-1], out=opens[1:])
@@ -654,7 +683,7 @@ class MarkovToyClient(Client):
         # a client's pairs end at its entry of ends, so a segment's client
         # is the number of ends at or before its first pair
         slots = np.searchsorted(ends, first, side="right")
-        return context[first], slots, first, words, cuts, totals, (sizes - 1).astype(np.int32)
+        return context[first], slots, first, pairs, cuts, totals, (sizes - 1).astype(np.int32)
 
     @staticmethod
     def _lockstep(
@@ -673,23 +702,28 @@ class MarkovToyClient(Client):
 
         The walk builds every client's view, in one batch (``_views``),
         each time it runs.  Each step finds every live lane's segment at
-        once: ``find`` gives the context id of the lane's key, and a table
-        over (client slot, context id) gives the segment; lanes without one
-        back off to shorter suffixes, and ``advance`` appends the word
-        taken.  A lane stops when no suffix matches or the segment's total
-        is at most zero.  Otherwise it takes the segment's first word plus
-        the number of its running totals but the last that are ``<= u *
-        total``, which is ``bisect_right``'s answer; ``u`` is the lane's
-        draw for this step.  The multi-candidate lanes' running totals are
-        compared in one flat array (``np.repeat``) and counted per lane
-        (``np.add.reduceat``).  Every live lane's state steps once per step
-        (``_pcg64_next``), whether or not the lane has a choice to make, so
-        step k reads the k-th double of its stream; a lane that stops drops
-        its state column with its other arrays, and the draws take O(live
-        lanes) memory however large ``max_tokens`` is.
+        once from a table of candidate context ids, row ``k - 1`` for the
+        lane's last ``k`` words: at the first step the prompts' rows, from
+        ``find`` over their packed keys, and after that the
+        ``successors`` column of the pair the lane took.  A table over
+        (client slot, context id) gives the segment, tried longest context
+        first.  No longer context can match: a client lacking the lane's
+        context of ``k`` words also lacks that context followed by any
+        word, since its contexts are prefix-closed (see ``train``).  A lane
+        stops when no row matches or the segment's total is at most zero.
+        Otherwise it takes the segment's first pair plus the number of its
+        running totals but the last that are ``<= u * total``, which is
+        ``bisect_right``'s answer; ``u`` is the lane's draw for this step.
+        The multi-candidate lanes' running totals are compared in one flat
+        array (``np.repeat``) and counted per lane (``np.add.reduceat``).
+        Every live lane's state steps once per step (``_pcg64_next``),
+        whether or not the lane has a choice to make, so step k reads the
+        k-th double of its stream; a lane that stops drops its state
+        column with its other arrays, and the draws take O(live lanes)
+        memory however large ``max_tokens`` is.
         """
         index = clients[0].index
-        contexts, slots, starts, words, cuts, totals, others = MarkovToyClient._views(clients)
+        contexts, slots, starts, pairs, cuts, totals, others = MarkovToyClient._views(clients)
         if not len(contexts):
             return []
         # the segment of (client slot, context id + 1); column 0 (no
@@ -699,16 +733,20 @@ class MarkovToyClient(Client):
         segment_of[slots * width + 1 + contexts] = np.arange(len(contexts), dtype=np.int32)
 
         lane = np.arange(len(clients) * len(texts))
-        key = np.tile(np.array([index.key(text.split()) for text in texts], dtype=np.int64), len(clients))
         base = np.repeat(np.arange(len(clients), dtype=np.int64) * width + 1, len(texts))
+        keys = np.array([index.key(text.split()) for text in texts], dtype=np.int64)
+        # each lane reads its column of rows: its prompt's, then its pair's
+        rows = np.stack([index.find(keys, length) for length in range(1, index.order + 1)])
+        column = lane % len(texts)
+        successors = index.successors()
         steps = []
         for _ in range(max_tokens):
-            segment = segment_of[base + index.find(key, index.order)]
+            segment = segment_of[base + rows[-1][column]]
             todo = (segment < 0).nonzero()[0]
             for length in range(index.order - 1, 0, -1):
                 if not len(todo):
                     break
-                found = segment_of[base[todo] + index.find(key[todo], length)]
+                found = segment_of[base[todo] + rows[length - 1][column[todo]]]
                 segment[todo] = found
                 todo = todo[found < 0]
             total = totals[segment]
@@ -717,7 +755,7 @@ class MarkovToyClient(Client):
                 keep = live.nonzero()[0]
                 if not len(keep):
                     break
-                lane, key, base, segment, total = (array[keep] for array in (lane, key, base, segment, total))
+                lane, base, segment, total = (array[keep] for array in (lane, base, segment, total))
                 states = states[:, keep]
             uniform = _pcg64_next(states)
             pick = starts[segment]
@@ -731,9 +769,8 @@ class MarkovToyClient(Client):
                 at = (pick[multi] - offsets).repeat(counts) + np.arange(offsets[-1] + counts[-1])
                 threshold = uniform[multi] * total[multi]
                 pick[multi] += np.add.reduceat(cuts[at] <= threshold[owner], offsets, dtype=np.int64)
-            word = words[pick]
-            steps.append((lane, word))
-            key = index.advance(key, word)
+            rows, column = successors, pairs[pick]
+            steps.append((lane, index.word_of[column]))
         return steps
 
     @staticmethod

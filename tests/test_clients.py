@@ -479,6 +479,63 @@ def test_generate_many_over_mixed_orders_and_indexes_matches_per_call_and_refere
     assert batched == per_call == oracle
 
 
+# From "a b", order 3 and 4 walks take c, d, e.  These clients lack "d e"
+# and "c d e", which the index holds for the last client, but "e" alone
+# leads to g, so the lane backs off to one word and then recovers "e g",
+# "e g h", ...  "h" alone leads mostly to k, which no longer context does.
+BACKOFF = [("", "a b c d e"), ("", "q e g h i j"), *[("", "r h k")] * 9]
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_walks_back_off_to_one_word_and_recover_like_the_reference(order):
+    index = PairIndex(order)
+    corpora = [BACKOFF] * 3 + [[("", "c d e x")]]
+    clients, references = [], []
+    for slot, examples in enumerate(corpora):
+        client = MarkovToyClient(order=order, seed=slot, index=index)
+        reference = ReferenceMarkovClient(order=order, seed=slot)
+        client.train(private(slot, *examples), [], EVEN)
+        reference.train(examples, [], EVEN.alpha, EVEN.beta)
+        clients.append(client)
+        references.append(reference)
+    # prompts shorter than the order, an unknown word, one longer than the order
+    queries = [(f"p{i}", text) for i, text in enumerate(["a b", "a", "z e", "x q e g h", "", "r h"])]
+
+    batched = MarkovToyClient.generate_many(clients, queries, 1, 40)
+    per_call = [[c.generate(pid, text, 1, 40) for pid, text in queries] for c in clients]
+    oracle = [[r.generate(text, 40) for _, text in queries] for r in references]
+    assert batched == per_call == oracle
+    assert [texts[:3] for texts in batched[:3]] == [["c d e g h i j", "b c d e g h i j", "g h i j"]] * 3
+    # a walk that read "h" alone where "g h" matches could take k
+    assert set(clients[0].transitions[("h",)]) == {"i", "k"}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_generate_many_looks_contexts_up_a_fixed_number_of_times(order, monkeypatch):
+    """find runs once per context length for the prompts' keys and once
+    per length for the successor table, however many steps the walk takes."""
+    lengths = []
+    find = PairIndex.find
+
+    def counted(self, keys, length):
+        lengths.append(length)
+        return find(self, keys, length)
+
+    monkeypatch.setattr(PairIndex, "find", counted)
+    calls = []
+    for max_tokens in (4, 40):
+        index = PairIndex(order)
+        clients = [MarkovToyClient(order=order, seed=seed, index=index) for seed in range(3)]
+        for slot, client in enumerate(clients):
+            client.train(private(slot, *BRANCHING), [], EVEN)
+        lengths.clear()
+        queries = [(f"p{i}", text) for i, text in enumerate(EDGE_PROMPTS)]
+        texts = MarkovToyClient.generate_many(clients, queries, 1, max_tokens)
+        assert [[len(text.split()) for text in row] for row in texts] == [[0] + [max_tokens] * 5] * 3
+        calls.append(len(lengths))
+    assert calls[0] == calls[1] <= 2 * order
+
+
 class UpperMarkov(MarkovToyClient):
     """Answers through its own generate, which upper-cases the text."""
 
@@ -553,6 +610,49 @@ def test_a_client_reads_only_its_own_pairs_of_a_shared_index():
     assert [first.generate("p", text, 1, 8) for text in prompts] == expected
     assert first.transitions == reference.transitions
     check_index(index, first, second)
+
+
+@given(order=st.integers(1, 5), batches=st.lists(EXAMPLES, min_size=1, max_size=3))
+def test_successors_are_the_contexts_each_pair_leads_to(order, batches):
+    """Row k - 1 of successors() holds, per pair (c, w), the context id of
+    the last k words of c + w, or -1, as find(advance(...)) gives it; the
+    table asked for before each intern must not outlive the growth."""
+    index = PairIndex(order)
+    for batch in batches:
+        index.successors()
+        index.intern(batch)
+        contexts, words = index.contexts, index.words
+        ids = {context: c for c, context in enumerate(contexts)}
+        expected = np.full((order, len(index)), -1)
+        for pair, (c, w) in enumerate(zip(index.context_of.tolist(), index.word_of.tolist())):
+            after = contexts[c] + (words[w],)
+            for length in range(1, min(order, len(after)) + 1):
+                expected[length - 1, pair] = ids.get(after[-length:], -1)
+        successors = index.successors()
+        assert successors.dtype == np.int32
+        assert np.array_equal(successors, expected)
+
+
+@given(
+    order=st.integers(1, 4),
+    rounds=st.lists(st.tuples(st.lists(EXAMPLES, min_size=2, max_size=2), EXAMPLES, ALPHAS), min_size=1, max_size=3),
+)
+# alpha 0 leaves private pairs present with weight 0.0 next to pseudo ones
+@example(order=3, rounds=[([[("a b", "c d")], [("", "b c d a")]], [("c", "d a b")], 0.0)])
+def test_trained_clients_hold_prefix_closed_contexts(order, rounds):
+    """A client holding context c + v also holds the pair (c, v), so the
+    walk's successor rows need no context longer than the pair it took
+    plus one word.  Pairs of weight 0.0 count as held."""
+    index = PairIndex(order)
+    clients = [MarkovToyClient(order=order, seed=slot, index=index) for slot in range(2)]
+    for privates, pseudo, alpha in rounds:
+        weights = TrainingWeights(alpha=alpha, beta=1.0 - alpha)
+        MarkovToyClient.train_many(clients, [private(i, *ex) for i, ex in enumerate(privates)], pseudo, weights)
+        for client in clients:
+            table = client.transitions
+            for context in table:
+                if len(context) > 1:
+                    assert context[-1] in table.get(context[:-1], {})
 
 
 def test_a_client_rejects_an_index_of_another_order():
