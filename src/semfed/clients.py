@@ -14,15 +14,16 @@ The Markov client treats tokens as whitespace-separated words.  That is
 unrelated to the bytes-per-token constant in the cost calculators; the
 two are deliberately independent knobs.  Its weights are arrays over the
 pair ids of a ``PairIndex``, which packs each context into one int64 key
-and interns each (context, next word) pair once; the clients of one
-session and one order share an index, and a client built alone gets its
-own, so no state outlives the clients that hold it.  Generation walks
-all (client, prompt) lanes of a call in lockstep: it looks up the
-prompts' packed keys once, and after that moves each lane from the pair
-it took to that pair's successor contexts, a table the index builds once
-per growth; each lane's PCG64 stream is seeded, and stepped once per
-walk step, by 128-bit LCG arithmetic on uint64 arrays, bit for bit the
-stream numpy's ``default_rng`` gives.
+and interns each (context, next word) pair once, in two of the
+encoder's open-addressing tables; the clients of one session and one
+order share an index, and a client built alone gets its own, so no
+state outlives the clients that hold it.  Generation, per call or
+batched, walks all (client, prompt) lanes of a call in lockstep: it
+looks up the prompts' packed keys once, and after that moves each lane
+from the pair it took to that pair's successor contexts, a table the
+index builds once per growth; each lane's PCG64 stream is seeded, and
+stepped once per walk step, by 128-bit LCG arithmetic on uint64 arrays,
+bit for bit the stream numpy's ``default_rng`` gives.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoder import _text_u64
+from .encoder import _PackedTable, _text_u64
 from .jsonl import read_rows
 
 __all__ = [
@@ -312,27 +313,21 @@ def _pcg64_next(states: np.ndarray) -> np.ndarray:
 # Bits per word of a packed context up to order 3; higher orders get
 # 63 // order, so every context fits a non-negative int64.
 _WORD_BITS = 21
-# Closes every sorted key table, with id -1, so a search always lands on an
-# entry; no context or pair key reaches it.
-_END = np.iinfo(np.int64).max
 
 
-def _merge(table: tuple[np.ndarray, np.ndarray], keys: np.ndarray):
-    """Intern ``keys`` into a (sorted keys, id at each position) table.
+def _intern(table: _PackedTable, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's id in ``table``, adding the keys it lacks.
 
-    Keys the table lacks get the next free ids in sorted order and are
-    inserted where ``searchsorted`` places them.  Returns the new table,
-    each key's id and the new keys.
+    The new keys get the next free ids in sorted order.  Returns each
+    key's id and the new keys.
     """
-    known, ids = table
     unique, inverse = np.unique(keys, return_inverse=True)
-    at = np.searchsorted(known, unique)
-    fresh = known[at] != unique
+    ids = table.lookup(unique)
+    fresh = ids < 0
     new = unique[fresh]
-    unique_ids = ids[at]
-    unique_ids[fresh] = np.arange(len(known) - 1, len(known) - 1 + len(new))
-    table = np.insert(known, at[fresh], new), np.insert(ids, at[fresh], unique_ids[fresh])
-    return table, unique_ids[inverse], new
+    ids[fresh] = np.arange(len(table), len(table) + len(new))
+    table.insert(new, ids[fresh])
+    return ids[inverse], new
 
 
 class PairIndex:
@@ -354,7 +349,9 @@ class PairIndex:
     context ``c``'s key, and ``context_of`` and ``word_of`` map a pair id
     to its context id and word id.  ``intern`` reads a batch of examples
     at once: the batch's new contexts and pairs get the next free ids in
-    key order and are merged into tables sorted by key.  Each example's
+    key order and are added to two ``encoder._PackedTable``s, key -> id,
+    which ``find`` and interning look up.  The tables are the index's own;
+    the encoder's ``NGRAM_MEMO_SIZE`` does not bound them.  Each example's
     pair-id array is kept, so an example is split once per index.  The
     index only grows; ``ordered`` and ``successors``, the tables the walk
     reads, are built when first asked for after it grew.  Clients that
@@ -372,9 +369,9 @@ class PairIndex:
         self.words = [""]
         self._word_ids: dict[str, int] = {}
         self.context_keys = self.context_of = self.word_of = np.zeros(0, dtype=np.int64)
-        # (keys sorted, the id at each position) for contexts and for pairs;
-        # a pair's key is its context id, then its word id in the low bits
-        self._contexts = self._pairs = (np.array([_END]), np.array([-1]))
+        # key -> id for contexts and for pairs; a pair's key is its context
+        # id, then its word id in the low bits
+        self._contexts, self._pairs = _PackedTable(), _PackedTable()
         self._examples: dict[tuple[str, str], np.ndarray] = {}
         self._ordered: np.ndarray | None = None
         self._successors: np.ndarray | None = None
@@ -407,10 +404,7 @@ class PairIndex:
 
         -1 where the index has no such context.
         """
-        known, ids = self._contexts
-        keys = keys & (1 << self.bits * length) - 1
-        at = known.searchsorted(keys)
-        return np.where(known[at] == keys, ids[at], -1)
+        return self._contexts.lookup(keys & (1 << self.bits * length) - 1)
 
     def advance(self, keys: np.ndarray, words: np.ndarray) -> np.ndarray:
         """Each packed key followed by its word, kept to the last ``order`` words."""
@@ -472,8 +466,8 @@ class PairIndex:
             context, word, owner = (np.concatenate(parts) for parts in zip(*at_length))
         else:
             context = word = owner = np.zeros(0, dtype=np.int64)
-        self._contexts, context_id, new_contexts = _merge(self._contexts, context)
-        self._pairs, pair_id, new_pairs = _merge(self._pairs, context_id << self.bits | word)
+        context_id, new_contexts = _intern(self._contexts, context)
+        pair_id, new_pairs = _intern(self._pairs, context_id << self.bits | word)
         self.context_keys = np.concatenate((self.context_keys, new_contexts))
         self.context_of = np.concatenate((self.context_of, new_pairs >> self.bits))
         self.word_of = np.concatenate((self.word_of, new_pairs & self.unknown))
@@ -545,20 +539,19 @@ class MarkovToyClient(Client):
     batch per index, then trains each client.  ``transitions`` rebuilds
     the context -> {word: weight} table from the arrays.
 
-    One walk (``_lockstep``) serves both entry points: it steps every
-    (client, prompt) lane of a call at once, from the prompts' packed keys
-    and then from the successor contexts of the pair each lane took
-    (``PairIndex.successors``), reading views of the clients' present
-    pairs that it builds from their arrays each time it runs (``_views``),
-    so nothing derived from one client's state outlives a call or needs
-    invalidating after ``train``.
-    ``generate`` is one lane seeded by ``default_rng``; ``generate_many``
-    seeds all lanes in one vectorized SeedSequence pass (``_pcg64_states``)
-    and walks the clients of each index together, so both give the same
-    bytes.  Either way each lane's PCG64 state is held as uint64 halves
-    and steps once per walk step with the other live lanes'
-    (``_pcg64_next``).  A subclass that overrides ``generate`` or
-    ``train`` is answered or trained through it instead.
+    One walk (``_lockstep``) serves both entry points, ``generate`` as
+    one lane: it seeds every (client, prompt) lane of a call in one
+    vectorized SeedSequence pass (``_pcg64_states``) and steps them all at
+    once, from the prompts' packed keys and then from the successor
+    contexts of the pair each lane took (``PairIndex.successors``),
+    reading views of the clients' present pairs that it builds from their
+    arrays each time it runs (``_views``), so nothing derived from one
+    client's state outlives a call or needs invalidating after ``train``.
+    ``generate_many`` walks the clients of each index together.  Each
+    lane's PCG64 state is held as uint64 halves and steps once per walk
+    step with the other live lanes' (``_pcg64_next``).  A subclass that
+    overrides ``generate`` or ``train`` is answered or trained through it
+    instead.
     """
 
     def __init__(self, order: int = 1, seed: int = 0, index: PairIndex | None = None):
@@ -686,19 +679,15 @@ class MarkovToyClient(Client):
         return context[first], slots, first, pairs, cuts, totals, (sizes - 1).astype(np.int32)
 
     @staticmethod
-    def _lockstep(
-        clients: Sequence[MarkovToyClient],
-        texts: Sequence[str],
-        states: np.ndarray,
-        max_tokens: int,
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _lockstep(clients: Sequence[MarkovToyClient], texts: Sequence[str], max_tokens: int) -> list[str]:
         """Every (client, prompt) lane of a call, walked at once.
 
         The clients share one index; lane ``c * len(texts) + p`` answers
-        prompt ``p`` for client ``c`` and draws from the PCG64 state in
-        column ``c * len(texts) + p`` of ``states`` (``_pcg64_states``'
-        rows), which the walk consumes.  Returns, per step, the lanes still
-        live and the word id each took; a lane that stops never resumes.
+        prompt ``p`` for client ``c`` and draws from the PCG64 stream of
+        ``default_rng([clients[c].seed, _text_u64(texts[p])])``, every
+        lane seeded in one ``_pcg64_states`` pass.  Returns each lane's
+        text, in lane order: ``""`` for every lane when there are no
+        tokens to give or no client holds a context.
 
         The walk builds every client's view, in one batch (``_views``),
         each time it runs.  Each step finds every live lane's segment at
@@ -722,17 +711,22 @@ class MarkovToyClient(Client):
         column with its other arrays, and the draws take O(live lanes)
         memory however large ``max_tokens`` is.
         """
+        lanes = len(clients) * len(texts)
+        if max_tokens < 1 or not lanes:
+            return [""] * lanes
         index = clients[0].index
         contexts, slots, starts, pairs, cuts, totals, others = MarkovToyClient._views(clients)
         if not len(contexts):
-            return []
+            return [""] * lanes
         # the segment of (client slot, context id + 1); column 0 (no
         # context) and the contexts a client lacks hold -1
         width = len(index.context_keys) + 1
         segment_of = np.full(len(clients) * width, -1, dtype=np.int32)
         segment_of[slots * width + 1 + contexts] = np.arange(len(contexts), dtype=np.int32)
 
-        lane = np.arange(len(clients) * len(texts))
+        # Batched seeding costs ~0.2 us per lane against ~21 us for a SeedSequence each.
+        states = _pcg64_states([c.seed for c in clients], [_text_u64(text) for text in texts]).reshape(4, -1)
+        lane = np.arange(lanes)
         base = np.repeat(np.arange(len(clients), dtype=np.int64) * width + 1, len(texts))
         keys = np.array([index.key(text.split()) for text in texts], dtype=np.int64)
         # each lane reads its column of rows: its prompt's, then its pair's
@@ -771,11 +765,7 @@ class MarkovToyClient(Client):
                 pick[multi] += np.add.reduceat(cuts[at] <= threshold[owner], offsets, dtype=np.int64)
             rows, column = successors, pairs[pick]
             steps.append((lane, index.word_of[column]))
-        return steps
-
-    @staticmethod
-    def _spell(index: PairIndex, steps: list[tuple[np.ndarray, np.ndarray]], lanes: int) -> list[str]:
-        """Each lane's text from ``_lockstep``'s steps."""
+        # a lane that stops never resumes, so its steps are its first ones
         produced = np.zeros(lanes, dtype=np.int64)
         for step, (lane, _) in enumerate(steps):
             produced[lane] = step + 1
@@ -788,13 +778,7 @@ class MarkovToyClient(Client):
         return [" ".join(names[begin:end]) for begin, end in zip(begins.tolist(), ends.tolist())]
 
     def generate(self, prompt_id: str, prompt_text: str, round_index: int, max_tokens: int) -> str:
-        if max_tokens < 1:
-            return ""
-        # default_rng took 28 us here against 362 us for a one-lane _pcg64_states.
-        state = np.random.default_rng([self.seed, _text_u64(prompt_text)]).bit_generator.state["state"]
-        halves = [half for part in (state["state"], state["inc"]) for half in (part >> 64, part & _MASK64)]
-        steps = self._lockstep([self], [prompt_text], np.array(halves, dtype=np.uint64)[:, None], max_tokens)
-        return self._spell(self.index, steps, 1)[0]
+        return self._lockstep([self], [prompt_text], max_tokens)[0]
 
     @classmethod
     def generate_many(
@@ -806,10 +790,6 @@ class MarkovToyClient(Client):
     ) -> list[list[str]]:
         if any(type(client).generate is not MarkovToyClient.generate for client in clients):
             return super().generate_many(clients, prompts, round_index, max_tokens)
-        if max_tokens < 1 or not prompts:
-            return [[""] * len(prompts) for _ in clients]
-        # Batched seeding costs ~0.2 us per lane against ~21 us for a SeedSequence each.
-        states = _pcg64_states([c.seed for c in clients], [_text_u64(text) for _, text in prompts])
         texts = [text for _, text in prompts]
         by_index: dict[int, list[int]] = {}
         for position, client in enumerate(clients):
@@ -817,8 +797,7 @@ class MarkovToyClient(Client):
         responses: list[list[str]] = [[] for _ in clients]
         for positions in by_index.values():
             group = [clients[i] for i in positions]
-            steps = cls._lockstep(group, texts, states[:, positions].reshape(4, -1), max_tokens)
-            spelled = cls._spell(group[0].index, steps, len(group) * len(texts))
+            spelled = cls._lockstep(group, texts, max_tokens)
             for slot, position in enumerate(positions):
                 responses[position] = spelled[slot * len(texts) : (slot + 1) * len(texts)]
         return responses

@@ -15,6 +15,8 @@ keys are looked up at once in an open-addressing table held in two
 numpy arrays (keys and codes), probed linearly from a Fibonacci hash;
 only the keys it misses are deduplicated with ``np.unique`` and go
 through the keyed hash, every one of them before any is added.
+``clients.PairIndex`` interns its contexts and pairs in tables of this
+class that are its own.
 Longer n-grams are keyed by their string in a dict.  The tables are
 keyed by (seed, dimension, n-gram size) and hold at most
 ``NGRAM_MEMO_SIZE`` entries together.  One ``np.bincount`` then sums
@@ -145,13 +147,13 @@ def _make_room(count: int) -> bool:
 
 
 class _PackedTable:
-    """Open-addressing table from packed n-gram keys to their codes.
+    """Open-addressing table from non-negative int64 keys to int64 codes.
 
-    ``keys`` holds -1 in an empty slot (a packed key is never negative)
-    and ``codes`` the bucket * 2 + sign bit of the key in the same slot.
-    A key's probe starts at its Fibonacci hash and steps one slot at a
-    time, wrapping at the end.  The capacity is a power of two at least
-    twice the entries, so every probe meets an empty slot.
+    Used for packed n-grams and by ``clients.PairIndex``.  ``keys`` holds
+    -1 in an empty slot and ``codes`` the code of the key in the same
+    slot.  A key's probe starts at its Fibonacci hash and steps one slot
+    at a time, wrapping at the end.  The capacity is a power of two at
+    least twice the entries, so every probe meets an empty slot.
     """
 
     __slots__ = ("keys", "codes", "size")
@@ -171,8 +173,8 @@ class _PackedTable:
         homes >>= np.uint64(65 - len(self.keys).bit_length())
         return homes.view(np.int64)
 
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        """Each key's slot, or the empty slot that ends its probe when it is absent.
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's code, or -1 where the table lacks the key.
 
         All keys are probed at once; each step moves only the lanes whose
         slot holds another key.
@@ -186,23 +188,35 @@ class _PackedTable:
             slots[pending] = probe
             held = self.keys[probe]
             pending = pending[(held != keys[pending]) & (held != -1)]
-        return slots
+        return np.where(self.keys[slots] == keys, self.codes[slots], -1)
 
-    def insert(self, keys: np.ndarray, codes: list[int]) -> None:
+    def insert(self, keys: np.ndarray, codes: np.ndarray) -> None:
         """Add distinct keys that are not in the table, with their codes.
 
         When the entries would fill more than half the slots, the table
-        is first rebuilt with the smallest power-of-two capacity that
-        holds them all at half load.
+        is rebuilt with the smallest power-of-two capacity that holds them
+        all at half load: sorted by home, the key of rank r takes slot
+        r + the running maximum of home - rank.  Keys that would pass the
+        last slot, and batches that fit without a rebuild, are probed in
+        one at a time.
         """
         if 2 * (self.size + len(keys)) > len(self.keys):
             held = self.keys != -1
             keys = np.concatenate([self.keys[held], keys])
-            codes = self.codes[held].tolist() + codes
+            codes = np.concatenate([self.codes[held], codes])
             self.__init__(1 << (2 * len(keys) - 1).bit_length())
+            homes = self._homes(keys)
+            order = np.argsort(homes)
+            rank = np.arange(len(keys))
+            slots = rank + np.maximum.accumulate(homes[order] - rank)
+            fit = int(np.count_nonzero(slots < len(self.keys)))
+            self.keys[slots[:fit]] = keys[order[:fit]]
+            self.codes[slots[:fit]] = codes[order[:fit]]
+            self.size = fit
+            keys, codes = keys[order[fit:]], codes[order[fit:]]
         mask = len(self.keys) - 1
         table_keys, table_codes = self.keys, self.codes
-        for key, code, slot in zip(keys.tolist(), codes, self._homes(keys).tolist()):
+        for key, code, slot in zip(keys.tolist(), codes.tolist(), self._homes(keys).tolist()):
             while table_keys[slot] != -1:
                 slot = (slot + 1) & mask
             table_keys[slot] = key
@@ -225,17 +239,16 @@ def _packed_codes(
     table = _TABLES.get(config_key)
     if table is None:
         table = _TABLES[config_key] = _PackedTable()
-    slots = table.find(packed)
-    codes = table.codes[slots]
-    missing = table.keys[slots] != packed
+    codes = table.lookup(packed)
+    missing = codes < 0
     if missing.any():
         keys, first, inverse = np.unique(packed[missing], return_index=True, return_inverse=True)
         ngrams = [joined[i : i + n] for i in starts[missing][first].tolist()]
-        new_codes = _hash_ngrams(ngrams, config)
+        new_codes = np.array(_hash_ngrams(ngrams, config), dtype=np.int64)
         if _make_room(len(keys)):
             table = _TABLES[config_key] = _PackedTable()
         table.insert(keys[:NGRAM_MEMO_SIZE], new_codes[:NGRAM_MEMO_SIZE])
-        codes[missing] = np.array(new_codes, dtype=np.int64)[inverse]
+        codes[missing] = new_codes[inverse]
     return codes
 
 

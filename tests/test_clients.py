@@ -357,6 +357,34 @@ def test_generate_many_matches_per_call_and_reference(order, seeds, corpora, pro
     assert batched == per_call == oracle
 
 
+def test_every_generate_path_seeds_its_lanes_without_default_rng(monkeypatch):
+    """Per-call generate, generate_many, a zero budget and an untrained
+    client give the reference texts while numpy's default_rng raises:
+    every lane is seeded by ``_pcg64_states``."""
+    queries = [(f"p{i}", text) for i, text in enumerate(EDGE_PROMPTS)]
+    corpora = [BRANCHING, CYCLE, []]
+    references = [ReferenceMarkovClient(order=2, seed=seed) for seed in (0, 7, 2**64 - 1)]
+    for reference, corpus in zip(references, corpora):
+        reference.train(corpus, [], EVEN.alpha, EVEN.beta)
+    expected = {tokens: [[r.generate(text, tokens) for _, text in queries] for r in references] for tokens in (0, 40)}
+    assert expected[40][2] == expected[0][0] == [""] * len(queries) != expected[40][0]
+
+    def no_default_rng(*args, **kwargs):
+        raise AssertionError("default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", no_default_rng)
+    index = PairIndex(2)
+    clients = [MarkovToyClient(order=2, seed=r.seed, index=index) for r in references]
+    for slot, (client, corpus) in enumerate(zip(clients, corpora)):
+        client.train(private(slot, *corpus), [], EVEN)
+    for tokens, texts in expected.items():
+        assert [[c.generate(pid, text, 1, tokens) for pid, text in queries] for c in clients] == texts
+        assert MarkovToyClient.generate_many(clients, queries, 1, tokens) == texts
+        assert MarkovToyClient.generate_many(clients[2:], queries, 1, tokens) == texts[2:]
+    assert MarkovToyClient.generate_many(clients, [], 1, 40) == [[], [], []]
+    assert MarkovToyClient.generate_many([MarkovToyClient(order=2)], queries, 1, 40) == expected[40][2:]
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_generate_many_walks_never_ending_chains_for_300_tokens(order):
     """Every lane of these never-ending chains steps its PCG64 state 300

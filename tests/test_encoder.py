@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import semfed.encoder as encoder
 from oracles import reference_encode, reference_encode_batch, reference_normalize
 
+from semfed.clients import PairIndex
 from semfed.consensus import cosine_distances
 from semfed.encoder import (
     NGRAM_MEMO_SIZE,
@@ -249,10 +250,11 @@ def test_packed_table_probes_grows_and_keeps_its_entries_when_a_batch_fails(monk
     rest = check(batch, config)  # cold for most n-grams: the table doubles
     assert not first & rest and first | rest == distinct
     assert len(table) == len(distinct) > 3000 and len(table.keys) == 8192
-    keys = table.keys[table.keys != -1]
-    slots, homes = table.find(keys), table._homes(keys)
-    # keys stored past their first slot, and some whose probe wrapped to the front
-    assert (slots != homes).sum() > 100 and (slots < homes).any()
+    slots = np.flatnonzero(table.keys != -1)
+    homes = table._homes(table.keys[slots])
+    # keys stored past their first slot, each found by its probe
+    assert (slots != homes).sum() > 100
+    assert np.array_equal(table.lookup(table.keys[slots]), table.codes[slots])
     assert check(batch, replace(config, seed=1)) == distinct
     assert check(batch, replace(config, dimension=128)) == distinct
     assert check(batch, config) == set()
@@ -265,6 +267,82 @@ def test_packed_table_probes_grows_and_keeps_its_entries_when_a_batch_fails(monk
     assert len(table) == len(distinct) and table_entries() == 3 * len(distinct)
     assert len(check(["fresh text"] + batch, config)) == 9
     assert len(table) == len(distinct) + 9
+
+    # runs past the last slot wrap to the front, placed by a rebuild and by a batch that fits
+    wrapped = encoder._PackedTable()
+    wrapped.insert(np.array(LAST[:3]), np.array([5, 6, 7]))  # rebuilt to 8 slots, all three homed at 7
+    wrapped.insert(np.array(LAST[3:4]), np.array([8]))  # fits: probes 7, 0, 1, 2
+    assert len(wrapped.keys) == 8 and wrapped._homes(np.array(LAST[:4])).tolist() == [7] * 4
+    assert set(wrapped.keys[[7, 0, 1]].tolist()) == set(LAST[:3]) and wrapped.keys[2] == LAST[3]
+    assert wrapped.lookup(np.array(LAST[:5])).tolist() == [5, 6, 7, 8, -1]
+
+
+_FIBONACCI_INVERSE = pow(int(encoder._FIBONACCI), -1, 2**64)
+
+
+def homed_key(prefix, low):
+    """The first non-negative int64 key from ``low`` up whose Fibonacci hash
+    starts with the 24 bits of ``prefix``: in every table of at most 2**24
+    slots it is homed where ``prefix``'s top bits point."""
+    while True:
+        key = (prefix << 40 | low) * _FIBONACCI_INVERSE % 2**64
+        if key < 2**63:
+            return key
+        low += 1
+
+
+# Keys homed at the last slot of every table, so their runs pass the end.
+LAST = [homed_key(0xFFFFFF, low) for low in range(0, 400, 50)]
+# Keys homed at the middle slot of every table.
+MIDDLE = [homed_key(0x800000, low) for low in range(0, 400, 50)]
+TABLE_KEYS = st.one_of(
+    st.integers(0, 2**63 - 1),
+    st.integers(0, 2**40 - 2**20).map(lambda low: homed_key(0xFFFFFF, low)),
+    st.integers(0, 2**40 - 2**20).map(lambda low: homed_key(0x800000, low)),
+)
+
+
+@given(
+    batches=st.lists(st.lists(TABLE_KEYS, max_size=40), min_size=1, max_size=6),
+    absent=st.lists(TABLE_KEYS, max_size=10),
+)
+# rebuilt to 8 slots with two keys past the end; a batch that fits and
+# wraps; rebuilt to 16 slots around a middle run, three keys past the
+# end; then free keys, rebuilt and fitting
+@example(batches=[LAST[:3], LAST[3:4], MIDDLE[:4], [1, 2, 3], [4]], absent=LAST[4:] + MIDDLE[4:] + [0])
+def test_packed_table_lookup_matches_a_dict(batches, absent):
+    table = encoder._PackedTable()
+    expected = {}
+    for batch in batches:
+        keys = [key for key in dict.fromkeys(batch) if key not in expected]
+        codes = [7 * (len(expected) + i) + 3 for i in range(len(keys))]
+        table.insert(np.array(keys, dtype=np.int64), np.array(codes, dtype=np.int64))
+        expected.update(zip(keys, codes))
+        capacity = len(table.keys)
+        assert len(table) == len(expected) and capacity & (capacity - 1) == 0 and capacity >= 2 * len(table)
+        probe = list(expected) + absent
+        assert table.lookup(np.array(probe, dtype=np.int64)).tolist() == [expected.get(key, -1) for key in probe]
+
+
+def test_pair_index_tables_stay_out_of_the_encoder_bound(monkeypatch):
+    """An index holding more keys than NGRAM_MEMO_SIZE leaves the encoder's
+    tables alone under the bound; an encode past it empties them without
+    touching the index, whose every context id still comes back from find."""
+    monkeypatch.setattr(encoder, "NGRAM_MEMO_SIZE", 64)
+    encoder._TABLES.clear()
+    index = PairIndex(2)
+    index.intern([("", " ".join(f"w{i}" for i in range(100)))])
+    ids = np.arange(len(index.context_keys))
+    assert len(ids) > 64 and len(index) > 64
+    config = EncoderConfig(dimension=64)
+    encode_batch(["short text"], config)
+    table = encoder._TABLES[(0, 64, 3)]
+    encode_batch(["other words"], config)
+    assert encoder._TABLES[(0, 64, 3)] is table and table_entries() == 17
+    encode_batch(["".join(map(chr, range(0x4E00, 0x4E00 + 80)))], config)  # 78 new trigrams
+    assert encoder._TABLES[(0, 64, 3)] is not table and table_entries() == 64
+    assert not {id(index._contexts), id(index._pairs)} & set(map(id, encoder._TABLES.values()))
+    assert np.array_equal(index.find(index.context_keys, 2), ids)
 
 
 def test_normalize_examples():
