@@ -332,13 +332,13 @@ def cmd_consensus(args: argparse.Namespace) -> int:
             outcome, result, errors = consensus_phase(
                 prompt_id, records, raw_vectors, rows, params, strategy
             )
+            if outcome is None:
+                entry = {"prompt_id": prompt_id, "error": errors[0].reason}
+            else:
+                entry = dict(vars(outcome), centroid=[float(x) for x in result.centroid])
         except ValueError as exc:
             raise ValueError(f"prompt {prompt_id!r}: {exc}") from exc
         skipped = [e.client for e in errors if e.reason == "zero_embedding"]
-        if outcome is None:
-            entry = {"prompt_id": prompt_id, "error": errors[0].reason}
-        else:
-            entry = dict(vars(outcome), centroid=[float(x) for x in result.centroid])
         if skipped:
             entry["skipped_clients"] = skipped
         results.append(entry)

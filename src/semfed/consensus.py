@@ -5,7 +5,9 @@ responses under cosine distance, pick the consensus cluster (largest;
 ties broken by compactness, then by smallest index), form its
 normalized centroid, and return the member response closest to that
 centroid as the pseudo-label.  The pseudo-label is always one of the
-submitted responses verbatim, never a synthesized string.
+submitted responses verbatim, never a synthesized string.  Only that
+default rule reads the centroid to choose; under the other rules the
+result computes it when it is first read.
 
 Every step is deterministic, including the classically order-dependent
 parts of DBSCAN: clusters are numbered by their smallest core point and
@@ -36,8 +38,9 @@ Degenerate inputs are handled, not hidden:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -146,20 +149,39 @@ class ConsensusResult:
     Indices (consensus_members, representative) are client ids taken
     from the submitted records.  pseudo_label is byte-identical to the
     representative client's response text.
+
+    ``centroid`` is the unit-norm centroid of the consensus set, or the
+    representative's own embedding when the members' sum cancels.  Only
+    the CENTROID rule needs it to choose, so it comes in through
+    ``_centroid``; otherwise it is computed from ``_points`` (the
+    prompt's unit embeddings, not a copy) when first read.
     """
 
     clustering: Clustering
     consensus_members: tuple[int, ...]
-    centroid: np.ndarray
     representative: int
     pseudo_label: str
     fallback_all_outliers: bool
+    _points: np.ndarray = field(repr=False, compare=False)
+    _member_positions: tuple[int, ...] = field(repr=False, compare=False)
+    _representative_position: int = field(repr=False, compare=False)
+    _centroid: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.representative not in self.consensus_members:
             raise ValueError("representative must be a consensus member")
-        if not is_unit(self.centroid):
+
+    @cached_property
+    def centroid(self) -> np.ndarray:
+        centroid = self._centroid
+        if centroid is None:
+            try:
+                centroid = normalized_centroid(self._member_positions, self._points)
+            except ZeroSumError:
+                centroid = self._points[self._representative_position]
+        if not is_unit(centroid):
             raise ValueError("centroid must have unit norm")
+        return centroid
 
 
 def cosine_distances(
@@ -266,7 +288,8 @@ def normalized_centroid(members: Sequence[int], embeddings: Sequence[np.ndarray]
     """Unit-norm mean direction of the member embeddings.
 
     Sums run row by row in member order (``np.add.reduce`` would sum one
-    column pairwise).  Raises ZeroSumError on antipodal cancellation.
+    column pairwise; ``np.add.accumulate`` gives these bits but runs about
+    3x slower).  Raises ZeroSumError on antipodal cancellation.
     """
     points = np.asarray(embeddings, dtype=np.float64)
     members = sorted(members)
@@ -352,11 +375,13 @@ def consensus_for_prompt(
     response.  Supplying embeddings explicitly lets callers swap in a
     real sentence encoder without touching this module.
 
-    Reported members and the representative are client ids.  When the
-    centroid direction cancels exactly, CENTROID selection falls back to
-    the medoid of the consensus set and the recorded centroid is the
-    representative's own embedding (the only unit direction that still
-    describes the choice).
+    Reported members and the representative are client ids.  Only
+    CENTROID selection computes the centroid here; when its direction
+    cancels exactly, it falls back to the medoid of the consensus set
+    and the recorded centroid is the representative's own embedding
+    (the only unit direction that still describes the choice).  The
+    other rules leave the centroid to be computed, by the same rule,
+    when ``result.centroid`` is first read.
     """
     if len(responses) == 0:
         raise ValueError("consensus needs at least one response")
@@ -386,31 +411,30 @@ def consensus_for_prompt(
     else:
         member_positions = select_consensus_cluster(clustering, dist)
 
-    centroid: np.ndarray | None
-    try:
-        centroid = normalized_centroid(member_positions, points)
-    except ZeroSumError:
-        centroid = None
-
+    centroid = None
     if strategy.rule is SelectionRule.CENTROID:
-        if centroid is not None:
-            rep_pos = select_representative(member_positions, points, texts, centroid)
-        else:
+        try:
+            centroid = normalized_centroid(member_positions, points)
+        except ZeroSumError:
             rep_pos = medoid(member_positions, dist, texts)
+            centroid = points[rep_pos]
+        else:
+            rep_pos = select_representative(member_positions, points, texts, centroid)
     elif strategy.rule is SelectionRule.RANDOM_IN_CLUSTER:
         prompt_id = next(iter(prompt_ids))
         rng = np.random.default_rng([strategy.seed, _text_u64(prompt_id)])
         rep_pos = member_positions[int(rng.integers(len(member_positions)))]
     else:  # GLOBAL_MEDOID
         rep_pos = medoid(member_positions, dist, texts)
-    if centroid is None:
-        centroid = points[rep_pos]
 
     return ConsensusResult(
         clustering=clustering,
         consensus_members=tuple(clients[p] for p in member_positions),
-        centroid=centroid,
         representative=clients[rep_pos],
         pseudo_label=texts[rep_pos],
         fallback_all_outliers=fallback,
+        _points=points,
+        _member_positions=member_positions,
+        _representative_position=rep_pos,
+        _centroid=centroid,
     )

@@ -228,9 +228,10 @@ def consensus_phase(
     normalized once.  A record whose vector is all zero (an empty or
     too-short text) is dropped with a ``zero_embedding`` error; a prompt
     left with no response gets a ``no_embeddable_responses`` error and
-    no outcome.  Returns the transcript entry, the full result (which
-    also holds the centroid), and the errors: any
-    ``no_embeddable_responses`` first, then ``zero_embedding`` in record order.
+    no outcome.  Returns the transcript entry, the full result (whose
+    centroid, unless the rule chose by it, is computed when read), and
+    the errors: any ``no_embeddable_responses`` first, then
+    ``zero_embedding`` in record order.
     """
     units, zero = normalize_rows(raw_vectors)
     kept = ~zero[rows]

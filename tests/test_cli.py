@@ -475,6 +475,74 @@ def test_consensus_external_zero_embedding_is_skipped(tmp_path, capsys):
     assert q == {"prompt_id": "q", "error": "no_embeddable_responses", "skipped_clients": [0]}
 
 
+# Encoded answers: a majority with variants, two tied clusters, a lone
+# answer and an empty one.  External vectors: a prompt whose answers are
+# antipodal pairs (all outliers, the sum cancels, so the printed centroid
+# is the representative's row) and a cluster with non-dyadic entries.
+GOLDEN_CONSENSUS_TEXTS = {
+    "a": ["the sky is blue", "the sky is blue", "the sky is blue today", "zzq vrn kplx", "sky blue"],
+    "b": ["water is wet", "water is wet", "fire is hot", "fire is hot"],
+    "c": ["a lone answer"],
+    "d": ["", "name a fruit", "an apple is a fruit"],
+}
+GOLDEN_CONSENSUS_VECTORS = {
+    "anti": [[0.6, 0.8, 0.0], [-0.6, -0.8, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+    "near": [[0.1, 0.7, 0.3], [0.11, 0.69, 0.31], [0.3, 1.9, 0.7], [-0.5, 0.2, 0.9]],
+}
+# sha256 of stdout per (input, --strategy), as printed when every
+# centroid was computed eagerly.
+GOLDEN_CONSENSUS_SHA256 = {
+    ("texts", "centroid"): "9cb2ef2600cfe6c59b8c823858773e0bfdd1be1769bdb71671de38132148f46e",
+    ("texts", "random_in_cluster"): "490115e3248a1f1f089d01409e6bbad4e306cf5daf26e336f3fa11c3429b48ae",
+    ("texts", "global_medoid"): "872c1c5b43f94776af78ccc7453289ebbacc09170770a41501d856ae2fe78231",
+    ("vectors", "centroid"): "0e5d704965539f08cb8204432c994d439192eca36abfdde9eb3c8251618d1f1b",
+    ("vectors", "random_in_cluster"): "a6c4900bbb66aa82de3497968b17976497d68ec241999a54ef8a082df6a2f8f7",
+    ("vectors", "global_medoid"): "6d098549c33dbd3fc2a27a1bc2e564cc75deb9231690ce0e75011f65fb9de67d",
+}
+
+
+def test_consensus_golden_output_for_every_strategy(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_jsonl(
+        tmp_path / "texts.jsonl",
+        [
+            {"prompt_id": p, "client_id": c, "response": text}
+            for p, texts in GOLDEN_CONSENSUS_TEXTS.items()
+            for c, text in enumerate(texts)
+        ],
+    )
+    write_jsonl(
+        tmp_path / "vectors.jsonl",
+        [
+            {"prompt_id": p, "client_id": c, "response": f"answer {c} to {p}"}
+            for p, vectors in GOLDEN_CONSENSUS_VECTORS.items()
+            for c in range(len(vectors))
+        ],
+    )
+    write_jsonl(
+        tmp_path / "e.jsonl",
+        [
+            {"response_id": f"{p}/{c}", "embedding": vector}
+            for p, vectors in GOLDEN_CONSENSUS_VECTORS.items()
+            for c, vector in enumerate(vectors)
+        ],
+    )
+    inputs = {
+        "texts": ["--input", "texts.jsonl"],
+        "vectors": ["--input", "vectors.jsonl", "--embeddings", "e.jsonl"],
+    }
+    digests = {}
+    for name, strategy in GOLDEN_CONSENSUS_SHA256:
+        code, out, err = run_cli(capsys, "consensus", *inputs[name], "--strategy", strategy)
+        assert code == 0, err
+        if (name, strategy) == ("vectors", "centroid"):
+            anti = json.loads(out)["outputs"]["prompts"][0]
+            assert anti["fallback_all_outliers"] is True
+            assert anti["centroid"] == GOLDEN_CONSENSUS_VECTORS["anti"][anti["representative"]]
+        digests[name, strategy] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digests == GOLDEN_CONSENSUS_SHA256
+
+
 def test_consensus_flag_defaults_are_the_dataclass_defaults():
     args = build_parser().parse_args(["consensus", "--input", "r.jsonl"])
     cluster, encoder = ClusterParams(), EncoderConfig()

@@ -219,7 +219,9 @@ def test_markov_huge_token_budget_stops_with_the_chain():
     reference.train(examples, [], EVEN.alpha, EVEN.beta)
     for prompt in ("a", "b", "a b"):
         expected = reference.generate(prompt, 10**12)
-        assert expected
+        assert 0 < len(expected.split()) < 64
+        # a walk that never stops fails here instead of running 10**12 steps
+        assert client.generate("p", prompt, 1, 64) == expected
         assert client.generate("p", prompt, 1, 10**12) == expected
 
 

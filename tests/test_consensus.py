@@ -372,8 +372,9 @@ def test_unit_norm_error_names_first_offending_position(bad):
 
 
 def test_consensus_builds_one_pairwise_matrix_per_prompt(monkeypatch):
-    shapes, choices = [], []
+    shapes, choices, centroids = [], [], []
     distances, choose = consensus.cosine_distances, consensus.select_consensus_cluster
+    centroid = consensus.normalized_centroid
 
     def counted_distances(*args):
         dist = distances(*args)
@@ -384,8 +385,13 @@ def test_consensus_builds_one_pairwise_matrix_per_prompt(monkeypatch):
         choices.append(args)
         return choose(*args)
 
+    def counted_centroid(*args):
+        centroids.append(args)
+        return centroid(*args)
+
     monkeypatch.setattr(consensus, "cosine_distances", counted_distances)
     monkeypatch.setattr(consensus, "select_consensus_cluster", counted_choice)
+    monkeypatch.setattr(consensus, "normalized_centroid", counted_centroid)
     points = [on_circle(a) for a in (0.0, 0.02, 0.04, 2.0, 2.02)]
     recs = records([f"answer {i}" for i in range(5)])
     params = ClusterParams(eps=0.1, min_pts=2)
@@ -396,14 +402,26 @@ def test_consensus_builds_one_pairwise_matrix_per_prompt(monkeypatch):
     # the K x K matrix, then the members x 1 distances to the centroid
     assert shapes == [(5, 5), (3, 1)]
     assert len(choices) == 1
+    # the centroid that chose the representative is the one reported
+    assert len(centroids) == 1
+    assert result.centroid is result.centroid
+    assert len(centroids) == 1
 
-    shapes.clear()
-    choices.clear()
-    medoid_rule = SelectionStrategy(rule=SelectionRule.GLOBAL_MEDOID)
-    result = consensus_for_prompt(recs, points, params, medoid_rule)
-    assert result.consensus_members == tuple(range(5))
-    assert shapes == [(5, 5)]
-    assert choices == []
+    for rule, members, chosen in (
+        (SelectionRule.GLOBAL_MEDOID, tuple(range(5)), 0),
+        (SelectionRule.RANDOM_IN_CLUSTER, (0, 1, 2), 1),
+    ):
+        shapes.clear()
+        choices.clear()
+        centroids.clear()
+        result = consensus_for_prompt(recs, points, params, SelectionStrategy(rule=rule))
+        assert result.consensus_members == members
+        assert shapes == [(5, 5)]
+        assert len(choices) == chosen
+        # no centroid until it is read, then one, kept for later reads
+        assert centroids == []
+        assert result.centroid is result.centroid
+        assert len(centroids) == 1
 
 
 # ------------------------------------------------------- strategies
@@ -563,6 +581,47 @@ def test_matrix_path_matches_pairwise_reference(
     assert list(got.consensus_members) == want["members"]
     assert got.representative == want["representative"]
     assert got.fallback_all_outliers == want["fallback"]
+
+
+def eager_centroid(points, members, representative):
+    """The centroid as every result once held it: the normalized running
+    sum of the member rows, or the representative's row when it cancels."""
+    total = reference_member_sum(points, members)
+    norm = float(np.linalg.norm(total))
+    return points[representative] if norm < 1e-12 else total / norm
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 24),
+    families=st.integers(1, 4),
+    noise=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    dup_share=st.sampled_from([0.0, 0.3, 0.7]),
+    antipodal=st.booleans(),
+    eps=st.floats(0.02, 0.9),
+    rule=st.sampled_from(list(SelectionRule)),
+)
+# all outliers, so every pair is in the consensus set and the sum cancels
+@example(seed=0, k=3, families=3, noise=1.0, dup_share=0.0, antipodal=True, eps=0.02,
+         rule=SelectionRule.CENTROID)
+@example(seed=0, k=3, families=3, noise=1.0, dup_share=0.0, antipodal=True, eps=0.02,
+         rule=SelectionRule.RANDOM_IN_CLUSTER)
+@example(seed=0, k=3, families=1, noise=0.0, dup_share=0.0, antipodal=True, eps=0.02,
+         rule=SelectionRule.GLOBAL_MEDOID)
+def test_centroid_equals_the_eager_centroid_under_every_rule(
+    seed, k, families, noise, dup_share, antipodal, eps, rule
+):
+    points, texts = planted_families(seed, k, families, noise, dup_share)
+    if antipodal:
+        # each row followed by its negation: a set holding every pair sums
+        # to exactly zero, so the centroid is the representative's row
+        points = np.stack([points, -points], axis=1).reshape(2 * k, -1)
+        texts = [t + tail for t in texts for tail in ("", "-")]
+    result = consensus_for_prompt(
+        records(texts), points, ClusterParams(eps=eps), SelectionStrategy(rule)
+    )
+    want = eager_centroid(points, result.consensus_members, result.representative)
+    assert result.centroid.tobytes() == want.tobytes()
 
 
 class _SkewedProduct(np.ndarray):

@@ -139,6 +139,16 @@ EDGE_LINES = [
     b'{"a": 1, "c": {}}',
     b'{"b": 1, "c": 2}',
     b"   ",
+    b'{"a": 1, "b": 2, "c": []}',
+    b'{"a": "1", "b": "x", "c": "[]"}',
+    b'{"a": 1, "b": "x\\udc80", "c": []}',
+    b'{"a": 1, "b": "\\u00e9\\udc80", "c": []}',
+    b'{"a": 1, "b": "x", "c": ["\\udc80"]}',
+    b'{"a": 1,\n"b": "x", "c": []}',
+    b'{"a": 2, "b": "y", "c": [1]}\r',
+    GOOD + b"\x1c",
+    GOOD + "\u2028".encode(),
+    b"\x1c" + GOOD + "\u2028".encode() + b"\r",
 ]
 
 
@@ -188,6 +198,38 @@ def jsonl_lines(draw):
 def test_read_rows_matches_the_per_line_json_loads_reader_on_generated_files(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("rows") / "rows.jsonl"
     path.write_bytes(b"\n".join(lines))
+    assert outcome(read_rows, path) == outcome(reference_read_rows, path)
+
+
+# Values of every JSON type, ASCII and not, for rows that hold every field.
+TYPED = st.sampled_from(
+    [1, -7, 2**70, True, False, 1.0, 0.5, None, "x", "", "é", "\udc80", "a\ud83d", [], [1], {}, {"a": 1}]
+)
+
+
+@given(
+    rows=st.lists(
+        st.fixed_dictionaries(
+            {
+                "a": st.integers() | TYPED,
+                "b": st.text(max_size=4) | TYPED,
+                "c": st.lists(st.integers(), max_size=2) | TYPED,
+            }
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    ensure_ascii=st.booleans(),
+    line_end=st.sampled_from(["\n", "\r\n", "\x1c\n", "\u2028\n", "\n \n"]),
+)
+@example(rows=[{"a": 1, "b": "é", "c": []}, {"a": 2, "b": "x\udc80", "c": []}], ensure_ascii=True, line_end="\n")
+@example(rows=[{"a": 1, "b": "x", "c": ["\udc80"]}, {"a": 1, "b": "é", "c": [1]}], ensure_ascii=False, line_end="\r\n")
+@example(rows=[{"a": 1, "b": "x", "c": []}, {"a": True, "b": "x", "c": []}], ensure_ascii=True, line_end="\n")
+def test_read_rows_checks_typed_rows_like_the_reference(tmp_path_factory, rows, ensure_ascii, line_end):
+    path = tmp_path_factory.mktemp("rows") / "rows.jsonl"
+    text = "".join(json.dumps(row, ensure_ascii=ensure_ascii) + line_end for row in rows)
+    # a lone surrogate written raw is invalid UTF-8
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
     assert outcome(read_rows, path) == outcome(reference_read_rows, path)
 
 

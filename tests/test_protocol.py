@@ -98,6 +98,23 @@ def test_single_client_self_consensus():
     assert transcript.errors == ()
 
 
+@pytest.mark.parametrize(
+    "rule, calls",
+    [(SelectionRule.CENTROID, 3), (SelectionRule.GLOBAL_MEDOID, 0), (SelectionRule.RANDOM_IN_CLUSTER, 0)],
+)
+def test_round_computes_centroids_only_under_the_centroid_rule(monkeypatch, rule, calls):
+    from semfed import consensus
+
+    seen = []
+    centroid = consensus.normalized_centroid
+    monkeypatch.setattr(consensus, "normalized_centroid", lambda *a: seen.append(a) or centroid(*a))
+    prompts = prompt_set(3)
+    clients = scripted_uniform(4, prompts, 1, "the sky over the bay is blue")
+    transcript = run_round(clients, prompts, SessionParams(strategy=SelectionStrategy(rule)), 1)
+    assert len(transcript.broadcast) == 3
+    assert len(seen) == calls
+
+
 def test_byte_totals_match_closed_form():
     # 10 clients, 4 prompts, every response exactly 128 bytes
     text = "z" * 128
@@ -443,11 +460,18 @@ def test_prompt_set_from_jsonl(tmp_path):
     assert len(PublicPromptSet.from_jsonl(path)) == 5
     assert len(PublicPromptSet.from_jsonl(path, limit=3)) == 3
     # a malformed row past the budget is never parsed
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write('{"prompt_id": null}\n')
-    assert len(PublicPromptSet.from_jsonl(path, limit=5)) == 5
-    with pytest.raises(ValueError, match=":6: expected keys"):
-        PublicPromptSet.from_jsonl(path)
+    good = path.read_bytes()
+    for bad, reason in (
+        (b'{"prompt_id": null}', "expected keys"),
+        (b'{"prompt_id": 1, "text": "hi"}', "prompt_id must be a JSON string"),
+        (b"{", "invalid JSON"),
+        (b"[]", "expected keys"),
+        (b'{"prompt_id": "\xff"}', "'utf-8' codec can't decode"),
+    ):
+        path.write_bytes(good + bad + b"\n")
+        assert len(PublicPromptSet.from_jsonl(path, limit=5)) == 5
+        with pytest.raises(ValueError, match=f":6: {reason}"):
+            PublicPromptSet.from_jsonl(path)
 
 
 # Strings that JSON must escape or that sit at its edges: quotes,
