@@ -12,18 +12,19 @@ wrappers) can be mixed freely in one session.
 
 The Markov client treats tokens as whitespace-separated words.  That is
 unrelated to the bytes-per-token constant in the cost calculators; the
-two are deliberately independent knobs.  Its weights are arrays over the
-pair ids of a ``PairIndex``, which packs each context into one int64 key
-and interns each (context, next word) pair once, in two of the
-encoder's open-addressing tables; the clients of one session and one
-order share an index, and a client built alone gets its own, so no
-state outlives the clients that hold it.  Generation, per call or
-batched, walks all (client, prompt) lanes of a call in lockstep: it
-looks up the prompts' packed keys once, and after that moves each lane
-from the pair it took to that pair's successor contexts, a table the
-index builds once per growth; each lane's PCG64 stream is seeded, and
-stepped once per walk step, by 128-bit LCG arithmetic on uint64 arrays,
-bit for bit the stream numpy's ``default_rng`` gives.
+two are deliberately independent knobs.  Each client holds weights over
+its own pairs only, by their ids in a ``PairIndex``, which packs each
+context into one int64 key and interns each (context, next word) pair
+once, in two of the encoder's open-addressing tables; the clients of
+one session and one order share an index, and a client built alone gets
+its own, so no state outlives the clients that hold it.  Generation,
+per call or batched, walks all (client, prompt) lanes of a call in
+lockstep: it looks up the prompts' packed keys once, and after that
+moves each lane from the pair it took to that pair's successor
+contexts, a table the index builds once per growth; each lane's PCG64
+stream is seeded, and stepped once per walk step, by 128-bit LCG
+arithmetic on uint64 arrays, bit for bit the stream numpy's
+``default_rng`` gives.
 """
 
 from __future__ import annotations
@@ -353,11 +354,13 @@ class PairIndex:
     which ``find`` and interning look up.  The tables are the index's own;
     the encoder's ``NGRAM_MEMO_SIZE`` does not bound them.  Each example's
     pair-id array is kept, so an example is split once per index.  The
-    index only grows; ``ordered`` and ``successors``, the tables the walk
-    reads, are built when first asked for after it grew.  Clients that
-    share one index read the same ids; ``_build_clients`` makes one per
-    session for all clients of one order, and a client built without one
-    gets its own, so nothing is shared between sessions.
+    index only grows; ``ordered`` and ``ranks`` (walk order, read by
+    ``train``) and ``successors`` (read by the walk) are built when first
+    asked for after it grew.  Clients that share one index read the same
+    ids, and each holds arrays over its own pairs only, so the index is
+    the one structure that grows with the federation; ``_build_clients``
+    makes one per session for all clients of one order, and a client built
+    without one gets its own, so nothing is shared between sessions.
     """
 
     def __init__(self, order: int):
@@ -374,6 +377,7 @@ class PairIndex:
         self._contexts, self._pairs = _PackedTable(), _PackedTable()
         self._examples: dict[tuple[str, str], np.ndarray] = {}
         self._ordered: np.ndarray | None = None
+        self._ranks: np.ndarray | None = None
         self._successors: np.ndarray | None = None
         self._names = np.zeros(0, dtype=object)
 
@@ -383,13 +387,17 @@ class PairIndex:
     @property
     def contexts(self) -> list[tuple[str, ...]]:
         """Each context id's words, oldest first."""
+        return self.spell_contexts(range(len(self.context_keys)))
+
+    def spell_contexts(self, ids: Sequence[int]) -> list[tuple[str, ...]]:
+        """The words of the given context ids, oldest first."""
         found = []
-        for key in self.context_keys.tolist():
-            ids = []
+        for key in self.context_keys[np.asarray(ids, dtype=np.int64)].tolist():
+            word_ids = []
             while key:
-                ids.append(key & self.unknown)
+                word_ids.append(key & self.unknown)
                 key >>= self.bits
-            found.append(tuple(self.words[i] for i in reversed(ids)))
+            found.append(tuple(self.words[i] for i in reversed(word_ids)))
         return found
 
     def key(self, words: Sequence[str]) -> int:
@@ -450,6 +458,9 @@ class PairIndex:
         stream = np.fromiter(
             map(word_ids.__getitem__, chain.from_iterable(streams)), dtype=np.int64, count=int(lengths.sum())
         )
+        # a batch's word lists and per-length arrays go as soon as they are
+        # read: they are the largest transients of a session's first batch
+        del streams
         owner = np.repeat(np.arange(len(examples)), lengths)
         position = np.arange(len(stream)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         last = np.repeat(lengths - 1, lengths)
@@ -466,12 +477,13 @@ class PairIndex:
             context, word, owner = (np.concatenate(parts) for parts in zip(*at_length))
         else:
             context = word = owner = np.zeros(0, dtype=np.int64)
+        del at_length, stream, position, last, key
         context_id, new_contexts = _intern(self._contexts, context)
         pair_id, new_pairs = _intern(self._pairs, context_id << self.bits | word)
         self.context_keys = np.concatenate((self.context_keys, new_contexts))
         self.context_of = np.concatenate((self.context_of, new_pairs >> self.bits))
         self.word_of = np.concatenate((self.word_of, new_pairs & self.unknown))
-        self._ordered = self._successors = None
+        self._ordered = self._ranks = self._successors = None
         # each example's pairs: lengths in turn, the stream within a length
         grouped = pair_id[np.argsort(owner, kind="stable")]
         counts = np.bincount(owner, minlength=len(examples))
@@ -487,8 +499,23 @@ class PairIndex:
             words = self.words
             rank = np.empty(len(words), dtype=np.int64)
             rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
-            self._ordered = np.argsort(self.context_of * len(words) + rank[self.word_of], kind="stable")
+            order = np.argsort(self.context_of * len(words) + rank[self.word_of], kind="stable")
+            self._ordered = order.astype(np.int32)
         return self._ordered
+
+    def ranks(self) -> np.ndarray:
+        """Each pair id's position in ``ordered()``, int32.
+
+        A pair's context id and word never change, so growth never reorders
+        the pairs already interned: ids sorted by rank stay sorted by rank
+        after the index grows, though the ranks themselves move.  Built, and
+        kept, as ``ordered`` is.
+        """
+        if self._ranks is None:
+            ordered = self.ordered()
+            self._ranks = np.empty(len(ordered), dtype=np.int32)
+            self._ranks[ordered] = np.arange(len(ordered), dtype=np.int32)
+        return self._ranks
 
     def successors(self) -> np.ndarray:
         """The contexts each pair leads to, ``order x len(self)`` int32.
@@ -529,22 +556,27 @@ class MarkovToyClient(Client):
     its context has several next words, and candidate words are scanned
     in sorted order.  An untrained client generates the empty string.
 
-    The model state is two arrays over the ids of a ``PairIndex``: a
-    float64 weight and a bool presence per (context, next word) pair.
-    ``train`` adds every weight of the call with one ``np.add.at`` over
-    the concatenated pair ids of its examples, private ones first, which
-    applies repeated ids in order, so every float sum is the one the
-    per-example walk gives.  A pair trained with weight 0.0 is present and
-    stays a candidate.  ``train_many`` interns a run's new examples in one
-    batch per index, then trains each client.  ``transitions`` rebuilds
-    the context -> {word: weight} table from the arrays.
+    The model state covers only the client's own pairs, so it does not
+    grow with the ``PairIndex`` it shares: the int32 ids of the (context,
+    next word) pairs it holds, in walk order (``PairIndex.ranks``), and a
+    parallel float64 weight per pair.  A pair is held from its first
+    addition on, so one trained with weight 0.0 stays a candidate.
+    ``train`` merges the call's new pairs into the held ones (one sort of
+    their ranks), then adds every weight of the call with one
+    ``np.add.at`` over the positions of the concatenated pair ids of its
+    examples, private ones first, which applies repeated ids in order, so
+    every float sum is the one the per-example walk gives.
+    ``train_many`` interns a run's new examples in one batch per index,
+    then trains each client.  ``transitions`` rebuilds the context ->
+    {word: weight} table from the arrays, spelling only the client's own
+    contexts.
 
     One walk (``_lockstep``) serves both entry points, ``generate`` as
     one lane: it seeds every (client, prompt) lane of a call in one
     vectorized SeedSequence pass (``_pcg64_states``) and steps them all at
     once, from the prompts' packed keys and then from the successor
     contexts of the pair each lane took (``PairIndex.successors``),
-    reading views of the clients' present pairs that it builds from their
+    reading views of the clients' held pairs that it builds from their
     arrays each time it runs (``_views``), so nothing derived from one
     client's state outlives a call or needs invalidating after ``train``.
     ``generate_many`` walks the clients of each index together.  Each
@@ -566,19 +598,19 @@ class MarkovToyClient(Client):
         self.order = order
         self.seed = seed
         self.index = index
+        self._pairs = np.zeros(0, dtype=np.int32)
         self._weights = np.zeros(0, dtype=np.float64)
-        self._present = np.zeros(0, dtype=bool)
 
     @property
     def transitions(self) -> dict[tuple[str, ...], dict[str, float]]:
         """Each trained context's next words and their weights."""
         index = self.index
-        contexts, words = index.contexts, index.words
+        context_ids = index.context_of[self._pairs].tolist()
+        distinct = list(dict.fromkeys(context_ids))
+        contexts = dict(zip(distinct, index.spell_contexts(distinct)))
+        words = index.words
         table: dict[tuple[str, ...], dict[str, float]] = {}
-        present = np.flatnonzero(self._present)
-        for context, word, weight in zip(
-            index.context_of[present].tolist(), index.word_of[present].tolist(), self._weights[present].tolist()
-        ):
+        for context, word, weight in zip(context_ids, index.word_of[self._pairs].tolist(), self._weights.tolist()):
             table.setdefault(contexts[context], {})[words[word]] = weight
         return table
 
@@ -588,25 +620,39 @@ class MarkovToyClient(Client):
         pseudo: Sequence[tuple[str, str]],
         weights: TrainingWeights,
     ) -> None:
-        groups = self.index.intern([*private.examples, *pseudo])
+        index = self.index
+        groups = index.intern([*private.examples, *pseudo])
         if not groups:
             return
         split = sum(map(len, groups[: len(private.examples)]))
         ids = np.concatenate(groups)
         added = np.full(len(ids), weights.beta)
         added[:split] = weights.alpha
-        grow = len(self.index) - len(self._weights)
-        if grow:
-            self._weights = np.concatenate((self._weights, np.zeros(grow)))
-            self._present = np.concatenate((self._present, np.zeros(grow, dtype=bool)))
+        # each pair's position in the client's arrays, -1 where it holds none
+        where = np.full(len(index), -1, dtype=np.int32)
+        where[self._pairs] = np.arange(len(self._pairs), dtype=np.int32)
+        at = where[ids]
+        new = at < 0
+        # A pair is held from its first addition on, even one of weight
+        # 0.0.  Every window of an example is held, so a client's contexts
+        # are prefix-closed: holding context c + v means holding (c, v),
+        # hence c.  The walk relies on it to skip contexts longer than the
+        # pair it took plus one word (see _walk).
+        if new.any():
+            # the held and the new pairs in walk order, once each: one sort
+            # and a diff (np.unique costs over 20x a sort here)
+            ranks = index.ranks()
+            merged = np.sort(np.concatenate((ranks[self._pairs], ranks[ids[new]])))
+            keep = np.ones(len(merged), dtype=bool)
+            np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+            held, self._pairs = self._pairs, index.ordered()[merged[keep]]
+            where[self._pairs] = np.arange(len(self._pairs), dtype=np.int32)
+            held_weights, self._weights = self._weights, np.zeros(len(self._pairs))
+            self._weights[where[held]] = held_weights
+            at = where[ids]
         # 0.0 + weight on a pair's first addition, as the sum did: -0.0
         # is stored as 0.0.
-        np.add.at(self._weights, ids, added)
-        # Every window of an example is marked, so a client's present
-        # contexts are prefix-closed: holding context c + v means holding
-        # (c, v), hence c.  The walk relies on it to skip contexts longer
-        # than the pair it took plus one word (see _lockstep).
-        self._present[ids] = True
+        np.add.at(self._weights, at, added)
 
     @classmethod
     def train_many(
@@ -629,54 +675,54 @@ class MarkovToyClient(Client):
     def _views(clients: Sequence[MarkovToyClient]) -> tuple[np.ndarray, ...]:
         """The views of clients that share one index, as one batch of arrays.
 
-        A view is the client's present pairs as generation reads them.
-        The pairs of every client, client after client and each client's
-        sorted by (context id, word), form one segment per (client,
-        context) in ``(contexts, slots, starts, pairs, cuts, totals,
-        others)``: segment ``s`` holds context id ``contexts[s]`` of
-        ``clients[slots[s]]`` and its ``others[s] + 1`` pairs from position
-        ``starts[s]`` of ``pairs`` (int32 pair ids) and ``cuts`` (the
-        segment's running totals).  ``totals[s]`` is the segment's numpy
-        sum: the segments of one length are summed as the rows of one
-        block, and a row sums as the segment alone would.  ``totals`` ends
-        with an extra 0.0, read by a lane that found no segment (index -1).
+        A view is the client's held pairs as generation reads them.  The
+        pairs of every client, client after client and each client's in
+        the walk order it holds them in (by context id, then word), form
+        one segment per (client, context) in ``(segment_of, starts, pairs,
+        cuts, totals, others)``: ``segment_of[slot * width + 1 + c]`` is
+        the segment of context id ``c`` of ``clients[slot]``, with ``width``
+        the index's contexts plus one, and -1 where the client lacks the
+        context (column 0, no context, holds -1 too).  Segment ``s`` has
+        ``others[s] + 1`` pairs from position ``starts[s]`` of ``pairs``
+        (int32 pair ids) and ``cuts`` (the segment's running totals).
+        ``totals[s]`` is the segment's numpy sum: the segments of one
+        length are summed as the rows of one block, and a row sums as the
+        segment alone would.  ``totals`` ends with an extra 0.0, read by a
+        lane that found no segment (index -1).  Every array but
+        ``segment_of`` is as long as the clients' pairs or segments, and
+        the ones the walk does not read go before it starts.
         """
         index = clients[0].index
-        ordered = index.ordered()
-        owns, cuts = [], []
-        for client in clients:
-            present = np.zeros(len(index), dtype=bool)
-            present[: len(client._present)] = client._present
-            owns.append(ordered[present[ordered]])
-            cuts.append(client._weights[owns[-1]])
-        ends = np.cumsum([len(pairs) for pairs in owns])
-        # every array here is as long as all the clients' pairs together,
-        # so each goes as soon as it is used
-        own = np.concatenate(owns)
-        del owns
-        cuts = np.concatenate(cuts)
-        context = index.context_of[own]
-        pairs = own.astype(np.int32)
-        del own
-        opens = np.ones(len(context), dtype=bool)
+        ends = np.cumsum([len(client._pairs) for client in clients])
+        pairs = np.concatenate([client._pairs for client in clients])
+        cuts = np.concatenate([client._weights for client in clients])
+        context = index.context_of[pairs]
+        opens = np.ones(len(pairs), dtype=bool)
         np.not_equal(context[1:], context[:-1], out=opens[1:])
         # each client's first pair opens a segment
-        opens[ends[ends < len(context)]] = True
-        first = np.flatnonzero(opens)
-        sizes = np.diff(first, append=len(context))
+        opens[ends[ends < len(pairs)]] = True
+        starts = np.flatnonzero(opens)
+        # a client's pairs end at its entry of ends, so a segment's client
+        # is the number of ends at or before its first pair
+        width = len(index.context_keys) + 1
+        cell = np.searchsorted(ends, starts, side="right") * width
+        cell += context[starts]
+        del context, opens
+        segment_of = np.full(len(clients) * width, -1, dtype=np.int32)
+        segment_of[cell + 1] = np.arange(len(starts), dtype=np.int32)
+        del cell
+        sizes = np.diff(starts, append=len(pairs))
         # cuts holds the weights until each segment's running totals replace them
-        totals = np.zeros(len(first) + 1)
-        np.take(cuts, first, out=totals[:-1])
-        for size in np.unique(sizes[sizes > 1]).tolist():
+        totals = np.zeros(len(starts) + 1)
+        np.take(cuts, starts, out=totals[:-1])
+        for size in np.flatnonzero(np.bincount(sizes[sizes > 1])).tolist():
             rows = np.flatnonzero(sizes == size)
-            block_at = first[rows, None] + np.arange(size)
+            block_at = starts[rows, None] + np.arange(size)
             block = cuts[block_at]
             totals[rows] = block.sum(axis=1)
             cuts[block_at] = np.cumsum(block, axis=1)
-        # a client's pairs end at its entry of ends, so a segment's client
-        # is the number of ends at or before its first pair
-        slots = np.searchsorted(ends, first, side="right")
-        return context[first], slots, first, pairs, cuts, totals, (sizes - 1).astype(np.int32)
+        sizes -= 1
+        return segment_of, starts, pairs, cuts, totals, sizes.astype(np.int32)
 
     @staticmethod
     def _lockstep(clients: Sequence[MarkovToyClient], texts: Sequence[str], max_tokens: int) -> list[str]:
@@ -684,24 +730,50 @@ class MarkovToyClient(Client):
 
         The clients share one index; lane ``c * len(texts) + p`` answers
         prompt ``p`` for client ``c`` and draws from the PCG64 stream of
-        ``default_rng([clients[c].seed, _text_u64(texts[p])])``, every
-        lane seeded in one ``_pcg64_states`` pass.  Returns each lane's
-        text, in lane order: ``""`` for every lane when there are no
-        tokens to give or no client holds a context.
+        ``default_rng([clients[c].seed, _text_u64(texts[p])])``.  Returns
+        each lane's text, in lane order: ``""`` for every lane when there
+        are no tokens to give or no client holds a context.  The words are
+        spelled after ``_walk`` has returned and its steps are placed, so
+        neither the views it built nor the steps are held by then.
+        """
+        lanes = len(clients) * len(texts)
+        if max_tokens < 1 or not lanes:
+            return [""] * lanes
+        steps = MarkovToyClient._walk(clients, texts, max_tokens)
+        # a lane that stops never resumes, so its steps are its first ones
+        produced = np.zeros(lanes, dtype=np.int64)
+        for step, (lane, _) in enumerate(steps):
+            produced[lane] = step + 1
+        ends = np.cumsum(produced)
+        begins = ends - produced
+        taken = np.empty(int(ends[-1]), dtype=np.int32)
+        for step, (lane, pair) in enumerate(steps):
+            taken[begins[lane] + step] = pair
+        del steps
+        index = clients[0].index
+        names = index.spell(index.word_of[taken])
+        return [" ".join(names[begin:end]) for begin, end in zip(begins.tolist(), ends.tolist())]
 
-        The walk builds every client's view, in one batch (``_views``),
-        each time it runs.  Each step finds every live lane's segment at
-        once from a table of candidate context ids, row ``k - 1`` for the
-        lane's last ``k`` words: at the first step the prompts' rows, from
-        ``find`` over their packed keys, and after that the
-        ``successors`` column of the pair the lane took.  A table over
-        (client slot, context id) gives the segment, tried longest context
-        first.  No longer context can match: a client lacking the lane's
-        context of ``k`` words also lacks that context followed by any
-        word, since its contexts are prefix-closed (see ``train``).  A lane
-        stops when no row matches or the segment's total is at most zero.
-        Otherwise it takes the segment's first pair plus the number of its
-        running totals but the last that are ``<= u * total``, which is
+    @staticmethod
+    def _walk(
+        clients: Sequence[MarkovToyClient], texts: Sequence[str], max_tokens: int
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The steps of ``_lockstep``'s lanes: per step, the live lanes and their pairs.
+
+        Every lane is seeded in one ``_pcg64_states`` pass, and the walk
+        builds every client's view, in one batch (``_views``), each time
+        it runs.  Each step finds every live lane's segment at once from a
+        table of candidate context ids, row ``k - 1`` for the lane's last
+        ``k`` words: at the first step the prompts' rows, from ``find``
+        over their packed keys, and after that the ``successors`` column
+        of the pair the lane took.  The views' (client slot, context id)
+        table gives the segment, tried longest context first.  No longer
+        context can match: a client lacking the lane's context of ``k``
+        words also lacks that context followed by any word, since its
+        contexts are prefix-closed (see ``train``).  A lane stops when no
+        row matches or the segment's total is at most zero.  Otherwise it
+        takes the segment's first pair plus the number of its running
+        totals but the last that are ``<= u * total``, which is
         ``bisect_right``'s answer; ``u`` is the lane's draw for this step.
         The multi-candidate lanes' running totals are compared in one flat
         array (``np.repeat``) and counted per lane (``np.add.reduceat``).
@@ -711,22 +783,14 @@ class MarkovToyClient(Client):
         column with its other arrays, and the draws take O(live lanes)
         memory however large ``max_tokens`` is.
         """
-        lanes = len(clients) * len(texts)
-        if max_tokens < 1 or not lanes:
-            return [""] * lanes
         index = clients[0].index
-        contexts, slots, starts, pairs, cuts, totals, others = MarkovToyClient._views(clients)
-        if not len(contexts):
-            return [""] * lanes
-        # the segment of (client slot, context id + 1); column 0 (no
-        # context) and the contexts a client lacks hold -1
+        segment_of, starts, pairs, cuts, totals, others = MarkovToyClient._views(clients)
+        if not len(starts):
+            return []
         width = len(index.context_keys) + 1
-        segment_of = np.full(len(clients) * width, -1, dtype=np.int32)
-        segment_of[slots * width + 1 + contexts] = np.arange(len(contexts), dtype=np.int32)
-
         # Batched seeding costs ~0.2 us per lane against ~21 us for a SeedSequence each.
         states = _pcg64_states([c.seed for c in clients], [_text_u64(text) for text in texts]).reshape(4, -1)
-        lane = np.arange(lanes)
+        lane = np.arange(len(clients) * len(texts), dtype=np.int32)
         base = np.repeat(np.arange(len(clients), dtype=np.int64) * width + 1, len(texts))
         keys = np.array([index.key(text.split()) for text in texts], dtype=np.int64)
         # each lane reads its column of rows: its prompt's, then its pair's
@@ -764,18 +828,8 @@ class MarkovToyClient(Client):
                 threshold = uniform[multi] * total[multi]
                 pick[multi] += np.add.reduceat(cuts[at] <= threshold[owner], offsets, dtype=np.int64)
             rows, column = successors, pairs[pick]
-            steps.append((lane, index.word_of[column]))
-        # a lane that stops never resumes, so its steps are its first ones
-        produced = np.zeros(lanes, dtype=np.int64)
-        for step, (lane, _) in enumerate(steps):
-            produced[lane] = step + 1
-        ends = np.cumsum(produced)
-        begins = ends - produced
-        tokens = np.empty(int(ends[-1]), dtype=np.int32)
-        for step, (lane, word) in enumerate(steps):
-            tokens[begins[lane] + step] = word
-        names = index.spell(tokens)
-        return [" ".join(names[begin:end]) for begin, end in zip(begins.tolist(), ends.tolist())]
+            steps.append((lane, column))
+        return steps
 
     def generate(self, prompt_id: str, prompt_text: str, round_index: int, max_tokens: int) -> str:
         return self._lockstep([self], [prompt_text], max_tokens)[0]

@@ -461,12 +461,12 @@ def test_generate_many_reads_the_state_after_each_training(order):
         client.train(private(0), pseudo, weights)
         reference.train([], pseudo, weights.alpha, weights.beta)
         transitions = client.transitions
-        weights_before, present_before = client._weights.copy(), client._present.copy()
+        pairs_before, weights_before = client._pairs.copy(), client._weights.copy()
         (texts,) = MarkovToyClient.generate_many([client], queries, 1, 32)
         # generation leaves the model state as it was
         assert client.transitions == transitions
+        assert np.array_equal(client._pairs, pairs_before)
         assert np.array_equal(client._weights, weights_before)
-        assert np.array_equal(client._present, present_before)
         assert texts == [reference.generate(text, 32) for _, text in queries]
         batches.append(texts)
     # the second call saw the new next word
@@ -640,6 +640,32 @@ def test_a_client_reads_only_its_own_pairs_of_a_shared_index():
     assert [first.generate("p", text, 1, 8) for text in prompts] == expected
     assert first.transitions == reference.transitions
     check_index(index, first, second)
+
+
+def test_a_client_holds_arrays_as_long_as_its_own_pairs():
+    """A client's state is its held pairs, in walk order, and their weights;
+    a sibling that trains on other words grows the shared index, not it."""
+    index = PairIndex(2)
+    client, sibling = (MarkovToyClient(order=2, seed=seed, index=index) for seed in (0, 1))
+    reference = ReferenceMarkovClient(order=2, seed=0)
+    client.train(private(0, *CYCLE), [("b", "c a")], EVEN)
+    reference.train(CYCLE, [("b", "c a")], EVEN.alpha, EVEN.beta)
+    held = sum(map(len, client.transitions.values()))
+    assert len(client._pairs) == len(client._weights) == held == len(index)
+    assert np.all(np.diff(index.ranks()[client._pairs]) > 0)
+    state = client._pairs.copy(), client._weights.copy(), client.transitions
+    # "A" and "B" sort before every word the client holds, so its pairs'
+    # ranks move; its arrays must not
+    sibling.train(private(1, ("A B", "B A x B")), [("x", "A x x")], EVEN)
+    assert len(index) > held
+    assert np.array_equal(client._pairs, state[0]) and np.array_equal(client._weights, state[1])
+    assert client.transitions == state[2] == reference.transitions
+    assert np.all(np.diff(index.ranks()[client._pairs]) > 0)
+    assert len(sibling._pairs) == len(sibling._weights) == len(index) - held
+    prompts = ["a", "b c", "A a", "x b"]
+    assert [client.generate("p", text, 1, 12) for text in prompts] == [
+        reference.generate(text, 12) for text in prompts
+    ]
 
 
 @given(order=st.integers(1, 5), batches=st.lists(EXAMPLES, min_size=1, max_size=3))
@@ -865,12 +891,22 @@ class CountingMarkov(MarkovToyClient):
     ),
 )
 # round 2's pseudo pairs merge into round 1's contexts and add new ones;
-# alpha 0 leaves private pairs present with weight 0.0
+# alpha 0 leaves private pairs held with weight 0.0
 @example(
     order=2,
     rounds=[
         ([[("a b", "c")], [("", "a b c d")], []], [("", "b c")], 0.0),
         ([[("a b", "c")], [], [("c", "a")]], [("a b", "d"), ("", "c a b e")], 0.3),
+    ],
+)
+# round 2 brings words that sort before every word of round 1, and next
+# words that sort first in contexts the clients hold, so the walk ranks of
+# the held pairs move between the two trainings
+@example(
+    order=2,
+    rounds=[
+        ([[("m", "n o")], [("n", "o m n")], []], [("o", "m n")], 0.5),
+        ([[("a", "m n")], [], [("b a", "n")]], [("m", "a b o"), ("n o", "b")], 0.3),
     ],
 )
 def test_train_many_matches_per_client_train(order, rounds):
@@ -895,8 +931,8 @@ def test_train_many_matches_per_client_train(order, rounds):
             reference.train(examples, pseudo, weights.alpha, weights.beta)
         for many, one, count, reference in zip(batched, single, counting, references):
             assert many.transitions == one.transitions == count.transitions == reference.transitions
+            assert np.array_equal(many._pairs, one._pairs)
             assert np.array_equal(many._weights, one._weights)
-            assert np.array_equal(many._present, one._present)
         check_index(index, *batched, *single)
         queries = [("p", "a"), ("q", "b c"), ("r", "z a b")]
         assert MarkovToyClient.generate_many(batched, queries, 1, 16) == [
