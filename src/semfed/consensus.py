@@ -26,8 +26,10 @@ computed as a single matrix product.  ``consensus_for_prompt`` builds
 the pairwise matrix once per prompt, exactly symmetric with an exact
 zero diagonal, and DBSCAN, the cluster choice and the medoid all read
 it; only the distance to the centroid is a separate members x 1
-product.  Whether a pair near eps counts as a DBSCAN neighbour is
-decided by the matrix value.
+product.  The unit check reads that product's diagonal, the squared
+norms, before it is zeroed: a row is unit when the square root lies
+within UNIT_NORM_TOL of 1.  Whether a pair near eps counts as a DBSCAN
+neighbour is decided by the matrix value.
 
 Degenerate inputs are handled, not hidden:
 
@@ -38,6 +40,7 @@ Degenerate inputs are handled, not hidden:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -45,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import ZERO_NORM_EPS, _text_u64, is_unit
+from .encoder import UNIT_NORM_TOL, ZERO_NORM_EPS, _text_u64, is_unit
 
 __all__ = [
     "OUTLIER",
@@ -184,6 +187,24 @@ class ConsensusResult:
         return centroid
 
 
+def _pairwise(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cosine_distances(rows)`` and the diagonal of ``rows @ rows.T``.
+
+    The diagonal, each row's squared norm, is copied before it is zeroed.
+    Non-finite rows raise no floating-point warning here; their squared
+    norms show them.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        dist = rows @ rows.T
+    squares = dist.diagonal().copy()
+    np.subtract(1.0, dist, out=dist)
+    dist.clip(0.0, 2.0, out=dist)
+    if not np.array_equal(dist, dist.T):
+        np.minimum(dist, dist.T, out=dist)
+    np.fill_diagonal(dist, 0.0)
+    return dist, squares
+
+
 def cosine_distances(
     rows: Sequence[np.ndarray], others: Sequence[np.ndarray] | None = None
 ) -> np.ndarray:
@@ -196,14 +217,11 @@ def cosine_distances(
     because its output overlaps ``dist.T``, runs only when it does not.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    dist = rows @ (rows if others is None else np.asarray(others, dtype=np.float64)).T
-    np.subtract(1.0, dist, out=dist)
-    np.clip(dist, 0.0, 2.0, out=dist)
     if others is None:
-        if not np.array_equal(dist, dist.T):
-            np.minimum(dist, dist.T, out=dist)
-        np.fill_diagonal(dist, 0.0)
-    return dist
+        return _pairwise(rows)[0]
+    dist = rows @ np.asarray(others, dtype=np.float64).T
+    np.subtract(1.0, dist, out=dist)
+    return dist.clip(0.0, 2.0, out=dist)
 
 
 def dbscan(dist: np.ndarray, params: ClusterParams) -> Clustering:
@@ -217,14 +235,14 @@ def dbscan(dist: np.ndarray, params: ClusterParams) -> Clustering:
     whole BFS level at a time (every unlabelled core point within eps of
     the current frontier), so cluster k has the k-th smallest leading
     core point.  Non-core points within eps of a core point join the
-    lowest-numbered such cluster, found with one masked minimum; the
-    rest are outliers.
+    lowest-numbered such cluster, found with one masked minimum over
+    their whole rows; the rest are outliers.
     """
     dist = np.asarray(dist, dtype=np.float64)
     if dist.ndim != 2 or dist.shape[0] == 0 or dist.shape[0] != dist.shape[1]:
         raise ValueError(f"dbscan needs a non-empty square distance matrix, got shape {dist.shape}")
     within = dist <= params.eps
-    core = np.count_nonzero(within, axis=1) >= params.min_pts
+    core = within.sum(axis=1) >= params.min_pts
     core_points = np.flatnonzero(core)
 
     labels = np.full(dist.shape[0], OUTLIER)
@@ -245,8 +263,9 @@ def dbscan(dist: np.ndarray, params: ClusterParams) -> Clustering:
 
     border = np.flatnonzero(~core)
     if border.size and next_id:
-        claims = np.where(within[np.ix_(border, core_points)], labels[core_points], next_id)
-        lowest = claims.min(axis=1)
+        # Every core point is labelled by now; a non-core neighbour claims nothing.
+        claim = np.where(core, labels, next_id)
+        lowest = np.where(within[border], claim, next_id).min(axis=1)
         labels[border] = np.where(lowest < next_id, lowest, OUTLIER)
     return Clustering(tuple(labels.tolist()), next_id)
 
@@ -287,17 +306,23 @@ def select_consensus_cluster(clustering: Clustering, dist: np.ndarray) -> tuple[
 def normalized_centroid(members: Sequence[int], embeddings: Sequence[np.ndarray]) -> np.ndarray:
     """Unit-norm mean direction of the member embeddings.
 
-    Sums run row by row in member order (``np.add.reduce`` would sum one
-    column pairwise; ``np.add.accumulate`` gives these bits but runs about
-    3x slower).  Raises ZeroSumError on antipodal cancellation.
+    Each column is a running total from +0.0 over the members in
+    increasing order.  Over two or more columns ``np.add.reduce`` along
+    axis 0 adds whole rows in that order; one column is a single
+    contiguous run, which it would sum pairwise, so that column is
+    accumulated instead.  Raises ZeroSumError on antipodal cancellation.
     """
     points = np.asarray(embeddings, dtype=np.float64)
     members = sorted(members)
     if not members:
         raise ValueError("centroid of an empty member set is undefined")
-    total = np.zeros(points.shape[1], dtype=np.float64)
-    for m in members:
-        total = total + points[m]
+    # A row index list copies the rows in C order, so axis 0 is the outer loop.
+    rows = points[members]
+    if rows.shape[1] == 1:
+        # + 0.0 turns a -0.0 total into the +0.0 a sum from +0.0 ends at.
+        total = np.add.accumulate(rows)[-1] + 0.0
+    else:
+        total = np.add.reduce(rows, axis=0, initial=0.0)
     norm = float(np.linalg.norm(total))
     if norm < ZERO_NORM_EPS:
         raise ZeroSumError(f"member embeddings sum to norm {norm!r}; no centroid direction")
@@ -325,7 +350,15 @@ def _closest(members: Sequence[int], scores: np.ndarray, responses: Sequence[str
     Scores within TIE_TOL count as ties and prefer the shorter response
     in UTF-8 bytes; with members in increasing order the earlier member
     wins any remaining tie on position.
+
+    When every other score lies more than 2 * TIE_TOL above the lowest,
+    the lowest replaces any incumbent (it is lower by more than TIE_TOL)
+    and no later member ties it, so it wins without the scan; byte
+    lengths are encoded only when some score is that close.
     """
+    best = int(scores.argmin())
+    if np.count_nonzero(scores <= scores[best] + 2 * TIE_TOL) == 1:
+        return members[best]
     lengths = [len(responses[m].encode("utf-8")) for m in members]
     return members[_tie_winner(scores.tolist(), lengths)]
 
@@ -350,14 +383,20 @@ def select_representative(
 def medoid(members: Sequence[int], dist: np.ndarray, responses: Sequence[str]) -> int:
     """Member with the smallest mean distance to the other members.
 
-    Distances are read from the pairwise matrix ``dist``.  Singleton
-    member sets score 0.0 by convention.  Ties use the same
-    byte-length-then-index chain as select_representative.
+    Distances are read from the pairwise matrix ``dist``, the whole
+    matrix when the members are every position.  Singleton member sets
+    score 0.0 by convention.  Ties use the same byte-length-then-index
+    chain as select_representative.
     """
     members = sorted(members)
     if len(members) == 1:
         return members[0]
-    scores = dist[np.ix_(members, members)].sum(axis=1) / (len(members) - 1)
+    if len(members) == len(dist) and members == list(range(len(dist))):
+        # The members' block, laid out as np.ix_ would copy it.
+        block = np.ascontiguousarray(dist)
+    else:
+        block = dist[np.ix_(members, members)]
+    scores = block.sum(axis=1) / (len(members) - 1)
     return _closest(members, scores, responses)
 
 
@@ -392,18 +431,19 @@ def consensus_for_prompt(
     points = np.asarray(embeddings, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("embeddings must be equal-length vectors")
-    off_unit = np.flatnonzero(~is_unit(points))
-    if off_unit.size:
-        raise ValueError(f"embedding at position {off_unit[0]} is not unit norm")
+    dist, squares = _pairwise(points)
+    # A NaN squared norm fails the comparison, so it is not unit either.
+    unit = np.abs(np.sqrt(squares) - 1.0) <= UNIT_NORM_TOL
+    if not unit.all():
+        raise ValueError(f"embedding at position {unit.argmin()} is not unit norm")
     clients = [r.client for r in responses]
-    if any(b <= a for a, b in zip(clients, clients[1:])):
+    if not all(map(operator.lt, clients, clients[1:])):
         raise ValueError(f"client ids must be strictly increasing, got {clients}")
     prompt_ids = {r.prompt_id for r in responses}
     if len(prompt_ids) != 1:
         raise ValueError(f"responses span multiple prompts: {sorted(prompt_ids)}")
     texts = [r.text for r in responses]
 
-    dist = cosine_distances(points)
     clustering = dbscan(dist, params)
     fallback = clustering.num_clusters == 0
     if strategy.rule is SelectionRule.GLOBAL_MEDOID:
@@ -429,7 +469,7 @@ def consensus_for_prompt(
 
     return ConsensusResult(
         clustering=clustering,
-        consensus_members=tuple(clients[p] for p in member_positions),
+        consensus_members=tuple(map(clients.__getitem__, member_positions)),
         representative=clients[rep_pos],
         pseudo_label=texts[rep_pos],
         fallback_all_outliers=fallback,

@@ -251,19 +251,26 @@ def reference_select_cluster(labels, distance) -> list[int]:
     return members
 
 
-def _best_by_distance(members, embeddings, texts, score_fn):
-    """Scan members in order: score (tol ties), byte length, then index."""
+def reference_closest(members, scores, texts):
+    """The eager selection scan: members in the order given, each with its
+    score and the UTF-8 length of its text.  A member replaces the
+    incumbent when its score is lower by more than TIE_TOL, or within
+    TIE_TOL with fewer bytes; any other tie keeps the incumbent."""
     best = None
     best_score = 0.0
     best_len = 0
-    for m in members:
-        score = score_fn(m)
+    for m, score in zip(members, scores):
         blen = len(texts[m].encode("utf-8"))
         if best is None or score < best_score - TIE_TOL:
             best, best_score, best_len = m, score, blen
         elif abs(score - best_score) <= TIE_TOL and blen < best_len:
             best, best_score, best_len = m, score, blen
     return best
+
+
+def _best_by_distance(members, embeddings, texts, score_fn):
+    """Scan members in order: score (tol ties), byte length, then index."""
+    return reference_closest(members, [score_fn(m) for m in members], texts)
 
 
 def reference_consensus(clients, texts, embeddings, eps: float, min_pts: int):

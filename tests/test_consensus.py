@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import semfed.consensus as consensus
 from oracles import (
     cosine_dist,
+    reference_closest,
     reference_consensus,
     reference_dbscan,
     reference_global_medoid,
@@ -20,6 +21,7 @@ from oracles import (
 )
 from semfed.consensus import (
     OUTLIER,
+    TIE_TOL,
     ClusterParams,
     Clustering,
     SelectionRule,
@@ -226,10 +228,14 @@ def test_normalized_centroid_antipodal_raises():
     size=st.integers(1, 60),
     seed=st.integers(0, 2**32 - 1),
     zero_column=st.booleans(),
+    fortran=st.booleans(),
 )
-def test_normalized_centroid_sums_members_in_increasing_order(columns, size, seed, zero_column):
+def test_normalized_centroid_sums_members_in_increasing_order(
+    columns, size, seed, zero_column, fortran
+):
     # Rows as far from unit norm as is_unit accepts; a column of -0.0
-    # checks that the sum starts from +0.0.
+    # checks that the sum starts from +0.0.  Column-major points, whose
+    # columns numpy would sum pairwise, must give the same bits.
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(size, columns))
     points /= np.linalg.norm(points, axis=1, keepdims=True)
@@ -238,6 +244,8 @@ def test_normalized_centroid_sums_members_in_increasing_order(columns, size, see
         points[:, -1] = -0.0
     members = rng.permutation(size)[: rng.integers(1, size + 1)].tolist()
     total = reference_member_sum(points, members)
+    if fortran:
+        points = np.asfortranarray(points)
     norm = float(np.linalg.norm(total))
     if norm < 1e-12:
         with pytest.raises(ZeroSumError):
@@ -271,6 +279,58 @@ def test_representative_distance_tie_prefers_shorter_bytes():
 
 def test_medoid_singleton():
     assert medoid([2], cosine_distances(np.eye(3)), ["x", "y", "z"]) == 2
+
+
+# Scores a fixed step from a base: exact ties, steps of exactly TIE_TOL and
+# 2 * TIE_TOL (exact from a base of 0.0), just past 2 * TIE_TOL, and far;
+# and the BOUNDARY pair.
+_STEPS = (0.0, TIE_TOL, 2 * TIE_TOL, 3 * TIE_TOL, 2.5 * TIE_TOL, 4 * TIE_TOL, 0.25)
+_SCORES = [base + step for base in (0.0, 0.5, 1.9) for step in _STEPS] + list(BOUNDARY)
+# Texts whose UTF-8 byte and character lengths order differently.
+_TIE_TEXTS = ("ab", "abc", "é", "éé", "日本", "abcd", "ñandú", "zz")
+
+
+@given(
+    scores=st.lists(st.sampled_from(_SCORES), min_size=1, max_size=12),
+    texts=st.lists(st.sampled_from(_TIE_TEXTS), min_size=15, max_size=15),
+    order=st.permutations(range(15)),
+)
+@example(
+    scores=[*BOUNDARY, BOUNDARY[1], BOUNDARY[0] + TIE_TOL],
+    texts=["abcd", "éé", "abc", "日本"] + ["zz"] * 11,
+    order=list(range(15)),
+)
+@example(scores=list(BOUNDARY), texts=["zz"] * 15, order=list(range(15)))
+@example(
+    scores=[2 * TIE_TOL, 0.0, TIE_TOL], texts=["é", "ab", "éé"] + ["zz"] * 12, order=list(range(15))
+)
+def test_closest_picks_what_the_eager_scan_picks(scores, texts, order):
+    members = sorted(order[: len(scores)])
+    want = reference_closest(members, scores, texts)
+    assert consensus._closest(members, np.array(scores), texts) == want
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 10), every=st.booleans())
+def test_medoid_and_representative_pick_what_the_eager_scan_picks(seed, k, every):
+    rng = np.random.default_rng(seed)
+    texts = [_TIE_TEXTS[i] for i in rng.integers(len(_TIE_TEXTS), size=k)]
+    # every position reads the whole matrix; a subset reads its block
+    members = list(range(k)) if every else sorted(rng.permutation(k)[: rng.integers(1, k + 1)])
+    # A symmetric matrix of few values: member rows often sum to the same
+    # mean, or to means TIE_TOL or 2 * TIE_TOL apart.
+    dist = rng.choice([0.5, 0.5 + TIE_TOL, 0.5 + 2 * TIE_TOL, 1.0], size=(k, k))
+    dist = np.triu(dist, 1) + np.triu(dist, 1).T
+    means = dist[np.ix_(members, members)].sum(axis=1) / max(len(members) - 1, 1)
+    want = reference_closest(members, means.tolist(), texts)
+    assert medoid(members, dist, texts) == want
+    # Rows at +-phi from the centroid are exactly as far from it, and
+    # duplicate rows too.
+    angles = rng.choice([0.3, -0.3, 0.6, -0.6, 0.3 + 1e-12], size=k)
+    points = np.array([on_circle(a) for a in angles])
+    centroid = np.array([1.0, 0.0, 0.0, 0.0])
+    scores = cosine_distances(points[members], centroid[None, :])[:, 0]
+    want = reference_closest(members, scores.tolist(), texts)
+    assert select_representative(members, points, texts, centroid) == want
 
 
 # ---------------------------------------------- consensus_for_prompt
@@ -371,14 +431,62 @@ def test_unit_norm_error_names_first_offending_position(bad):
     consensus_for_prompt(records(texts), embs, ClusterParams())
 
 
-def test_consensus_builds_one_pairwise_matrix_per_prompt(monkeypatch):
-    shapes, choices, centroids = [], [], []
-    distances, choose = consensus.cosine_distances, consensus.select_consensus_cluster
-    centroid = consensus.normalized_centroid
+@pytest.mark.parametrize(
+    "scale, unit",
+    [
+        (1 + 0.5e-9, True),
+        (1 - 0.5e-9, True),
+        (1 + 2e-9, False),
+        (1 - 2e-9, False),
+        (math.nan, False),
+        (math.inf, False),
+        (-math.inf, False),
+    ],
+)
+def test_unit_check_reads_the_squared_norms_at_the_tolerance(scale, unit):
+    # |sqrt(squared norm) - 1| <= UNIT_NORM_TOL (1e-9) is unit; the first
+    # bad position is named, and non-finite rows warn about nothing
+    texts = ["alpha bravo", "charlie delta", "echo foxtrot", "golf hotel", "india juliet"]
+    embs = [encode_normalized(t, CFG) for t in texts]
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        embs[1] = embs[1] * scale
+        embs[3] = embs[3] * scale
+    if unit:
+        result = consensus_for_prompt(records(texts), embs, ClusterParams())
+        assert result.consensus_members
+    else:
+        with pytest.raises(ValueError, match="^embedding at position 1 is not unit norm$"):
+            consensus_for_prompt(records(texts), embs, ClusterParams())
 
-    def counted_distances(*args):
-        dist = distances(*args)
+
+def test_one_non_finite_entry_fails_the_unit_check():
+    texts = ["alpha bravo", "charlie delta", "echo foxtrot"]
+    for bad in (math.nan, math.inf):
+        embs = [encode_normalized(t, CFG) for t in texts]
+        embs[2] = embs[2].copy()
+        embs[2][0] = bad
+        with pytest.raises(ValueError, match="^embedding at position 2 is not unit norm$"):
+            consensus_for_prompt(records(texts), embs, ClusterParams())
+
+
+def test_consensus_builds_one_pairwise_matrix_per_prompt(monkeypatch):
+    shapes, choices, centroids, norms = [], [], [], []
+    pairwise, distances = consensus._pairwise, consensus.cosine_distances
+    choose, centroid = consensus.select_consensus_cluster, consensus.normalized_centroid
+    norm, unit_check = np.linalg.norm, consensus.is_unit
+
+    # The K x K product is built by _pairwise, which also hands
+    # consensus_for_prompt its diagonal for the unit check;
+    # cosine_distances(rows) goes through it as well.
+    def counted_pairwise(rows):
+        dist, squares = pairwise(rows)
         shapes.append(dist.shape)
+        return dist, squares
+
+    def counted_distances(rows, others=None):
+        dist = distances(rows, others)
+        if others is not None:
+            shapes.append(dist.shape)
         return dist
 
     def counted_choice(*args):
@@ -389,9 +497,20 @@ def test_consensus_builds_one_pairwise_matrix_per_prompt(monkeypatch):
         centroids.append(args)
         return centroid(*args)
 
+    def counted_norm(x, *args, **kwargs):
+        norms.append(np.shape(x))
+        return norm(x, *args, **kwargs)
+
+    def counted_unit_check(vectors):
+        norms.append(np.shape(vectors))
+        return unit_check(vectors)
+
+    monkeypatch.setattr(consensus, "_pairwise", counted_pairwise)
     monkeypatch.setattr(consensus, "cosine_distances", counted_distances)
     monkeypatch.setattr(consensus, "select_consensus_cluster", counted_choice)
     monkeypatch.setattr(consensus, "normalized_centroid", counted_centroid)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    monkeypatch.setattr(consensus, "is_unit", counted_unit_check)
     points = [on_circle(a) for a in (0.0, 0.02, 0.04, 2.0, 2.02)]
     recs = records([f"answer {i}" for i in range(5)])
     params = ClusterParams(eps=0.1, min_pts=2)
@@ -406,6 +525,9 @@ def test_consensus_builds_one_pairwise_matrix_per_prompt(monkeypatch):
     assert len(centroids) == 1
     assert result.centroid is result.centroid
     assert len(centroids) == 1
+    # the unit check reads the product's diagonal: norms are taken of
+    # the centroid's sum and of the centroid, never of the points
+    assert norms and all(len(shape) == 1 for shape in norms)
 
     for rule, members, chosen in (
         (SelectionRule.GLOBAL_MEDOID, tuple(range(5)), 0),
@@ -414,14 +536,17 @@ def test_consensus_builds_one_pairwise_matrix_per_prompt(monkeypatch):
         shapes.clear()
         choices.clear()
         centroids.clear()
+        norms.clear()
         result = consensus_for_prompt(recs, points, params, SelectionStrategy(rule=rule))
         assert result.consensus_members == members
         assert shapes == [(5, 5)]
         assert len(choices) == chosen
+        assert norms == []
         # no centroid until it is read, then one, kept for later reads
         assert centroids == []
         assert result.centroid is result.centroid
         assert len(centroids) == 1
+        assert norms and all(len(shape) == 1 for shape in norms)
 
 
 # ------------------------------------------------------- strategies
@@ -804,8 +929,19 @@ from semfed.protocol import make_response
 points = np.load(sys.argv[1])
 texts = json.loads(open(sys.argv[2], encoding="utf-8").read())
 recs = [make_response(i, "p0", t) for i, t in enumerate(texts)]
-r = consensus_for_prompt(recs, list(points), ClusterParams(eps=0.1, min_pts=3))
-print(json.dumps([r.clustering.labels, r.consensus_members, r.representative]))
+params = ClusterParams(eps=0.1, min_pts=3)
+r = consensus_for_prompt(recs, list(points), params)
+# rows scaled just inside and just outside UNIT_NORM_TOL
+inside, outside = points.copy(), points.copy()
+inside[150] *= 1 + 0.5e-9
+outside[150] *= 1 + 2e-9
+kept = consensus_for_prompt(recs, list(inside), params).consensus_members
+try:
+    consensus_for_prompt(recs, list(outside), params)
+    verdict = None
+except ValueError as exc:
+    verdict = str(exc)
+print(json.dumps([r.clustering.labels, r.consensus_members, r.representative, kept, verdict]))
 """
 
 
@@ -825,5 +961,7 @@ def test_consensus_is_independent_of_blas_thread_count(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(json.loads(proc.stdout))
     assert outputs[0] == outputs[1]
-    labels, members, _ = outputs[0]
+    labels, members, _, kept, verdict = outputs[0]
     assert len(members) > 1 and max(labels) >= 1
+    assert kept == members
+    assert verdict == "embedding at position 150 is not unit norm"

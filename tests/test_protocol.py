@@ -145,6 +145,29 @@ def test_empty_responses_drop_prompt_with_reason():
     assert transcript.downloaded_bytes == 2 * meter_message("a decent shared answer here")
 
 
+def test_round_calls_consensus_for_prompt_once_per_embeddable_prompt(monkeypatch):
+    # perfbench's latency stopwatch wraps protocol.consensus_for_prompt, so
+    # every prompt's consensus must go through that module attribute
+    seen = []
+    real = protocol.consensus_for_prompt
+
+    def counted(responses, *args, **kwargs):
+        seen.append((responses[0].prompt_id, tuple(r.client for r in responses)))
+        return real(responses, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "consensus_for_prompt", counted)
+    good = "a decent shared answer here"
+    clients = [
+        ScriptedClient({(1, "p00"): "", (1, "p01"): good, (1, "p02"): good}),
+        ScriptedClient({(1, "p00"): "", (1, "p01"): "", (1, "p02"): good}),
+        ScriptedClient({(1, "p00"): "", (1, "p01"): good, (1, "p02"): good}),
+    ]
+    transcript = run_round(clients, prompt_set(3), SessionParams(), 1)
+    # p00 has no embeddable response, so it never reaches consensus
+    assert seen == [("p01", (0, 2)), ("p02", (0, 1, 2))]
+    assert [pid for pid, _ in transcript.broadcast] == ["p01", "p02"]
+
+
 def test_a_missing_scripted_row_is_named_at_the_lowest_prompt_id():
     # the prompts are answered in id order, and "p10" sorts before "p9"
     prompts = PublicPromptSet(prompts=(Prompt("p9", "a"), Prompt("p10", "b")))
