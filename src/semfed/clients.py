@@ -13,13 +13,14 @@ wrappers) can be mixed freely in one session.
 The Markov client treats tokens as whitespace-separated words.  That is
 unrelated to the bytes-per-token constant in the cost calculators; the
 two are deliberately independent knobs.  Each client holds weights over
-its own pairs only, by their ids in a ``PairIndex``, which packs each
-context into one int64 key and interns each (context, next word) pair
-once, in two of the encoder's open-addressing tables; the clients of
-one session and one order share an index, and a client built alone gets
-its own, so no state outlives the clients that hold it.  Generation,
-per call or batched, walks all (client, prompt) lanes of a call in
-lockstep: it looks up the prompts' packed keys once, and after that
+its own pairs only, by their ids in a ``PairIndex`` in ascending id
+order, which packs each context into one int64 key and interns each
+(context, next word) pair once, in two of the encoder's open-addressing
+tables; the clients of one session and one order share an index, and a
+client built alone gets its own, so no state outlives the clients that
+hold it.  Generation, per call or batched, walks all (client, prompt)
+lanes of a call in lockstep: it puts the clients' pairs in walk order
+once per call, looks up the prompts' packed keys once, and after that
 moves each lane from the pair it took to that pair's successor
 contexts, a table the index builds once per growth; each lane's PCG64
 stream is seeded, and stepped once per walk step, by 128-bit LCG
@@ -354,9 +355,9 @@ class PairIndex:
     which ``find`` and interning look up.  The tables are the index's own;
     the encoder's ``NGRAM_MEMO_SIZE`` does not bound them.  Each example's
     pair-id array is kept, so an example is split once per index.  The
-    index only grows; ``ordered`` and ``ranks`` (walk order, read by
-    ``train``) and ``successors`` (read by the walk) are built when first
-    asked for after it grew.  Clients that share one index read the same
+    index only grows; ``ranks`` (walk order) and ``successors``, both read
+    only by the walk, are built when first asked for after it grew.
+    Clients that share one index read the same
     ids, and each holds arrays over its own pairs only, so the index is
     the one structure that grows with the federation; ``_build_clients``
     makes one per session for all clients of one order, and a client built
@@ -376,7 +377,6 @@ class PairIndex:
         # id, then its word id in the low bits
         self._contexts, self._pairs = _PackedTable(), _PackedTable()
         self._examples: dict[tuple[str, str], np.ndarray] = {}
-        self._ordered: np.ndarray | None = None
         self._ranks: np.ndarray | None = None
         self._successors: np.ndarray | None = None
         self._names = np.zeros(0, dtype=object)
@@ -483,38 +483,27 @@ class PairIndex:
         self.context_keys = np.concatenate((self.context_keys, new_contexts))
         self.context_of = np.concatenate((self.context_of, new_pairs >> self.bits))
         self.word_of = np.concatenate((self.word_of, new_pairs & self.unknown))
-        self._ordered = self._ranks = self._successors = None
+        self._ranks = self._successors = None
         # each example's pairs: lengths in turn, the stream within a length
         grouped = pair_id[np.argsort(owner, kind="stable")]
         counts = np.bincount(owner, minlength=len(examples))
         self._examples.update(zip(examples, np.split(grouped, np.cumsum(counts)[:-1])))
 
-    def ordered(self) -> np.ndarray:
-        """Every pair id sorted by context id, then by word as ``sorted`` sorts strings.
+    def ranks(self) -> np.ndarray:
+        """Each pair id's position in walk order, int32.
 
+        Walk order sorts the pairs by context id, then by word as
+        ``sorted`` sorts strings; only the walk reads it (``_views``).
         Built when first asked for after the index grew, and kept until it
         grows again.
         """
-        if self._ordered is None:
+        if self._ranks is None:
             words = self.words
             rank = np.empty(len(words), dtype=np.int64)
             rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
             order = np.argsort(self.context_of * len(words) + rank[self.word_of], kind="stable")
-            self._ordered = order.astype(np.int32)
-        return self._ordered
-
-    def ranks(self) -> np.ndarray:
-        """Each pair id's position in ``ordered()``, int32.
-
-        A pair's context id and word never change, so growth never reorders
-        the pairs already interned: ids sorted by rank stay sorted by rank
-        after the index grows, though the ranks themselves move.  Built, and
-        kept, as ``ordered`` is.
-        """
-        if self._ranks is None:
-            ordered = self.ordered()
-            self._ranks = np.empty(len(ordered), dtype=np.int32)
-            self._ranks[ordered] = np.arange(len(ordered), dtype=np.int32)
+            self._ranks = np.empty(len(order), dtype=np.int32)
+            self._ranks[order] = np.arange(len(order), dtype=np.int32)
         return self._ranks
 
     def successors(self) -> np.ndarray:
@@ -558,11 +547,12 @@ class MarkovToyClient(Client):
 
     The model state covers only the client's own pairs, so it does not
     grow with the ``PairIndex`` it shares: the int32 ids of the (context,
-    next word) pairs it holds, in walk order (``PairIndex.ranks``), and a
-    parallel float64 weight per pair.  A pair is held from its first
-    addition on, so one trained with weight 0.0 stays a candidate.
-    ``train`` merges the call's new pairs into the held ones (one sort of
-    their ranks), then adds every weight of the call with one
+    next word) pairs it holds, in ascending order, and a parallel float64
+    weight per pair.  Ids never move as the index grows, so training
+    reads no walk order.  A pair is held from its first addition on, so
+    one trained with weight 0.0 stays a candidate.  ``train`` merges the
+    call's new pair ids into the held ones (one sort of the ids and a
+    diff), then adds every weight of the call with one
     ``np.add.at`` over the positions of the concatenated pair ids of its
     examples, private ones first, which applies repeated ids in order, so
     every float sum is the one the per-example walk gives.
@@ -577,8 +567,9 @@ class MarkovToyClient(Client):
     once, from the prompts' packed keys and then from the successor
     contexts of the pair each lane took (``PairIndex.successors``),
     reading views of the clients' held pairs that it builds from their
-    arrays each time it runs (``_views``), so nothing derived from one
-    client's state outlives a call or needs invalidating after ``train``.
+    arrays each time it runs (``_views``, which sorts them into walk
+    order), so nothing derived from one client's state outlives a call or
+    needs invalidating after ``train``.
     ``generate_many`` walks the clients of each index together.  Each
     lane's PCG64 state is held as uint64 halves and steps once per walk
     step with the other live lanes' (``_pcg64_next``).  A subclass that
@@ -628,7 +619,8 @@ class MarkovToyClient(Client):
         ids = np.concatenate(groups)
         added = np.full(len(ids), weights.beta)
         added[:split] = weights.alpha
-        # each pair's position in the client's arrays, -1 where it holds none
+        # each pair's position in the client's arrays, -1 where it holds none;
+        # np.searchsorted in the sorted ids, with no scratch, ran sessions 1.48x slower
         where = np.full(len(index), -1, dtype=np.int32)
         where[self._pairs] = np.arange(len(self._pairs), dtype=np.int32)
         at = where[ids]
@@ -639,13 +631,12 @@ class MarkovToyClient(Client):
         # hence c.  The walk relies on it to skip contexts longer than the
         # pair it took plus one word (see _walk).
         if new.any():
-            # the held and the new pairs in walk order, once each: one sort
-            # and a diff (np.unique costs over 20x a sort here)
-            ranks = index.ranks()
-            merged = np.sort(np.concatenate((ranks[self._pairs], ranks[ids[new]])))
+            # the held and the new pair ids in ascending order, once each:
+            # one sort and a diff (np.unique costs over 20x a sort here)
+            merged = np.sort(np.concatenate((self._pairs, ids[new]), dtype=np.int32))
             keep = np.ones(len(merged), dtype=bool)
             np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-            held, self._pairs = self._pairs, index.ordered()[merged[keep]]
+            held, self._pairs = self._pairs, merged[keep]
             where[self._pairs] = np.arange(len(self._pairs), dtype=np.int32)
             held_weights, self._weights = self._weights, np.zeros(len(self._pairs))
             self._weights[where[held]] = held_weights
@@ -676,41 +667,46 @@ class MarkovToyClient(Client):
         """The views of clients that share one index, as one batch of arrays.
 
         A view is the client's held pairs as generation reads them.  The
-        pairs of every client, client after client and each client's in
-        the walk order it holds them in (by context id, then word), form
-        one segment per (client, context) in ``(segment_of, starts, pairs,
-        cuts, totals, others)``: ``segment_of[slot * width + 1 + c]`` is
-        the segment of context id ``c`` of ``clients[slot]``, with ``width``
-        the index's contexts plus one, and -1 where the client lacks the
-        context (column 0, no context, holds -1 too).  Segment ``s`` has
-        ``others[s] + 1`` pairs from position ``starts[s]`` of ``pairs``
-        (int32 pair ids) and ``cuts`` (the segment's running totals).
-        ``totals[s]`` is the segment's numpy sum: the segments of one
-        length are summed as the rows of one block, and a row sums as the
-        segment alone would.  ``totals`` ends with an extra 0.0, read by a
-        lane that found no segment (index -1).  Every array but
+        pairs of every client are put in walk order by one stable sort of
+        ``slot * len(index) + index.ranks()[pair]``: client after client,
+        each client's by context id, then word.  Each run of one (client
+        slot, context id + 1) cell is one segment in ``(segment_of, starts,
+        pairs, cuts, totals, others)``: ``segment_of[slot * width + 1 + c]``
+        is the segment of context id ``c`` of ``clients[slot]``, with
+        ``width`` the index's contexts plus one, and -1 where the client
+        lacks the context (column 0, no context, holds -1 too).  Segment
+        ``s`` has ``others[s] + 1`` pairs from position ``starts[s]`` of
+        ``pairs`` (int32 pair ids) and ``cuts`` (the segment's running
+        totals).  ``totals[s]`` is the segment's numpy sum: the segments of
+        one length are summed as the rows of one block, and a row sums as
+        the segment alone would.  ``totals`` ends with an extra 0.0, read
+        by a lane that found no segment (index -1).  Every array but
         ``segment_of`` is as long as the clients' pairs or segments, and
-        the ones the walk does not read go before it starts.
+        the ones the walk does not read, the sort's int64 keys and order
+        among them, go before it starts.
         """
         index = clients[0].index
-        ends = np.cumsum([len(client._pairs) for client in clients])
+        lengths = [len(client._pairs) for client in clients]
         pairs = np.concatenate([client._pairs for client in clients])
-        cuts = np.concatenate([client._weights for client in clients])
-        context = index.context_of[pairs]
-        opens = np.ones(len(pairs), dtype=bool)
-        np.not_equal(context[1:], context[:-1], out=opens[1:])
-        # each client's first pair opens a segment
-        opens[ends[ends < len(pairs)]] = True
-        starts = np.flatnonzero(opens)
-        # a client's pairs end at its entry of ends, so a segment's client
-        # is the number of ends at or before its first pair
+        # walk order: client after client, each client's pairs by rank
+        key = np.repeat(np.arange(len(clients), dtype=np.int64) * len(index), lengths)
+        key += index.ranks()[pairs]
+        order = np.argsort(key, kind="stable")
+        del key
+        pairs = pairs[order]
+        cuts = np.concatenate([client._weights for client in clients])[order]
+        del order
+        # each pair's (client slot, context id + 1) cell; a run of one cell
+        # is one segment
         width = len(index.context_keys) + 1
-        cell = np.searchsorted(ends, starts, side="right") * width
-        cell += context[starts]
-        del context, opens
+        cell = np.repeat(np.arange(len(clients), dtype=np.int64) * width + 1, lengths)
+        cell += index.context_of[pairs]
+        opens = np.ones(len(pairs), dtype=bool)
+        np.not_equal(cell[1:], cell[:-1], out=opens[1:])
+        starts = np.flatnonzero(opens)
         segment_of = np.full(len(clients) * width, -1, dtype=np.int32)
-        segment_of[cell + 1] = np.arange(len(starts), dtype=np.int32)
-        del cell
+        segment_of[cell[starts]] = np.arange(len(starts), dtype=np.int32)
+        del cell, opens
         sizes = np.diff(starts, append=len(pairs))
         # cuts holds the weights until each segment's running totals replace them
         totals = np.zeros(len(starts) + 1)

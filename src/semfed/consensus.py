@@ -23,10 +23,10 @@ fire only on genuinely constructed ties, not on float noise.
 
 ``cosine_distances`` is the one distance rule, clip(1 - A @ B.T, 0, 2),
 computed as a single matrix product.  ``consensus_for_prompt`` builds
-the pairwise matrix once per prompt, exactly symmetric with an exact
-zero diagonal, and DBSCAN, the cluster choice and the medoid all read
-it; only the distance to the centroid is a separate members x 1
-product.  The unit check reads that product's diagonal, the squared
+the pairwise matrix once per prompt, exactly symmetric (one triangle
+of a symmetric rank-k update, mirrored) with an exact zero diagonal,
+and DBSCAN, the cluster choice and the medoid all read it; only the
+distance to the centroid is a separate members x 1 product.  The unit check reads that product's diagonal, the squared
 norms, before it is zeroed: a row is unit when the square root lies
 within UNIT_NORM_TOL of 1.  Whether a pair near eps counts as a DBSCAN
 neighbour is decided by the matrix value.
@@ -190,17 +190,19 @@ class ConsensusResult:
 def _pairwise(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``cosine_distances(rows)`` and the diagonal of ``rows @ rows.T``.
 
-    The diagonal, each row's squared norm, is copied before it is zeroed.
-    Non-finite rows raise no floating-point warning here; their squared
-    norms show them.
+    The rows are made C-contiguous, so numpy forms the product by BLAS's
+    symmetric rank-k update, which computes one triangle and mirrors it;
+    a general product of another layout may differ from its transpose in
+    the last bit.  The diagonal, each row's squared norm, is copied before
+    it is zeroed.  Non-finite rows raise no floating-point warning here;
+    their squared norms show them.
     """
+    rows = np.ascontiguousarray(rows)
     with np.errstate(invalid="ignore", over="ignore"):
         dist = rows @ rows.T
     squares = dist.diagonal().copy()
     np.subtract(1.0, dist, out=dist)
     dist.clip(0.0, 2.0, out=dist)
-    if not np.array_equal(dist, dist.T):
-        np.minimum(dist, dist.T, out=dist)
     np.fill_diagonal(dist, 0.0)
     return dist, squares
 
@@ -211,10 +213,9 @@ def cosine_distances(
     """Cosine distances clip(1 - rows @ others.T, 0, 2) between unit rows.
 
     With ``others`` omitted the result is the pairwise matrix of
-    ``rows``, made exactly symmetric (each pair takes the smaller of its
-    two entries) with an exact zero diagonal.  ``rows @ rows.T`` usually
-    comes out symmetric already; the minimum, which copies the matrix
-    because its output overlaps ``dist.T``, runs only when it does not.
+    ``rows``, exactly symmetric with an exact zero diagonal: the product
+    is formed from C-ordered rows, which numpy hands to BLAS's symmetric
+    rank-k update, so the two triangles are one computation.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if others is None:

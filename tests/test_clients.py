@@ -643,8 +643,9 @@ def test_a_client_reads_only_its_own_pairs_of_a_shared_index():
 
 
 def test_a_client_holds_arrays_as_long_as_its_own_pairs():
-    """A client's state is its held pairs, in walk order, and their weights;
-    a sibling that trains on other words grows the shared index, not it."""
+    """A client's state is its held pair ids, in ascending order, and their
+    weights; a sibling that trains on other words grows the shared index,
+    not it."""
     index = PairIndex(2)
     client, sibling = (MarkovToyClient(order=2, seed=seed, index=index) for seed in (0, 1))
     reference = ReferenceMarkovClient(order=2, seed=0)
@@ -652,7 +653,7 @@ def test_a_client_holds_arrays_as_long_as_its_own_pairs():
     reference.train(CYCLE, [("b", "c a")], EVEN.alpha, EVEN.beta)
     held = sum(map(len, client.transitions.values()))
     assert len(client._pairs) == len(client._weights) == held == len(index)
-    assert np.all(np.diff(index.ranks()[client._pairs]) > 0)
+    assert np.all(np.diff(client._pairs) > 0)
     state = client._pairs.copy(), client._weights.copy(), client.transitions
     # "A" and "B" sort before every word the client holds, so its pairs'
     # ranks move; its arrays must not
@@ -660,12 +661,45 @@ def test_a_client_holds_arrays_as_long_as_its_own_pairs():
     assert len(index) > held
     assert np.array_equal(client._pairs, state[0]) and np.array_equal(client._weights, state[1])
     assert client.transitions == state[2] == reference.transitions
-    assert np.all(np.diff(index.ranks()[client._pairs]) > 0)
+    assert np.all(np.diff(client._pairs) > 0)
     assert len(sibling._pairs) == len(sibling._weights) == len(index) - held
     prompts = ["a", "b c", "A a", "x b"]
     assert [client.generate("p", text, 1, 12) for text in prompts] == [
         reference.generate(text, 12) for text in prompts
     ]
+
+
+def test_the_walk_rank_table_is_built_once_per_growth_and_only_by_the_walk(monkeypatch):
+    """Training reads no walk order: clients trained one call at a time on
+    words that grow their shared index build no rank table, the next walk
+    builds it once, and a walk after no growth reuses it."""
+    builds = []
+    ranks = PairIndex.ranks
+
+    def counted(self):
+        builds.append(self._ranks is None)
+        return ranks(self)
+
+    monkeypatch.setattr(PairIndex, "ranks", counted)
+    index = PairIndex(2)
+    clients = [MarkovToyClient(order=2, seed=seed, index=index) for seed in range(5)]
+    references = [ReferenceMarkovClient(order=2, seed=seed) for seed in range(5)]
+    for turn in range(3):
+        for slot, (client, reference) in enumerate(zip(clients, references)):
+            # later words sort before earlier ones, so walk order is not id order
+            corpus = [("a b", f"b {'ZYX'[turn]}{slot} a b c"), (f"c {'zyx'[turn]}", f"b c {'ZYX'[turn]}{slot}")]
+            pseudo = [("b", f"{'CBA'[turn]} a c")]
+            grown = len(index)
+            client.train(private(slot, *corpus), pseudo, EVEN)
+            reference.train(corpus, pseudo, EVEN.alpha, EVEN.beta)
+            assert len(index) > grown
+    assert sum(builds) == 0
+    queries = [(f"p{i}", text) for i, text in enumerate(["a", "b", "c x", "A a", "z"])]
+    expected = [[reference.generate(text, 12) for _, text in queries] for reference in references]
+    assert MarkovToyClient.generate_many(clients, queries, 1, 12) == expected
+    assert sum(builds) == 1
+    assert MarkovToyClient.generate_many(clients, queries, 1, 12) == expected
+    assert sum(builds) == 1
 
 
 @given(order=st.integers(1, 5), batches=st.lists(EXAMPLES, min_size=1, max_size=3))

@@ -1,11 +1,14 @@
 """Hygiene gates over ``src/semfed``, parsed with ``ast``.
 
 Every module-level import is read by its module or exported in
-``__all__``, and every top-level private function or class is read by
-some module other than through its own definition.
+``__all__``; every top-level private function or class is read by
+some module other than through its own definition; every private method
+is read outside its own body, and every private attribute stored on
+``self`` is loaded somewhere.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import semfed
@@ -69,6 +72,10 @@ def reads(node: ast.AST) -> set[str]:
     return found
 
 
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def orphan_helpers(modules: dict[str, ast.Module]) -> set[tuple[str, str]]:
     """(module, name) of top-level private defs that no other statement reads."""
     readers: dict[str, set[tuple[str, int]]] = {}
@@ -81,18 +88,20 @@ def orphan_helpers(modules: dict[str, ast.Module]) -> set[tuple[str, str]]:
         for module, tree in modules.items()
         for index, node in enumerate(tree.body)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
+        and private(node.name)
         and not readers.get(node.name, set()) - {(module, index)}
     }
 
 
-def test_src_modules_have_no_orphan_private_helpers():
-    modules = {
+def src_modules() -> dict[str, ast.Module]:
+    return {
         path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(Path(semfed.__file__).parent.glob("*.py"))
     }
-    assert orphan_helpers(modules) == set(), "private helpers that no module reads"
+
+
+def test_src_modules_have_no_orphan_private_helpers():
+    assert orphan_helpers(src_modules()) == set(), "private helpers that no module reads"
 
 
 def test_the_check_sees_an_orphan_helper():
@@ -104,3 +113,76 @@ def test_the_check_sees_an_orphan_helper():
     }
     modules = {name: ast.parse(text) for name, text in source.items()}
     assert orphan_helpers(modules) == {("a", "_recursive"), ("a", "_Lonely"), ("b", "_caller")}
+
+
+def loads(node: ast.AST) -> Counter[str]:
+    """How often ``node`` reads each name, as a plain name or an attribute.
+
+    An augmented assignment's target counts as a read.
+    """
+    found: Counter[str] = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            found[n.attr] += 1
+        elif isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Attribute):
+            found[n.target.attr] += 1
+    return found
+
+
+def orphan_members(modules: dict[str, ast.Module]) -> set[tuple[str, str, str]]:
+    """(module, class, name) of private methods that no statement outside
+    their own body reads, and of private attributes stored on ``self``
+    that nothing loads."""
+    total: Counter[str] = Counter()
+    for tree in modules.values():
+        total += loads(tree)
+    found = set()
+    for module, tree in modules.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and private(node.name):
+                    if total[node.name] == loads(node)[node.name]:
+                        found.add((module, cls.name, node.name))
+            for n in ast.walk(cls):
+                if (
+                    isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id == "self"
+                    and private(n.attr)
+                    and not total[n.attr]
+                ):
+                    found.add((module, cls.name, n.attr))
+    return found
+
+
+def test_src_modules_have_no_orphan_private_members():
+    assert orphan_members(src_modules()) == set(), "private methods or attributes that nothing reads"
+
+
+def test_the_check_sees_an_orphan_member():
+    source = {
+        "a": "class Index:\n"
+        "    def __init__(self):\n"
+        "        self._cache = self._ordered = None\n"
+        "        self._count = 0\n"
+        "        self.__mangled = 1\n"
+        "    def _build(self):\n"
+        "        self._count += 1\n"
+        "        return self._cache\n"
+        "    def _recursive(self, n):\n"
+        "        return self._recursive(n - 1)\n"
+        "    def _lonely(self):\n"
+        "        pass\n"
+        "    def __len__(self):\n"
+        "        return 0\n",
+        "b": "from a import Index\ndef f(index):\n    return index._build()\n",
+    }
+    modules = {name: ast.parse(text) for name, text in source.items()}
+    assert orphan_members(modules) == {
+        ("a", "Index", "_ordered"),
+        ("a", "Index", "_recursive"),
+        ("a", "Index", "_lonely"),
+    }
