@@ -120,9 +120,10 @@ class Client(ABC):
     ) -> list[list[str]]:
         """Each client's responses to the (prompt id, text) pairs, in order.
 
-        Called on the class of the clients; the result equals calling
-        ``client.generate`` for each client in turn and each prompt in
-        turn, which is what this default does.
+        Called on the class of the clients; returns one list per client
+        with one text per prompt (``run_round`` rejects any other shape),
+        equal to calling ``client.generate`` for each client in turn and
+        each prompt in turn, which is what this default does.
         """
         return [
             [client.generate(pid, text, round_index, max_tokens) for pid, text in prompts]
@@ -656,7 +657,7 @@ class MarkovToyClient(Client):
         if all(type(client).train is MarkovToyClient.train for client in clients):
             # One batch per index interns faster than one per train call.
             batches: dict[int, tuple[PairIndex, list[tuple[str, str]]]] = {}
-            for client, private in zip(clients, privates):
+            for client, private in zip(clients, privates, strict=True):
                 batches.setdefault(id(client.index), (client.index, list(pseudo)))[1].extend(private.examples)
             for index, examples in batches.values():
                 index.intern(examples)

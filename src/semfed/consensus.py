@@ -231,11 +231,10 @@ def dbscan(dist: np.ndarray, params: ClusterParams) -> Clustering:
     ``dist`` is the K x K matrix from ``cosine_distances``.  A point is
     core when at least min_pts points (itself included) lie within eps.
     Clusters are the connected components of core points under the
-    within-eps relation.  Core points are scanned in index order; the
-    first one not yet labelled opens the next cluster, which grows a
-    whole BFS level at a time (every unlabelled core point within eps of
-    the current frontier), so cluster k has the k-th smallest leading
-    core point.  Non-core points within eps of a core point join the
+    within-eps relation.  The lowest core point not yet labelled opens
+    the next cluster, which grows a whole BFS level at a time (every
+    unlabelled core point within eps of the current frontier), so
+    cluster k has the k-th smallest leading core point.  Non-core points within eps of a core point join the
     lowest-numbered such cluster, found with one masked minimum over
     their whole rows; the rest are outliers.
     """
@@ -243,15 +242,14 @@ def dbscan(dist: np.ndarray, params: ClusterParams) -> Clustering:
     if dist.ndim != 2 or dist.shape[0] == 0 or dist.shape[0] != dist.shape[1]:
         raise ValueError(f"dbscan needs a non-empty square distance matrix, got shape {dist.shape}")
     within = dist <= params.eps
-    core = within.sum(axis=1) >= params.min_pts
-    core_points = np.flatnonzero(core)
+    # An int32 count is exact for any K whose K x K matrix fits in memory.
+    core = within.sum(axis=1, dtype=np.int32) >= params.min_pts
 
     labels = np.full(dist.shape[0], OUTLIER)
     todo = core.copy()
     next_id = 0
-    for start in core_points.tolist():
-        if not todo[start]:
-            continue
+    while todo.any():
+        start = int(todo.argmax())
         labels[start] = next_id
         todo[start] = False
         # The first level reads a row view; later ones merge the frontier's rows.

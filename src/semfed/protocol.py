@@ -1,7 +1,7 @@
 """Round orchestration with exact byte metering over an in-process transport.
 
 One round runs four phases: each client optionally retrains on its
-private data, every client answers every public prompt (one
+private data, every client answers every public prompt (one checked
 ``Client.generate_many`` call per run of consecutive clients of one
 class), the server embeds each prompt's distinct responses as one
 matrix, normalizes its rows once and runs consensus on them, and the
@@ -21,8 +21,8 @@ transcript.
 
 Determinism: the phases run in one thread in a fixed order, per-prompt
 consensus is pure, and the prompts are sorted by id once, before
-generation, so every transcript collection is built in canonical order
-and reruns give byte-identical output.
+generation, so the responses come in (client, prompt) order, each
+prompt's are a stride of them, and reruns give byte-identical output.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress, groupby, islice
+from itertools import compress, groupby, islice
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Sequence
@@ -279,7 +279,9 @@ def run_round(
     at position i must have owner i; the private training pass before
     generation is skipped when retrain_private_every_round is False and
     round_index > 1.  The prompts are sorted by id once, before generation,
-    so every list below is built in the transcript's canonical order.
+    so responses come in (client, prompt) order and prompt p's are the
+    stride ``responses[p::M]``; a run whose ``generate_many`` returns other
+    than one list of M texts per client raises ``ValueError``.
     """
     if round_index < 1:
         raise ConfigError(f"round_index must be >= 1, got {round_index}")
@@ -305,22 +307,22 @@ def run_round(
     # a client's responses depend on its own state only, so training every
     # client first changes no text.
     queries = sorted((p.prompt_id, p.text) for p in prompts.prompts)
-    generated = chain.from_iterable(
-        kind.generate_many(list(run), queries, round_index, params.max_tokens)
-        for kind, run in groupby(clients, key=type)
-    )
+    m = len(queries)
     responses: list[ResponseRecord] = []
-    by_prompt: dict[str, list[ResponseRecord]] = {prompt_id: [] for prompt_id, _ in queries}
-    for index, texts in enumerate(generated):
-        for (prompt_id, _), text in zip(queries, texts):
-            record = make_response(index, prompt_id, text)
-            responses.append(record)
-            by_prompt[prompt_id].append(record)
+    for kind, run in groupby(clients, key=type):
+        run = list(run)
+        generated = kind.generate_many(run, queries, round_index, params.max_tokens)
+        if len(generated) != len(run) or any(len(texts) != m for texts in generated):
+            raise ValueError(f"{kind.__name__}.generate_many must return {len(run)} lists of {m} texts")
+        for client, texts in enumerate(generated, start=len(responses) // m):
+            responses.extend(make_response(client, pid, text) for (pid, _), text in zip(queries, texts))
     uploaded = sum(r.byte_len for r in responses)
 
     consensus_entries: list[PromptConsensus] = []
     errors: list[PromptError] = []
-    for prompt_id, records in by_prompt.items():
+    pseudo_pairs: list[tuple[str, str]] = []
+    for p, (prompt_id, prompt_text) in enumerate(queries):
+        records = responses[p::m]  # responses are in (client, prompt) order
         raw, rows = encode_responses(records, params.encoder)
         outcome, _, errs = consensus_phase(
             prompt_id, records, raw, rows, params.cluster, params.strategy
@@ -328,12 +330,10 @@ def run_round(
         errors.extend(errs)
         if outcome is not None:
             consensus_entries.append(outcome)
+            pseudo_pairs.append((prompt_text, outcome.pseudo_label))
 
     broadcast = tuple((c.prompt_id, c.pseudo_label) for c in consensus_entries)
     downloaded = len(clients) * sum(meter_message(label) for _, label in broadcast)
-
-    prompt_text = dict(queries)
-    pseudo_pairs = [(prompt_text[pid], label) for pid, label in broadcast]
     _train_runs(clients, private_datasets, pseudo_pairs, params.weights)
 
     return RoundTranscript(

@@ -974,6 +974,17 @@ def test_train_many_matches_per_client_train(order, rounds):
         ]
 
 
+def test_train_many_checks_the_dataset_count_before_it_interns():
+    index = PairIndex(2)
+    clients = [MarkovToyClient(order=2, seed=i, index=index) for i in range(3)]
+    datasets = [private(0, ("a b", "c d e")), private(1, ("f", "g h"))]
+    with pytest.raises(ValueError):
+        MarkovToyClient.train_many(clients, datasets, [("i j", "k l")], EVEN)
+    assert len(index) == 0
+    assert index.words == [""]
+    assert all(client.transitions == {} for client in clients)
+
+
 EXAMPLES_ABOVE_THREE = [("c a b", "a c b c a b d"), ("d d", "a b c d e f")]
 
 

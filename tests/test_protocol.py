@@ -3,7 +3,7 @@ import tempfile
 from collections import Counter
 from contextlib import redirect_stdout
 from io import StringIO
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +378,81 @@ def test_round_makes_one_generate_many_call_per_run_of_one_class(monkeypatch):
     ]
 
 
+class BatchRecording(RecordingClient):
+    """A RecordingClient with a correct generate_many of its own: built prompt-major, then transposed."""
+
+    @classmethod
+    def generate_many(cls, clients, prompts, round_index, max_tokens):
+        by_prompt = [[c.generate(pid, text, round_index, max_tokens) for c in clients] for pid, text in prompts]
+        return [list(texts) for texts in zip(*by_prompt)]
+
+
+class Reshaped(RecordingClient):
+    """A RecordingClient whose generate_many passes the default's answer through ``reshape``."""
+
+    @classmethod
+    def generate_many(cls, clients, prompts, round_index, max_tokens):
+        return cls.reshape(super().generate_many(clients, prompts, round_index, max_tokens))
+
+
+WRONG_SHAPES = {
+    "OneTextShort": lambda lists: [texts[:-1] for texts in lists],
+    "OneListShort": lambda lists: lists[:-1],
+    "OneListLong": lambda lists: lists + lists[-1:],
+}
+
+
+@pytest.mark.parametrize("name", list(WRONG_SHAPES))
+def test_a_run_of_the_wrong_shape_fails_naming_its_class_before_joint_training(name):
+    kind = type(name, (Reshaped,), {"reshape": staticmethod(WRONG_SHAPES[name])})
+    prompts = prompt_set(2)
+    # a scripted run follows, so a missing list would renumber its client
+    clients = [kind(inner) for inner in scripted_uniform(2, prompts, 1, "red")]
+    clients += scripted_uniform(1, prompts, 1, "blue")
+    with pytest.raises(ValueError, match=rf"^{name}\.generate_many must return 2 lists of 2 texts$"):
+        run_round(clients, prompts, SessionParams(), 1)
+    # the private pass ran; the joint pass never did
+    assert [client.train_calls for client in clients[:2]] == [[((), ())]] * 2
+
+
+def federation(queries):
+    """Six runs of four classes: Markov, Recording, Scripted, BatchRecording, Markov, Recording."""
+    scripted = [ScriptedClient({(1, pid): f"client {i} says blue" for pid, _ in queries}) for i in range(9)]
+    return [
+        MarkovToyClient(order=2, seed=0),
+        MarkovToyClient(order=1, seed=1),
+        RecordingClient(scripted[2]),
+        *scripted[3:5],
+        BatchRecording(scripted[5]),
+        MarkovToyClient(order=2, seed=6),
+        RecordingClient(scripted[7]),
+        RecordingClient(scripted[8]),
+    ]
+
+
+def test_each_response_is_numbered_by_its_place_in_the_round_list():
+    prompts = PublicPromptSet(
+        prompts=tuple(Prompt(f"p{i}", text) for i, (text, _) in reversed(list(enumerate(FACTS))))
+    )
+    queries = sorted((p.prompt_id, p.text) for p in prompts.prompts)
+    m, params = len(queries), SessionParams(max_tokens=12)
+    clients, by_hand = federation(queries), federation(queries)
+    privates = [PrivateDataset(examples=FACTS, owner=i) for i in range(len(clients))]
+    transcript = run_round(clients, prompts, params, 1, privates)
+    for client, private in zip(by_hand, privates):
+        client.train(private, [], params.weights)
+    assert len(transcript.responses) == len(clients) * m
+    for i, record in enumerate(transcript.responses):
+        (prompt_id, text), client = queries[i % m], by_hand[i // m]
+        assert (record.client, record.prompt_id) == (i // m, prompt_id)
+        assert record.text == client.generate(prompt_id, text, 1, params.max_tokens)
+    assert all(record.text for record in transcript.responses)
+    # each prompt's consensus read the stride: every client, in client order
+    assert transcript.errors == ()
+    assert [c.prompt_id for c in transcript.consensus] == [pid for pid, _ in queries]
+    assert all(c.clients == tuple(range(len(clients))) for c in transcript.consensus)
+
+
 def test_private_data_never_appears_in_transcripts():
     # the private prompt shares no words with the public prompts, so
     # generation cannot reproduce the secret; what this checks is that
@@ -639,6 +714,21 @@ def test_every_round_keeps_the_session_contract(session):
                 assert PromptError(pid, None, "no_embeddable_responses") in transcript.errors
     assert report.total_uploaded_bytes == sum(t.uploaded_bytes for t in report.transcripts)
     assert report.total_downloaded_bytes == sum(t.downloaded_bytes for t in report.transcripts)
+
+
+@given(sessions(), st.sampled_from([1, 6]), st.booleans(), st.booleans())
+def test_builtin_generate_many_returns_one_text_per_client_and_prompt(session, max_tokens, empty, trained):
+    clients, prompts, rounds, params, private = session
+    queries = sorted((p.prompt_id, "" if empty else p.text) for p in prompts.prompts)
+    start = 0
+    for kind, run in groupby(clients, key=type):
+        run = list(run)
+        if trained:
+            kind.train_many(run, private[start : start + len(run)], [], params.weights)
+        start += len(run)
+        for round_index in range(1, rounds + 1):
+            generated = kind.generate_many(run, queries, round_index, max_tokens)
+            assert [len(texts) for texts in generated] == [len(queries)] * len(run)
 
 
 TRICKY = st.one_of(
