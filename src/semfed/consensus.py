@@ -26,10 +26,21 @@ computed as a single matrix product.  ``consensus_for_prompt`` builds
 the pairwise matrix once per prompt, exactly symmetric (one triangle
 of a symmetric rank-k update, mirrored) with an exact zero diagonal,
 and DBSCAN, the cluster choice and the medoid all read it; only the
-distance to the centroid is a separate members x 1 product.  The unit check reads that product's diagonal, the squared
-norms, before it is zeroed: a row is unit when the square root lies
-within UNIT_NORM_TOL of 1.  Whether a pair near eps counts as a DBSCAN
-neighbour is decided by the matrix value.
+distance to the centroid is a separate members x 1 product.  The unit
+check reads that product's diagonal, the squared norms, before it is
+zeroed: a row is unit when the square root lies within UNIT_NORM_TOL
+of 1.  Whether a pair near eps counts as a DBSCAN neighbour is decided
+by the matrix value.
+
+The embeddings may be a prompt's distinct rows, with ``rows`` giving
+each response's row (as ``protocol.consensus_phase`` passes them).  The
+matrix is then built over the distinct rows only, so responses that
+share a row are exactly 0 apart.  DBSCAN weighs each row by the number
+of responses on it and its labels are gathered to the responses; the
+medoid and the centroid rule score each distinct member row once and
+offer the first response on it.  The centroid still sums the member
+responses' rows one by one, in response order.  Without ``rows`` every
+response is its own row.
 
 Degenerate inputs are handled, not hidden:
 
@@ -157,7 +168,8 @@ class ConsensusResult:
     representative's own embedding when the members' sum cancels.  Only
     the CENTROID rule needs it to choose, so it comes in through
     ``_centroid``; otherwise it is computed from ``_points`` (the
-    prompt's unit embeddings, not a copy) when first read.
+    prompt's unit embeddings, not a copy) and ``_rows`` (each response's
+    row of them, None for one row per response) when first read.
     """
 
     clustering: Clustering
@@ -169,6 +181,7 @@ class ConsensusResult:
     _member_positions: tuple[int, ...] = field(repr=False, compare=False)
     _representative_position: int = field(repr=False, compare=False)
     _centroid: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.representative not in self.consensus_members:
@@ -179,9 +192,10 @@ class ConsensusResult:
         centroid = self._centroid
         if centroid is None:
             try:
-                centroid = normalized_centroid(self._member_positions, self._points)
+                centroid = normalized_centroid(self._member_positions, self._points, self._rows)
             except ZeroSumError:
-                centroid = self._points[self._representative_position]
+                position = self._representative_position
+                centroid = self._points[position if self._rows is None else self._rows[position]]
         if not is_unit(centroid):
             raise ValueError("centroid must have unit norm")
         return centroid
@@ -225,11 +239,18 @@ def cosine_distances(
     return dist.clip(0.0, 2.0, out=dist)
 
 
-def dbscan(dist: np.ndarray, params: ClusterParams) -> Clustering:
+def dbscan(
+    dist: np.ndarray, params: ClusterParams, counts: np.ndarray | None = None
+) -> Clustering:
     """Deterministic DBSCAN over a pairwise cosine-distance matrix.
 
     ``dist`` is the K x K matrix from ``cosine_distances``.  A point is
     core when at least min_pts points (itself included) lie within eps.
+    ``counts[i]``, when given, is how many responses point i stands for,
+    and its neighbours number the sum of ``counts`` within eps.  The
+    labels are then those of the points themselves; they equal the
+    labels of every copy when each point is repeated ``counts[i]`` times
+    at distance 0 and the points are numbered by their first copies.
     Clusters are the connected components of core points under the
     within-eps relation.  The lowest core point not yet labelled opens
     the next cluster, which grows a whole BFS level at a time (every
@@ -242,8 +263,14 @@ def dbscan(dist: np.ndarray, params: ClusterParams) -> Clustering:
     if dist.ndim != 2 or dist.shape[0] == 0 or dist.shape[0] != dist.shape[1]:
         raise ValueError(f"dbscan needs a non-empty square distance matrix, got shape {dist.shape}")
     within = dist <= params.eps
-    # An int32 count is exact for any K whose K x K matrix fits in memory.
-    core = within.sum(axis=1, dtype=np.int32) >= params.min_pts
+    if counts is None:
+        # An int32 count is exact for any K whose K x K matrix fits in memory.
+        core = within.sum(axis=1, dtype=np.int32) >= params.min_pts
+    else:
+        counts = np.asarray(counts)
+        if counts.shape != dist.shape[:1]:
+            raise ValueError(f"got {dist.shape[0]} points but counts of shape {counts.shape}")
+        core = within @ counts >= params.min_pts
 
     labels = np.full(dist.shape[0], OUTLIER)
     todo = core.copy()
@@ -282,7 +309,9 @@ def average_pairwise_distance(members: Sequence[int], dist: np.ndarray) -> float
     return float(dist[np.ix_(members, members)].sum()) / (n * (n - 1))
 
 
-def select_consensus_cluster(clustering: Clustering, dist: np.ndarray) -> tuple[int, ...]:
+def select_consensus_cluster(
+    clustering: Clustering, dist: np.ndarray, rows: Sequence[int] | None = None
+) -> tuple[int, ...]:
     """Pick the consensus cluster's member positions.
 
     Largest cluster wins, sizes counted with one ``np.bincount``.  Tied
@@ -291,37 +320,45 @@ def select_consensus_cluster(clustering: Clustering, dist: np.ndarray) -> tuple[
     ties within TIE_TOL), then the smallest member position, through
     ``_tie_winner``; spreads are computed only when clusters tie.  When
     everything is an outlier the consensus set falls back to all
-    positions.
+    positions.  With ``rows``, position i's point is row ``rows[i]`` of
+    ``dist`` and the spreads are read through it.
     """
     if clustering.num_clusters == 0:
         return tuple(range(len(clustering.labels)))
     labels = np.array(clustering.labels)
     sizes = np.bincount(labels + 1)[1:]
     tied = [np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == sizes.max()).tolist()]
-    spreads = [average_pairwise_distance(m, dist) for m in tied] if len(tied) > 1 else [0.0]
+    spreads = [0.0]
+    if len(tied) > 1:
+        points = tied if rows is None else [np.asarray(rows)[m] for m in tied]
+        spreads = [average_pairwise_distance(m, dist) for m in points]
     return tuple(tied[_tie_winner(spreads, [m[0] for m in tied])].tolist())
 
 
-def normalized_centroid(members: Sequence[int], embeddings: Sequence[np.ndarray]) -> np.ndarray:
+def normalized_centroid(
+    members: Sequence[int], embeddings: Sequence[np.ndarray], rows: Sequence[int] | None = None
+) -> np.ndarray:
     """Unit-norm mean direction of the member embeddings.
 
-    Each column is a running total from +0.0 over the members in
-    increasing order.  Over two or more columns ``np.add.reduce`` along
-    axis 0 adds whole rows in that order; one column is a single
-    contiguous run, which it would sum pairwise, so that column is
-    accumulated instead.  Raises ZeroSumError on antipodal cancellation.
+    Member i's embedding is ``embeddings[i]``, or ``embeddings[rows[i]]``
+    when ``rows`` is given.  Each column is a running total from +0.0
+    over the members in increasing order.  Over two or more columns
+    ``np.add.reduce`` along axis 0 adds whole rows in that order; one
+    column is a single contiguous run, which it would sum pairwise, so
+    that column is accumulated instead.  Raises ZeroSumError on
+    antipodal cancellation.
     """
     points = np.asarray(embeddings, dtype=np.float64)
     members = sorted(members)
     if not members:
         raise ValueError("centroid of an empty member set is undefined")
     # A row index list copies the rows in C order, so axis 0 is the outer loop.
-    rows = points[members]
-    if rows.shape[1] == 1:
+    block = points[members if rows is None else np.asarray(rows)[members]]
+    if block.shape[1] == 1:
         # + 0.0 turns a -0.0 total into the +0.0 a sum from +0.0 ends at.
-        total = np.add.accumulate(rows)[-1] + 0.0
+        total = np.add.accumulate(block)[-1] + 0.0
     else:
-        total = np.add.reduce(rows, axis=0, initial=0.0)
+        total = np.add.reduce(block, axis=0, initial=0.0)
     norm = float(np.linalg.norm(total))
     if norm < ZERO_NORM_EPS:
         raise ZeroSumError(f"member embeddings sum to norm {norm!r}; no centroid direction")
@@ -362,41 +399,125 @@ def _closest(members: Sequence[int], scores: np.ndarray, responses: Sequence[str
     return members[_tie_winner(scores.tolist(), lengths)]
 
 
+def _row_heads(members: list[int], member_rows: np.ndarray) -> tuple[list[int], list[int]]:
+    """The rows the members use, in order of first use, and the first member on each.
+
+    ``member_rows[i]`` is the row of ``members[i]``.  Members on one row
+    share its score exactly, so the first of them stands for all.
+    """
+    heads: dict[int, int] = {}
+    for member, row in zip(members, member_rows.tolist()):
+        heads.setdefault(row, member)
+    return list(heads), list(heads.values())
+
+
 def select_representative(
     members: Sequence[int],
     embeddings: Sequence[np.ndarray],
     responses: Sequence[str],
     centroid: np.ndarray,
+    rows: Sequence[int] | None = None,
 ) -> int:
     """Member position closest to the centroid.
 
     Ties within TIE_TOL prefer the shorter response in UTF-8 bytes, then
-    the smaller position.
+    the smaller position.  With ``rows``, member i's embedding is
+    ``embeddings[rows[i]]``; each distinct member row is scored once and
+    stands for its first member.
     """
     members = sorted(members)
-    points = np.asarray(embeddings, dtype=np.float64)[members]
+    if rows is None:
+        scored = members
+    else:
+        scored, members = _row_heads(members, np.asarray(rows)[members])
+    points = np.asarray(embeddings, dtype=np.float64)[scored]
     scores = cosine_distances(points, np.asarray(centroid, dtype=np.float64)[None, :])[:, 0]
     return _closest(members, scores, responses)
 
 
-def medoid(members: Sequence[int], dist: np.ndarray, responses: Sequence[str]) -> int:
+def medoid(
+    members: Sequence[int],
+    dist: np.ndarray,
+    responses: Sequence[str],
+    rows: Sequence[int] | None = None,
+) -> int:
     """Member with the smallest mean distance to the other members.
 
     Distances are read from the pairwise matrix ``dist``, the whole
     matrix when the members are every position.  Singleton member sets
     score 0.0 by convention.  Ties use the same byte-length-then-index
     chain as select_representative.
+
+    With ``rows``, member i is row ``rows[i]`` of ``dist``.  Each
+    distinct member row is scored once, as ``block @ weights / (n - 1)``
+    with the block its distances to every row and the weights the
+    number of members on each row, and is offered to the tie-break by
+    its first member, in member order.
     """
     members = sorted(members)
-    if len(members) == 1:
+    n = len(members)
+    if n == 1:
         return members[0]
-    if len(members) == len(dist) and members == list(range(len(dist))):
+    if rows is not None:
+        member_rows = np.asarray(rows)[members]
+        used, firsts = _row_heads(members, member_rows)
+        weights = np.bincount(member_rows, minlength=len(dist)).astype(np.float64)
+        return _closest(firsts, dist[used] @ weights / (n - 1), responses)
+    if n == len(dist) and members == list(range(n)):
         # The members' block, laid out as np.ix_ would copy it.
         block = np.ascontiguousarray(dist)
     else:
         block = dist[np.ix_(members, members)]
-    scores = block.sum(axis=1) / (len(members) - 1)
-    return _closest(members, scores, responses)
+    return _closest(members, block.sum(axis=1) / (n - 1), responses)
+
+
+def _row_index(rows: Sequence[int], k: int, u: int) -> np.ndarray | None:
+    """Each of k responses' row among u embeddings, or None when each has its own.
+
+    Every row must be used, and rows must be numbered by first use: the
+    first response uses row 0, and every response uses a row already
+    used or the next new one.  Over as many rows as responses that
+    leaves only one row per response.  The check is one pass in Python,
+    which beats numpy's per-call cost at a prompt's size; on a failure
+    numpy finds the first fault of length, range, an unused row and
+    order, in that order, and names it.
+    """
+    valid = False
+    if len(rows) == k:
+        top = -1
+        for row in rows:
+            if row > top:
+                if row != top + 1:
+                    break
+                top = row
+            elif row < 0:
+                break
+        else:
+            valid = top == u - 1
+    if valid and u == k:
+        return None
+    index = np.asarray(rows)
+    if index.dtype.kind not in "iu":
+        raise ValueError(f"rows must be integers, got {index.dtype}")
+    if valid:
+        return index
+    if index.shape != (k,):
+        raise ValueError(f"got {k} responses but {index.size} rows")
+    outside = np.flatnonzero((index < 0) | (index >= u))
+    if outside.size:
+        p = int(outside[0])
+        raise ValueError(
+            f"row {index[p]} of the response at position {p} is out of range for {u} embeddings"
+        )
+    unused = np.flatnonzero(np.bincount(index, minlength=u) == 0)
+    if unused.size:
+        raise ValueError(f"embedding row {unused[0]} is used by no response")
+    before = np.concatenate(([-1], np.maximum.accumulate(index)[:-1]))
+    p = int(np.flatnonzero(index > before + 1)[0])
+    raise ValueError(
+        f"rows are not numbered by first use: the response at position {p} "
+        f"uses row {index[p]} before row {before[p] + 1}"
+    )
 
 
 def consensus_for_prompt(
@@ -404,14 +525,26 @@ def consensus_for_prompt(
     embeddings: Sequence[np.ndarray],
     params: ClusterParams,
     strategy: SelectionStrategy = SelectionStrategy(),
+    rows: Sequence[int] | None = None,
 ) -> ConsensusResult:
     """Run the full per-prompt consensus pipeline.
 
     ``responses`` are records with ``client`` (strictly increasing ints),
     ``prompt_id`` (identical across the batch) and ``text`` fields;
-    ``embeddings`` is the parallel sequence of unit vectors, one per
-    response.  Supplying embeddings explicitly lets callers swap in a
-    real sentence encoder without touching this module.
+    ``embeddings`` are unit vectors, one per response.  Supplying
+    embeddings explicitly lets callers swap in a real sentence encoder
+    without touching this module.
+
+    With ``rows``, ``embeddings`` are distinct rows instead and response
+    i's vector is ``embeddings[rows[i]]``.  Every row must be used, and
+    rows are numbered by first use (row 0 first, each new row one past
+    the highest before it); responses on one row are taken to share
+    their text.  The pairwise matrix is then U x U over the distinct
+    rows, ``dbscan`` weighs each row by its number of responses and its
+    row labels are gathered to the responses, and responses on one row
+    are exactly 0 apart.  A non-unit row is named with the first
+    response that uses it.  Rows over as many embeddings as responses
+    can only be one per response, and run as ``rows=None`` does.
 
     Reported members and the representative are client ids.  Only
     CENTROID selection computes the centroid here; when its direction
@@ -423,18 +556,25 @@ def consensus_for_prompt(
     """
     if len(responses) == 0:
         raise ValueError("consensus needs at least one response")
-    if len(responses) != len(embeddings):
+    if rows is None and len(responses) != len(embeddings):
         raise ValueError(
             f"got {len(responses)} responses but {len(embeddings)} embeddings"
         )
     points = np.asarray(embeddings, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("embeddings must be equal-length vectors")
+    index = None if rows is None else _row_index(rows, len(responses), len(points))
     dist, squares = _pairwise(points)
     # A NaN squared norm fails the comparison, so it is not unit either.
     unit = np.abs(np.sqrt(squares) - 1.0) <= UNIT_NORM_TOL
     if not unit.all():
-        raise ValueError(f"embedding at position {unit.argmin()} is not unit norm")
+        bad = int(unit.argmin())
+        if index is None:
+            raise ValueError(f"embedding at position {bad} is not unit norm")
+        user = int(np.argmax(index == bad))
+        raise ValueError(
+            f"embedding row {bad}, first used by the response at position {user}, is not unit norm"
+        )
     clients = [r.client for r in responses]
     if not all(map(operator.lt, clients, clients[1:])):
         raise ValueError(f"client ids must be strictly increasing, got {clients}")
@@ -443,28 +583,32 @@ def consensus_for_prompt(
         raise ValueError(f"responses span multiple prompts: {sorted(prompt_ids)}")
     texts = [r.text for r in responses]
 
-    clustering = dbscan(dist, params)
+    if index is None:
+        clustering = dbscan(dist, params)
+    else:
+        by_row = dbscan(dist, params, np.bincount(index))
+        clustering = Clustering(tuple(map(by_row.labels.__getitem__, rows)), by_row.num_clusters)
     fallback = clustering.num_clusters == 0
     if strategy.rule is SelectionRule.GLOBAL_MEDOID:
         member_positions = tuple(range(len(responses)))
     else:
-        member_positions = select_consensus_cluster(clustering, dist)
+        member_positions = select_consensus_cluster(clustering, dist, index)
 
     centroid = None
     if strategy.rule is SelectionRule.CENTROID:
         try:
-            centroid = normalized_centroid(member_positions, points)
+            centroid = normalized_centroid(member_positions, points, index)
         except ZeroSumError:
-            rep_pos = medoid(member_positions, dist, texts)
-            centroid = points[rep_pos]
+            rep_pos = medoid(member_positions, dist, texts, index)
+            centroid = points[rep_pos if index is None else index[rep_pos]]
         else:
-            rep_pos = select_representative(member_positions, points, texts, centroid)
+            rep_pos = select_representative(member_positions, points, texts, centroid, index)
     elif strategy.rule is SelectionRule.RANDOM_IN_CLUSTER:
         prompt_id = next(iter(prompt_ids))
         rng = np.random.default_rng([strategy.seed, _text_u64(prompt_id)])
         rep_pos = member_positions[int(rng.integers(len(member_positions)))]
     else:  # GLOBAL_MEDOID
-        rep_pos = medoid(member_positions, dist, texts)
+        rep_pos = medoid(member_positions, dist, texts, index)
 
     return ConsensusResult(
         clustering=clustering,
@@ -476,4 +620,5 @@ def consensus_for_prompt(
         _member_positions=member_positions,
         _representative_position=rep_pos,
         _centroid=centroid,
+        _rows=index,
     )

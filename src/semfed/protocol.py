@@ -4,7 +4,8 @@ One round runs four phases: each client optionally retrains on its
 private data, every client answers every public prompt (one checked
 ``Client.generate_many`` call per run of consecutive clients of one
 class), the server embeds each prompt's distinct responses as one
-matrix, normalizes its rows once and runs consensus on them, and the
+matrix, normalizes its rows once and runs consensus over those distinct
+rows, each standing for the clients that sent its text, and the
 resulting (prompt id, pseudo-label) pairs are broadcast back for a
 joint training pass; both training passes make one
 ``Client.train_many`` call per run of consecutive clients of one class.
@@ -217,29 +218,39 @@ def consensus_phase(
     prompt_id: str,
     records: Sequence[ResponseRecord],
     raw_vectors: np.ndarray,
-    rows: Sequence[int],
+    rows: Sequence[int] | None,
     cluster: ClusterParams,
     strategy: SelectionStrategy,
 ) -> tuple[PromptConsensus | None, ConsensusResult | None, list[PromptError]]:
     """Normalize one prompt's raw vectors and run consensus.
 
     Record i's raw vector is row ``rows[i]`` of the matrix
-    ``raw_vectors``, as ``encode_responses`` returns them; each row is
+    ``raw_vectors``, as ``encode_responses`` returns them (rows numbered
+    by first use), or row i when ``rows`` is None; each row is
     normalized once.  A record whose vector is all zero (an empty or
     too-short text) is dropped with a ``zero_embedding`` error; a prompt
     left with no response gets a ``no_embeddable_responses`` error and
-    no outcome.  Returns the transcript entry, the full result (whose
-    centroid, unless the rule chose by it, is computed when read), and
-    the errors: any ``no_embeddable_responses`` first, then
-    ``zero_embedding`` in record order.
+    no outcome.  Consensus gets the non-zero unit rows themselves, not a
+    copy per record, and each usable record's row, renumbered past the
+    dropped rows so they stay numbered by first use.  Returns the
+    transcript entry, the full result (whose centroid, unless the rule
+    chose by it, is computed when read), and the errors: any
+    ``no_embeddable_responses`` first, then ``zero_embedding`` in record
+    order.
     """
     units, zero = normalize_rows(raw_vectors)
-    kept = ~zero[rows]
-    usable = list(compress(records, kept))
-    errors = [PromptError(prompt_id, r.client, "zero_embedding") for r in compress(records, ~kept)]
-    if not usable:
-        return None, None, [PromptError(prompt_id, None, "no_embeddable_responses"), *errors]
-    result = consensus_for_prompt(usable, units[np.compress(kept, rows)], cluster, strategy)
+    usable, errors = records, []
+    if zero.any():
+        kept = ~zero if rows is None else ~zero[rows]
+        usable = list(compress(records, kept))
+        dropped = compress(records, ~kept)
+        errors = [PromptError(prompt_id, r.client, "zero_embedding") for r in dropped]
+        if not usable:
+            return None, None, [PromptError(prompt_id, None, "no_embeddable_responses"), *errors]
+        if rows is not None:
+            rows = (np.cumsum(~zero) - 1)[np.compress(kept, rows)]
+        units = units[~zero]
+    result = consensus_for_prompt(usable, units, cluster, strategy, rows)
     outcome = PromptConsensus(
         prompt_id=prompt_id,
         clients=tuple(r.client for r in usable),

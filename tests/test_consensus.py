@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -281,6 +282,30 @@ def test_medoid_singleton():
     assert medoid([2], cosine_distances(np.eye(3)), ["x", "y", "z"]) == 2
 
 
+def test_selection_over_rows_offers_the_first_member_of_each_row():
+    points = np.array([on_circle(0.0), on_circle(1.0)])
+    dist = cosine_distances(points)
+    rows = [0, 1, 0, 1, 1]
+    texts = ["aa", "b", "aa", "b", "b"]
+    every = dist[np.ix_(rows, rows)]
+    # the row with more members has the lower mean distance; its first
+    # member stands for it, as on the matrix with a row per member
+    for members, chosen in (([0, 1, 2, 3, 4], 1), ([2, 3, 4], 3), ([0, 2, 3], 0), ([4, 0], 4)):
+        assert medoid(members, dist, texts, rows) == chosen
+        assert medoid(members, every, texts) == chosen
+    # both rows equally far from the centroid: the shorter text, row 1
+    centroid = on_circle(0.5)
+    assert select_representative([0, 1, 2, 3, 4], points, texts, centroid, rows) == 1
+    assert select_representative([0, 2, 4], points, texts, centroid, rows) == 4
+    assert select_representative([0, 2], points, texts, centroid, rows) == 0
+
+
+def test_dbscan_counts_must_give_one_count_per_point():
+    dist = cosine_distances(np.eye(3))
+    with pytest.raises(ValueError, match="^got 3 points but counts of shape \\(2,\\)$"):
+        dbscan(dist, ClusterParams(), np.array([1, 2]))
+
+
 # Scores a fixed step from a base: exact ties, steps of exactly TIE_TOL and
 # 2 * TIE_TOL (exact from a base of 0.0), just past 2 * TIE_TOL, and far;
 # and the BOUNDARY pair.
@@ -457,6 +482,38 @@ def test_unit_check_reads_the_squared_norms_at_the_tolerance(scale, unit):
     else:
         with pytest.raises(ValueError, match="^embedding at position 1 is not unit norm$"):
             consensus_for_prompt(records(texts), embs, ClusterParams())
+
+
+@pytest.mark.parametrize(
+    "rows, u, message",
+    [
+        ([0, 1], 2, "got 3 responses but 2 rows"),
+        ([0, 1, 1, 0], 2, "got 3 responses but 4 rows"),
+        ([0, 1, 2], 2, "row 2 of the response at position 2 is out of range for 2 embeddings"),
+        ([0, -1, 1], 2, "row -1 of the response at position 1 is out of range for 2 embeddings"),
+        ([0, 0, 1], 3, "embedding row 2 is used by no response"),
+        ([0, 2, 2], 3, "embedding row 1 is used by no response"),
+        ([1, 0, 1], 2, "rows are not numbered by first use: the response at position 0 uses row 1 before row 0"),
+        ([0, 2, 1], 3, "rows are not numbered by first use: the response at position 1 uses row 2 before row 1"),
+        ([0.0, 1.0, 1.0], 2, "rows must be integers, got float64"),
+    ],
+)
+def test_rows_must_map_every_response_onto_every_row_in_first_use_order(rows, u, message):
+    texts = ["alpha bravo", "charlie delta", "echo foxtrot"]
+    embs = [encode_normalized(t, CFG) for t in texts[:u]]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        consensus_for_prompt(records(texts), embs, ClusterParams(), rows=rows)
+
+
+def test_unit_norm_error_names_the_first_response_on_the_bad_row():
+    texts = ["alpha bravo", "alpha bravo", "charlie delta", "echo foxtrot", "echo foxtrot"]
+    embs = [encode_normalized(t, CFG) for t in ("alpha bravo", "charlie delta", "echo foxtrot")]
+    rows = [0, 0, 1, 2, 2]
+    consensus_for_prompt(records(texts), embs, ClusterParams(), rows=rows)
+    embs[2] = embs[2] * 2.0
+    message = "^embedding row 2, first used by the response at position 3, is not unit norm$"
+    with pytest.raises(ValueError, match=message):
+        consensus_for_prompt(records(texts), embs, ClusterParams(), rows=rows)
 
 
 def test_one_non_finite_entry_fails_the_unit_check():
@@ -859,6 +916,92 @@ def test_dbscan_all_singletons_match_reference(seed, k):
     got = dbscan(dist, ClusterParams(eps=eps, min_pts=1))
     assert list(got.labels) == list(range(k))
     assert list(got.labels) == reference_dbscan(points, eps, 1, dist=dist.tolist())
+
+
+@st.composite
+def row_maps(draw, max_k=40):
+    """Each response's row, numbered by first use, every row used at least once."""
+    picks = draw(st.lists(st.integers(0, 11), min_size=1, max_size=max_k))
+    first: dict[int, int] = {}
+    return [first.setdefault(p, len(first)) for p in picks]
+
+
+@given(
+    data=st.data(),
+    rows=row_maps(),
+    seed=st.integers(0, 2**32 - 1),
+    families=st.integers(1, 4),
+    noise=st.sampled_from([0.05, 0.3, 1.0]),
+    dim=st.sampled_from([2, 8]),
+)
+def test_dbscan_with_counts_matches_reference_on_repeated_rows(data, rows, seed, families, noise, dim):
+    # distinct rows; the reference sees each response, copies 0 apart
+    u = max(rows) + 1
+    points, _ = planted_families(seed, u, families, noise, 0.0, dim)
+    dist = cosine_distances(points)
+    values = np.unique(dist[dist > 0]).tolist()
+    eps_choices = st.floats(0.02, 0.9)
+    if values:
+        eps_choices = eps_choices | st.sampled_from(values)
+    eps = data.draw(eps_choices, label="eps")
+    min_pts = data.draw(st.sampled_from([1, 2, 3, 4, len(rows) + 1]), label="min_pts")
+
+    got = dbscan(dist, ClusterParams(eps=eps, min_pts=min_pts), np.bincount(rows))
+    assert len(got.labels) == u
+    every = dist[np.ix_(rows, rows)]
+    want = reference_dbscan(points[rows], eps, min_pts, dist=every.tolist())
+    assert [got.labels[r] for r in rows] == want
+    assert got.num_clusters == len(set(want) - {OUTLIER})
+
+
+def _near_tie_tol(scores, rows):
+    """Whether two scores of different rows lie within 1e-9 above TIE_TOL, or
+    below it by less than TIE_TOL / 2; closer gaps are ties on either side."""
+    scores, rows = np.asarray(scores, dtype=np.float64), np.asarray(rows)
+    gaps = np.abs(scores[:, None] - scores[None, :])[rows[:, None] != rows[None, :]]
+    return bool(np.any((gaps > TIE_TOL / 2) & (gaps <= TIE_TOL + 1e-9)))
+
+
+@given(
+    rows=row_maps(),
+    seed=st.integers(0, 2**32 - 1),
+    families=st.integers(1, 4),
+    noise=st.sampled_from([0.05, 0.3, 1.0]),
+    eps=st.floats(0.02, 0.9),
+    min_pts=st.integers(1, 4),
+    rule=st.sampled_from(list(SelectionRule)),
+)
+def test_consensus_over_distinct_rows_matches_a_row_per_response(
+    rows, seed, families, noise, eps, min_pts, rule
+):
+    u = max(rows) + 1
+    points, row_texts = planted_families(seed, u, families, noise, 0.0)
+    texts = [row_texts[r] for r in rows]
+    every = points[rows]
+    dist = cosine_distances(every)
+    # a pair this close to eps is a neighbour or not by rounding alone
+    apart = np.array(rows)[:, None] != np.array(rows)[None, :]
+    assume(not np.any(np.abs(dist[apart] - eps) <= 1e-9))
+    params, strategy = ClusterParams(eps=eps, min_pts=min_pts), SelectionStrategy(rule)
+    want = consensus_for_prompt(records(texts), every, params, strategy)
+
+    # the scores each rule compares stay clear of the TIE_TOL boundary
+    labels = np.array(want.clustering.labels)
+    if want.clustering.num_clusters:
+        sizes = np.bincount(labels[labels >= 0])
+        tied = [np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == sizes.max())]
+        spreads = [average_pairwise_distance(m, dist) for m in tied]
+        assume(not _near_tie_tol(spreads, range(len(tied))))
+    members = list(want.consensus_members)
+    means = dist[np.ix_(members, members)].sum(axis=1) / max(len(members) - 1, 1)
+    member_rows = np.array(rows)[members]
+    assume(not _near_tie_tol(means, member_rows))
+    centroid = cosine_distances(every[members], want.centroid[None, :])[:, 0]
+    assume(not _near_tie_tol(centroid, member_rows))
+
+    got = consensus_for_prompt(records(texts), points, params, strategy, rows)
+    assert got == want
+    assert got.centroid.tobytes() == want.centroid.tobytes()
 
 
 # Spread offsets around a base: ties within TIE_TOL (at most 6e-13 apart,

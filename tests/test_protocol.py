@@ -19,9 +19,9 @@ from semfed.clients import (
     ScriptedClient,
     TrainingWeights,
 )
-from semfed.consensus import ClusterParams, SelectionRule, SelectionStrategy
+from semfed.consensus import ClusterParams, SelectionRule, SelectionStrategy, consensus_for_prompt
 from semfed.costmodel import TextRoundCostSpec, text_round_bytes
-from semfed.encoder import EncoderConfig
+from semfed.encoder import EncoderConfig, normalize_rows
 from semfed.protocol import (
     ConfigError,
     PromptConsensus,
@@ -188,6 +188,64 @@ def test_partial_empty_response_excluded_from_consensus():
     assert entry.members == (0, 2)
     assert entry.pseudo_label == "a perfectly good shared answer"
     assert any(e.client == 1 and e.reason == "zero_embedding" for e in transcript.errors)
+
+
+# Two copies of this text are 6.7e-16 apart when each copy has its own
+# row of the pairwise product, more than TINY_EPS.
+TWICE = "the sky is blue today"
+TINY_EPS = ClusterParams(eps=1e-17, min_pts=2)
+
+
+def test_duplicate_responses_are_exactly_zero_apart_in_consensus_phase():
+    records = [make_response(c, "p0", t) for c, t in enumerate([TWICE, TWICE, "water is wet"])]
+    raw, rows = protocol.encode_responses(records, EncoderConfig())
+    outcome, result, errors = protocol.consensus_phase(
+        "p0", records, raw, rows, TINY_EPS, SelectionStrategy()
+    )
+    assert errors == []
+    assert outcome.labels == (0, 0, -1)
+    assert outcome.members == (0, 1)
+    assert not outcome.fallback_all_outliers
+    assert outcome.pseudo_label == TWICE
+
+
+def test_duplicate_responses_on_rows_of_their_own_are_not_zero_apart():
+    # One row per response keeps the product's rounding between copies,
+    # so at this eps every response is an outlier and the set falls back.
+    records = [make_response(c, "p0", t) for c, t in enumerate([TWICE, TWICE, "water is wet"])]
+    raw, rows = protocol.encode_responses(records, EncoderConfig())
+    units, _ = normalize_rows(raw)
+    result = consensus_for_prompt(records, units[rows], TINY_EPS)
+    assert result.clustering.labels == (-1, -1, -1)
+    assert result.fallback_all_outliers
+    assert result.consensus_members == (0, 1, 2)
+
+
+def test_consensus_phase_passes_the_distinct_rows_renumbered_past_zero_rows(monkeypatch):
+    seen = []
+    real = protocol.consensus_for_prompt
+
+    def recorded(responses, embeddings, *args):
+        seen.append((np.shape(embeddings), args[-1]))
+        return real(responses, embeddings, *args)
+
+    monkeypatch.setattr(protocol, "consensus_for_prompt", recorded)
+    texts = ["x", "water is wet", "x", "the sky is blue", "water is wet", "the sky is blue"]
+    records = [make_response(c, "p0", t) for c, t in enumerate(texts)]
+    raw, rows = protocol.encode_responses(records, EncoderConfig())
+    assert rows == [0, 1, 0, 2, 1, 2]
+    outcome, _, errors = protocol.consensus_phase(
+        "p0", records, raw, rows, ClusterParams(), SelectionStrategy()
+    )
+    # the empty row 0 is dropped and rows 1 and 2 become 0 and 1
+    [(shape, passed)] = seen
+    assert shape == (2, 384)
+    assert list(passed) == [0, 1, 0, 1]
+    assert [(e.client, e.reason) for e in errors] == [(0, "zero_embedding"), (2, "zero_embedding")]
+    assert outcome.clients == (1, 3, 4, 5)
+    assert outcome.labels == (0, 1, 0, 1)
+    assert outcome.members == (1, 4)
+    assert outcome.representative == 1
 
 
 def test_pseudo_labels_fed_to_train_match_transcript():
@@ -627,7 +685,7 @@ def sessions(draw):
             seed=draw(st.integers(0, 3)),
             lowercase=draw(st.booleans()),
         ),
-        cluster=ClusterParams(eps=draw(st.sampled_from([0.05, 0.3, 1.0])), min_pts=draw(st.integers(1, 3))),
+        cluster=ClusterParams(eps=draw(st.sampled_from([1e-17, 0.05, 0.3, 1.0])), min_pts=draw(st.integers(1, 3))),
         strategy=SelectionStrategy(draw(st.sampled_from(list(SelectionRule))), seed=draw(st.integers(0, 9))),
         weights=TrainingWeights(alpha=0.3, beta=0.7),
         max_tokens=6,
