@@ -328,7 +328,7 @@ def cmd_consensus(args: argparse.Namespace) -> int:
             if external is None:
                 raw_vectors, rows = encode_responses(records, encoder_config)
             else:
-                raw_vectors, rows = [external[rid] for rid in ids], None
+                raw_vectors, rows = [external[rid] for rid in ids], range(len(ids))
             outcome, result, errors = consensus_phase(
                 prompt_id, records, raw_vectors, rows, params, strategy
             )

@@ -32,15 +32,16 @@ zeroed: a row is unit when the square root lies within UNIT_NORM_TOL
 of 1.  Whether a pair near eps counts as a DBSCAN neighbour is decided
 by the matrix value.
 
-The embeddings may be a prompt's distinct rows, with ``rows`` giving
-each response's row (as ``protocol.consensus_phase`` passes them).  The
-matrix is then built over the distinct rows only, so responses that
-share a row are exactly 0 apart.  DBSCAN weighs each row by the number
-of responses on it and its labels are gathered to the responses; the
-medoid and the centroid rule score each distinct member row once and
-offer the first response on it.  The centroid still sums the member
-responses' rows one by one, in response order.  Without ``rows`` every
-response is its own row.
+Every prompt runs over a row index: the embeddings are the prompt's
+distinct rows and ``rows`` gives each response's row (as
+``protocol.consensus_phase`` passes them); without ``rows`` the index
+is the identity, one row per response.  The matrix is built over the
+rows only, so responses that share a row are exactly 0 apart.  DBSCAN
+weighs each row by the number of responses on it and its labels are
+gathered to the responses; the medoid and the centroid rule score each
+distinct member row once and offer the first response on it.  The
+centroid still sums the member responses' rows one by one, in response
+order.
 
 Degenerate inputs are handled, not hidden:
 
@@ -168,8 +169,8 @@ class ConsensusResult:
     representative's own embedding when the members' sum cancels.  Only
     the CENTROID rule needs it to choose, so it comes in through
     ``_centroid``; otherwise it is computed from ``_points`` (the
-    prompt's unit embeddings, not a copy) and ``_rows`` (each response's
-    row of them, None for one row per response) when first read.
+    prompt's unit rows, not a copy) and ``_rows`` (each response's row
+    index into them) when first read.
     """
 
     clustering: Clustering
@@ -180,8 +181,8 @@ class ConsensusResult:
     _points: np.ndarray = field(repr=False, compare=False)
     _member_positions: tuple[int, ...] = field(repr=False, compare=False)
     _representative_position: int = field(repr=False, compare=False)
+    _rows: np.ndarray = field(repr=False, compare=False)
     _centroid: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.representative not in self.consensus_members:
@@ -194,8 +195,7 @@ class ConsensusResult:
             try:
                 centroid = normalized_centroid(self._member_positions, self._points, self._rows)
             except ZeroSumError:
-                position = self._representative_position
-                centroid = self._points[position if self._rows is None else self._rows[position]]
+                centroid = self._points[self._rows[self._representative_position]]
         if not is_unit(centroid):
             raise ValueError("centroid must have unit norm")
         return centroid
@@ -244,47 +244,50 @@ def dbscan(
 ) -> Clustering:
     """Deterministic DBSCAN over a pairwise cosine-distance matrix.
 
-    ``dist`` is the K x K matrix from ``cosine_distances``.  A point is
-    core when at least min_pts points (itself included) lie within eps.
-    ``counts[i]``, when given, is how many responses point i stands for,
-    and its neighbours number the sum of ``counts`` within eps.  The
-    labels are then those of the points themselves; they equal the
-    labels of every copy when each point is repeated ``counts[i]`` times
-    at distance 0 and the points are numbered by their first copies.
-    Clusters are the connected components of core points under the
-    within-eps relation.  The lowest core point not yet labelled opens
-    the next cluster, which grows a whole BFS level at a time (every
-    unlabelled core point within eps of the current frontier), so
-    cluster k has the k-th smallest leading core point.  Non-core points within eps of a core point join the
-    lowest-numbered such cluster, found with one masked minimum over
-    their whole rows; the rest are outliers.
+    ``dist`` is the K x K matrix from ``cosine_distances``.  Point i
+    stands for ``counts[i]`` responses (one each when ``counts`` is
+    omitted), and it is core when the counts within eps of it, its own
+    included, sum to at least min_pts.  The labels are those of the
+    points themselves; they equal the labels of every copy when each
+    point is repeated ``counts[i]`` times at distance 0 and the points
+    are numbered by their first copies.  Clusters are the connected
+    components of core points under the within-eps relation.  The
+    lowest core point not yet labelled opens the next cluster, which
+    grows a whole BFS level at a time (every unlabelled core point
+    within eps of the current frontier), so cluster k has the k-th
+    smallest leading core point.  Non-core points within eps of a core
+    point join the lowest-numbered such cluster, found with one masked
+    minimum over their whole rows; the rest are outliers.
+
+    The sums are one float32 product, read back as integers: a float32
+    sum of non-negative integers is exact to 2**24 and at least 2**24
+    beyond, so the test is exact while min_pts or the total count is at
+    most 2**24.
     """
     dist = np.asarray(dist, dtype=np.float64)
     if dist.ndim != 2 or dist.shape[0] == 0 or dist.shape[0] != dist.shape[1]:
         raise ValueError(f"dbscan needs a non-empty square distance matrix, got shape {dist.shape}")
+    counts = np.ones(len(dist)) if counts is None else np.asarray(counts)
+    if counts.shape != dist.shape[:1]:
+        raise ValueError(f"got {dist.shape[0]} points but counts of shape {counts.shape}")
     within = dist <= params.eps
-    if counts is None:
-        # An int32 count is exact for any K whose K x K matrix fits in memory.
-        core = within.sum(axis=1, dtype=np.int32) >= params.min_pts
-    else:
-        counts = np.asarray(counts)
-        if counts.shape != dist.shape[:1]:
-            raise ValueError(f"got {dist.shape[0]} points but counts of shape {counts.shape}")
-        core = within @ counts >= params.min_pts
+    sums = within.astype(np.float32) @ counts.astype(np.float32)
+    core = sums.astype(np.int64) >= params.min_pts
 
     labels = np.full(dist.shape[0], OUTLIER)
     todo = core.copy()
     next_id = 0
-    while todo.any():
+    # np.count_nonzero is a plain C call; ndarray.any goes through a Python wrapper.
+    while np.count_nonzero(todo):
         start = int(todo.argmax())
         labels[start] = next_id
         todo[start] = False
         # The first level reads a row view; later ones merge the frontier's rows.
         reached = within[start] & todo
-        while reached.any():
+        while np.count_nonzero(reached):
             labels[reached] = next_id
             todo &= ~reached
-            reached = within[reached].any(axis=0) & todo
+            reached = np.logical_or.reduce(within[reached]) & todo
         next_id += 1
 
     border = np.flatnonzero(~core)
@@ -320,18 +323,18 @@ def select_consensus_cluster(
     ties within TIE_TOL), then the smallest member position, through
     ``_tie_winner``; spreads are computed only when clusters tie.  When
     everything is an outlier the consensus set falls back to all
-    positions.  With ``rows``, position i's point is row ``rows[i]`` of
-    ``dist`` and the spreads are read through it.
+    positions.  Position i's point is row ``rows[i]`` of ``dist`` (row i
+    when ``rows`` is omitted), and the spreads are read through it.
     """
     if clustering.num_clusters == 0:
         return tuple(range(len(clustering.labels)))
-    labels = np.array(clustering.labels)
+    labels = np.fromiter(clustering.labels, np.intp, len(clustering.labels))
     sizes = np.bincount(labels + 1)[1:]
     tied = [np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == sizes.max()).tolist()]
     spreads = [0.0]
     if len(tied) > 1:
-        points = tied if rows is None else [np.asarray(rows)[m] for m in tied]
-        spreads = [average_pairwise_distance(m, dist) for m in points]
+        rows = np.arange(len(labels)) if rows is None else np.asarray(rows)
+        spreads = [average_pairwise_distance(rows[m], dist) for m in tied]
     return tuple(tied[_tie_winner(spreads, [m[0] for m in tied])].tolist())
 
 
@@ -340,8 +343,8 @@ def normalized_centroid(
 ) -> np.ndarray:
     """Unit-norm mean direction of the member embeddings.
 
-    Member i's embedding is ``embeddings[i]``, or ``embeddings[rows[i]]``
-    when ``rows`` is given.  Each column is a running total from +0.0
+    Member i's embedding is ``embeddings[rows[i]]``, or ``embeddings[i]``
+    when ``rows`` is omitted.  Each column is a running total from +0.0
     over the members in increasing order.  Over two or more columns
     ``np.add.reduce`` along axis 0 adds whole rows in that order; one
     column is a single contiguous run, which it would sum pairwise, so
@@ -349,11 +352,12 @@ def normalized_centroid(
     antipodal cancellation.
     """
     points = np.asarray(embeddings, dtype=np.float64)
+    rows = np.arange(len(points)) if rows is None else np.asarray(rows)
     members = sorted(members)
     if not members:
         raise ValueError("centroid of an empty member set is undefined")
-    # A row index list copies the rows in C order, so axis 0 is the outer loop.
-    block = points[members if rows is None else np.asarray(rows)[members]]
+    # A row index copies the rows in C order, so axis 0 is the outer loop.
+    block = points[rows[members]]
     if block.shape[1] == 1:
         # + 0.0 turns a -0.0 total into the +0.0 a sum from +0.0 ends at.
         total = np.add.accumulate(block)[-1] + 0.0
@@ -386,29 +390,40 @@ def _closest(members: Sequence[int], scores: np.ndarray, responses: Sequence[str
     Scores within TIE_TOL count as ties and prefer the shorter response
     in UTF-8 bytes; with members in increasing order the earlier member
     wins any remaining tie on position.
-
-    When every other score lies more than 2 * TIE_TOL above the lowest,
-    the lowest replaces any incumbent (it is lower by more than TIE_TOL)
-    and no later member ties it, so it wins without the scan; byte
-    lengths are encoded only when some score is that close.
     """
-    best = int(scores.argmin())
-    if np.count_nonzero(scores <= scores[best] + 2 * TIE_TOL) == 1:
-        return members[best]
     lengths = [len(responses[m].encode("utf-8")) for m in members]
     return members[_tie_winner(scores.tolist(), lengths)]
 
 
-def _row_heads(members: list[int], member_rows: np.ndarray) -> tuple[list[int], list[int]]:
-    """The rows the members use, in order of first use, and the first member on each.
+def _pick(
+    members: list[int],
+    member_rows: np.ndarray,
+    used: np.ndarray,
+    scores: np.ndarray,
+    responses: Sequence[str],
+) -> int:
+    """What ``_closest`` picks from the first member of each row, in member order.
 
-    ``member_rows[i]`` is the row of ``members[i]``.  Members on one row
-    share its score exactly, so the first of them stands for all.
+    ``members`` are increasing, ``member_rows[i]`` is the row of
+    ``members[i]`` and ``scores[j]`` the score of row ``used[j]``, their
+    distinct rows in increasing order.  Only the rows whose scores chain
+    to the lowest in steps of at most 2 * TIE_TOL can win: each replaces
+    a row more than 2 * TIE_TOL above them all (it is lower by more than
+    TIE_TOL) and no such row replaces one of them.  A lone lowest row
+    wins without the scan, which encodes the byte lengths of the chain.
     """
-    heads: dict[int, int] = {}
-    for member, row in zip(members, member_rows.tolist()):
-        heads.setdefault(row, member)
-    return list(heads), list(heads.values())
+    best = int(scores.argmin())
+    if np.count_nonzero(scores <= scores[best] + 2 * TIE_TOL) == 1:
+        return members[int((member_rows == used[best]).argmax())]
+    member_scores = scores[used.searchsorted(member_rows)]
+    ranked = np.sort(scores)
+    gaps = np.flatnonzero(ranked[1:] - ranked[:-1] > 2 * TIE_TOL)
+    on_chain = np.flatnonzero(member_scores <= ranked[gaps[0] if gaps.size else -1])
+    firsts: dict[int, int] = {}
+    for position, row in zip(on_chain.tolist(), member_rows[on_chain].tolist()):
+        firsts.setdefault(row, position)
+    heads = list(firsts.values())
+    return _closest([members[p] for p in heads], member_scores[heads], responses)
 
 
 def select_representative(
@@ -421,18 +436,17 @@ def select_representative(
     """Member position closest to the centroid.
 
     Ties within TIE_TOL prefer the shorter response in UTF-8 bytes, then
-    the smaller position.  With ``rows``, member i's embedding is
-    ``embeddings[rows[i]]``; each distinct member row is scored once and
+    the smaller position.  Member i's embedding is ``embeddings[rows[i]]``
+    (row i without ``rows``); each distinct member row is scored once and
     stands for its first member.
     """
+    points = np.asarray(embeddings, dtype=np.float64)
+    rows = np.arange(len(points)) if rows is None else np.asarray(rows)
     members = sorted(members)
-    if rows is None:
-        scored = members
-    else:
-        scored, members = _row_heads(members, np.asarray(rows)[members])
-    points = np.asarray(embeddings, dtype=np.float64)[scored]
-    scores = cosine_distances(points, np.asarray(centroid, dtype=np.float64)[None, :])[:, 0]
-    return _closest(members, scores, responses)
+    member_rows = rows[members]
+    used = np.flatnonzero(np.bincount(member_rows, minlength=len(points)))
+    scores = cosine_distances(points[used], np.asarray(centroid, dtype=np.float64)[None, :])[:, 0]
+    return _pick(members, member_rows, used, scores, responses)
 
 
 def medoid(
@@ -443,45 +457,38 @@ def medoid(
 ) -> int:
     """Member with the smallest mean distance to the other members.
 
-    Distances are read from the pairwise matrix ``dist``, the whole
-    matrix when the members are every position.  Singleton member sets
-    score 0.0 by convention.  Ties use the same byte-length-then-index
-    chain as select_representative.
-
-    With ``rows``, member i is row ``rows[i]`` of ``dist``.  Each
-    distinct member row is scored once, as ``block @ weights / (n - 1)``
-    with the block its distances to every row and the weights the
-    number of members on each row, and is offered to the tie-break by
-    its first member, in member order.
+    Member i is row ``rows[i]`` of the pairwise matrix ``dist`` (row i
+    when ``rows`` is omitted).  Each distinct member row is scored once,
+    as its entry of ``dist @ weights / (n - 1)`` with the weights the
+    number of members on each row, and stands for its first member.
+    Singleton member sets score 0.0 by convention.  Ties use the same
+    byte-length-then-index chain as select_representative.
     """
     members = sorted(members)
     n = len(members)
     if n == 1:
         return members[0]
-    if rows is not None:
-        member_rows = np.asarray(rows)[members]
-        used, firsts = _row_heads(members, member_rows)
-        weights = np.bincount(member_rows, minlength=len(dist)).astype(np.float64)
-        return _closest(firsts, dist[used] @ weights / (n - 1), responses)
-    if n == len(dist) and members == list(range(n)):
-        # The members' block, laid out as np.ix_ would copy it.
-        block = np.ascontiguousarray(dist)
-    else:
-        block = dist[np.ix_(members, members)]
-    return _closest(members, block.sum(axis=1) / (n - 1), responses)
+    rows = np.arange(len(dist)) if rows is None else np.asarray(rows)
+    member_rows = rows[members]
+    weights = np.bincount(member_rows, minlength=len(dist)).astype(np.float64)
+    used = np.flatnonzero(weights)
+    return _pick(members, member_rows, used, (dist @ weights)[used] / (n - 1), responses)
 
 
-def _row_index(rows: Sequence[int], k: int, u: int) -> np.ndarray | None:
-    """Each of k responses' row among u embeddings, or None when each has its own.
+def _row_index(rows: Sequence[int] | None, k: int, u: int) -> np.ndarray:
+    """Each of k responses' row among u embeddings; the identity without ``rows``.
 
     Every row must be used, and rows must be numbered by first use: the
     first response uses row 0, and every response uses a row already
-    used or the next new one.  Over as many rows as responses that
-    leaves only one row per response.  The check is one pass in Python,
-    which beats numpy's per-call cost at a prompt's size; on a failure
-    numpy finds the first fault of length, range, an unused row and
-    order, in that order, and names it.
+    used or the next new one.  The check is one pass in Python, which
+    beats numpy's per-call cost at a prompt's size; on a failure numpy
+    finds the first fault of length, range, an unused row and order, in
+    that order, and names it.
     """
+    if rows is None:
+        if k != u:
+            raise ValueError(f"got {k} responses but {u} embeddings")
+        return np.arange(k)
     valid = False
     if len(rows) == k:
         top = -1
@@ -494,8 +501,6 @@ def _row_index(rows: Sequence[int], k: int, u: int) -> np.ndarray | None:
                 break
         else:
             valid = top == u - 1
-    if valid and u == k:
-        return None
     index = np.asarray(rows)
     if index.dtype.kind not in "iu":
         raise ValueError(f"rows must be integers, got {index.dtype}")
@@ -530,21 +535,20 @@ def consensus_for_prompt(
     """Run the full per-prompt consensus pipeline.
 
     ``responses`` are records with ``client`` (strictly increasing ints),
-    ``prompt_id`` (identical across the batch) and ``text`` fields;
-    ``embeddings`` are unit vectors, one per response.  Supplying
-    embeddings explicitly lets callers swap in a real sentence encoder
-    without touching this module.
+    ``prompt_id`` (identical across the batch) and ``text`` fields.
+    ``embeddings`` are unit rows, and response i's vector is
+    ``embeddings[rows[i]]``; without ``rows`` each response has its own
+    row, in order.  Supplying embeddings explicitly lets callers swap in
+    a real sentence encoder without touching this module.
 
-    With ``rows``, ``embeddings`` are distinct rows instead and response
-    i's vector is ``embeddings[rows[i]]``.  Every row must be used, and
-    rows are numbered by first use (row 0 first, each new row one past
-    the highest before it); responses on one row are taken to share
-    their text.  The pairwise matrix is then U x U over the distinct
-    rows, ``dbscan`` weighs each row by its number of responses and its
-    row labels are gathered to the responses, and responses on one row
-    are exactly 0 apart.  A non-unit row is named with the first
-    response that uses it.  Rows over as many embeddings as responses
-    can only be one per response, and run as ``rows=None`` does.
+    Every row must be used, and rows are numbered by first use (row 0
+    first, each new row one past the highest before it); responses on
+    one row are taken to share their text.  The pairwise matrix is U x U
+    over the rows, ``dbscan`` weighs each row by its number of responses
+    and its row labels are gathered to the responses, so responses on
+    one row are exactly 0 apart.  A non-unit row is named by its
+    position when each response has a row of its own, and otherwise
+    with the first response that uses it.
 
     Reported members and the representative are client ids.  Only
     CENTROID selection computes the centroid here; when its direction
@@ -556,20 +560,16 @@ def consensus_for_prompt(
     """
     if len(responses) == 0:
         raise ValueError("consensus needs at least one response")
-    if rows is None and len(responses) != len(embeddings):
-        raise ValueError(
-            f"got {len(responses)} responses but {len(embeddings)} embeddings"
-        )
     points = np.asarray(embeddings, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("embeddings must be equal-length vectors")
-    index = None if rows is None else _row_index(rows, len(responses), len(points))
+    index = _row_index(rows, len(responses), len(points))
     dist, squares = _pairwise(points)
     # A NaN squared norm fails the comparison, so it is not unit either.
     unit = np.abs(np.sqrt(squares) - 1.0) <= UNIT_NORM_TOL
     if not unit.all():
         bad = int(unit.argmin())
-        if index is None:
+        if len(points) == len(responses):
             raise ValueError(f"embedding at position {bad} is not unit norm")
         user = int(np.argmax(index == bad))
         raise ValueError(
@@ -583,11 +583,9 @@ def consensus_for_prompt(
         raise ValueError(f"responses span multiple prompts: {sorted(prompt_ids)}")
     texts = [r.text for r in responses]
 
-    if index is None:
-        clustering = dbscan(dist, params)
-    else:
-        by_row = dbscan(dist, params, np.bincount(index))
-        clustering = Clustering(tuple(map(by_row.labels.__getitem__, rows)), by_row.num_clusters)
+    by_row = dbscan(dist, params, np.bincount(index))
+    labels = np.fromiter(by_row.labels, np.intp, len(by_row.labels))[index]
+    clustering = Clustering(tuple(labels.tolist()), by_row.num_clusters)
     fallback = clustering.num_clusters == 0
     if strategy.rule is SelectionRule.GLOBAL_MEDOID:
         member_positions = tuple(range(len(responses)))
@@ -600,7 +598,7 @@ def consensus_for_prompt(
             centroid = normalized_centroid(member_positions, points, index)
         except ZeroSumError:
             rep_pos = medoid(member_positions, dist, texts, index)
-            centroid = points[rep_pos if index is None else index[rep_pos]]
+            centroid = points[index[rep_pos]]
         else:
             rep_pos = select_representative(member_positions, points, texts, centroid, index)
     elif strategy.rule is SelectionRule.RANDOM_IN_CLUSTER:
@@ -619,6 +617,6 @@ def consensus_for_prompt(
         _points=points,
         _member_positions=member_positions,
         _representative_position=rep_pos,
-        _centroid=centroid,
         _rows=index,
+        _centroid=centroid,
     )

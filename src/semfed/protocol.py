@@ -218,7 +218,7 @@ def consensus_phase(
     prompt_id: str,
     records: Sequence[ResponseRecord],
     raw_vectors: np.ndarray,
-    rows: Sequence[int] | None,
+    rows: Sequence[int],
     cluster: ClusterParams,
     strategy: SelectionStrategy,
 ) -> tuple[PromptConsensus | None, ConsensusResult | None, list[PromptError]]:
@@ -226,8 +226,8 @@ def consensus_phase(
 
     Record i's raw vector is row ``rows[i]`` of the matrix
     ``raw_vectors``, as ``encode_responses`` returns them (rows numbered
-    by first use), or row i when ``rows`` is None; each row is
-    normalized once.  A record whose vector is all zero (an empty or
+    by first use, ``range(len(records))`` for a row per record); each row
+    is normalized once.  A record whose vector is all zero (an empty or
     too-short text) is dropped with a ``zero_embedding`` error; a prompt
     left with no response gets a ``no_embeddable_responses`` error and
     no outcome.  Consensus gets the non-zero unit rows themselves, not a
@@ -241,14 +241,13 @@ def consensus_phase(
     units, zero = normalize_rows(raw_vectors)
     usable, errors = records, []
     if zero.any():
-        kept = ~zero if rows is None else ~zero[rows]
+        kept = ~zero[rows]
         usable = list(compress(records, kept))
         dropped = compress(records, ~kept)
         errors = [PromptError(prompt_id, r.client, "zero_embedding") for r in dropped]
         if not usable:
             return None, None, [PromptError(prompt_id, None, "no_embeddable_responses"), *errors]
-        if rows is not None:
-            rows = (np.cumsum(~zero) - 1)[np.compress(kept, rows)]
+        rows = (np.cumsum(~zero) - 1)[np.compress(kept, rows)]
         units = units[~zero]
     result = consensus_for_prompt(usable, units, cluster, strategy, rows)
     outcome = PromptConsensus(

@@ -169,7 +169,7 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def reference_dbscan(embeddings, eps: float, min_pts: int, dist=None) -> list[int]:
+def reference_dbscan(embeddings, eps: float, min_pts: int, dist=None, counts=None) -> list[int]:
     """Brute-force O(K^2) DBSCAN with the deterministic numbering rule.
 
     Core components are found with union-find over all core-core pairs
@@ -177,13 +177,17 @@ def reference_dbscan(embeddings, eps: float, min_pts: int, dist=None) -> list[in
     border points join the lowest-numbered cluster among the core
     points that reach them.  Neighbours are read from ``dist`` (a K x K
     nested sequence) when given, else from ``cosine_dist`` of every
-    pair of embeddings.
+    pair of embeddings.  ``counts[i]``, when given, is how many copies
+    of point i there are, all 0 apart: a point's neighbours number the
+    copies within eps, summed as Python ints, and each copy has the
+    point's label.
     """
     n = len(embeddings)
     if dist is None:
         dist = [[cosine_dist(embeddings[i], embeddings[j]) for j in range(n)] for i in range(n)]
+    counts = [1] * n if counts is None else [int(c) for c in counts]
     within = [[dist[i][j] <= eps for j in range(n)] for i in range(n)]
-    core = [sum(within[i]) >= min_pts for i in range(n)]
+    core = [sum(c for c, w in zip(counts, within[i]) if w) >= min_pts for i in range(n)]
 
     uf = _UnionFind(n)
     for i in range(n):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -606,6 +607,54 @@ def test_consensus_builds_one_pairwise_matrix_per_prompt(monkeypatch):
         assert norms and all(len(shape) == 1 for shape in norms)
 
 
+# DBSCAN's counts and each selection helper's row index, by parameter name.
+_INDEXED = {
+    "dbscan": "counts",
+    "select_consensus_cluster": "rows",
+    "normalized_centroid": "rows",
+    "select_representative": "rows",
+    "medoid": "rows",
+}
+
+
+def test_every_helper_call_gets_its_counts_or_rows(monkeypatch):
+    # rows omitted, the identity and repeated rows all run one path: every
+    # call consensus_for_prompt makes, and the lazy centroid, passes the index
+    calls = []
+    for name, arg in _INDEXED.items():
+        real = getattr(consensus, name)
+
+        def indexed(*args, _real=real, _name=name, _arg=arg, **kwargs):
+            bound = inspect.signature(_real).bind(*args, **kwargs)
+            calls.append((_name, bound.arguments.get(_arg) is not None))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(consensus, name, indexed)
+    texts = ["alpha bravo", "alpha bravo", "charlie delta", "echo foxtrot", "alpha bravo"]
+    distinct = [encode_normalized(t, CFG) for t in ("alpha bravo", "charlie delta", "echo foxtrot")]
+    every = [distinct[r] for r in (0, 0, 1, 2, 0)]
+    cases = [
+        (every, None),
+        (every, [0, 1, 2, 3, 4]),
+        (distinct, [0, 0, 1, 2, 0]),
+        # antipodal outliers: the centroid cancels and the medoid chooses
+        ([unit(1.0, 0.0), unit(-1.0, 0.0)], None),
+        ([unit(1.0, 0.0), unit(-1.0, 0.0)], [0, 1]),
+    ]
+    for embeddings, rows in cases:
+        for rule in SelectionRule:
+            result = consensus_for_prompt(
+                records(texts[: len(embeddings) if rows is None else len(rows)]),
+                embeddings,
+                ClusterParams(),
+                SelectionStrategy(rule),
+                rows,
+            )
+            assert is_unit(result.centroid)
+    assert {name for name, _ in calls} == set(_INDEXED)
+    assert [name for name, indexed in calls if not indexed] == []
+
+
 # ------------------------------------------------------- strategies
 
 
@@ -952,6 +1001,34 @@ def test_dbscan_with_counts_matches_reference_on_repeated_rows(data, rows, seed,
     want = reference_dbscan(points[rows], eps, min_pts, dist=every.tolist())
     assert [got.labels[r] for r in rows] == want
     assert got.num_clusters == len(set(want) - {OUTLIER})
+    # the weighted reference is the per-copy one
+    weighted = reference_dbscan(points, eps, min_pts, dist=dist.tolist(), counts=np.bincount(rows))
+    assert weighted == list(got.labels)
+
+
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 12),
+    families=st.integers(1, 4),
+    noise=st.sampled_from([0.05, 0.3, 1.0]),
+    eps=st.floats(0.02, 0.9),
+)
+def test_dbscan_counts_are_exact_sums_of_responses(data, seed, k, families, noise, eps):
+    points, _ = planted_families(seed, k, families, noise, 0.0, 2)
+    dist = cosine_distances(points)
+    # omitted counts are one response per point
+    params = ClusterParams(eps=eps, min_pts=data.draw(st.integers(1, k + 1), label="min_pts"))
+    assert dbscan(dist, params) == dbscan(dist, params, np.ones(k, dtype=int))
+    # min_pts next to some point's neighbour sum, where a count off by
+    # one would flip that point; twelve points of 2**20 stay below 2**24
+    counts = data.draw(st.lists(st.integers(1, 2**20), min_size=k, max_size=k), label="counts")
+    sums = [sum(c for c, w in zip(counts, row) if w) for row in (dist <= eps).tolist()]
+    min_pts = data.draw(st.sampled_from(sorted({s + d for s in sums for d in (-1, 0, 1)} - {0})))
+    got = dbscan(dist, ClusterParams(eps=eps, min_pts=min_pts), np.array(counts))
+    assert list(got.labels) == reference_dbscan(
+        points, eps, min_pts, dist=dist.tolist(), counts=counts
+    )
 
 
 def _near_tie_tol(scores, rows):
@@ -1002,6 +1079,22 @@ def test_consensus_over_distinct_rows_matches_a_row_per_response(
     got = consensus_for_prompt(records(texts), points, params, strategy, rows)
     assert got == want
     assert got.centroid.tobytes() == want.centroid.tobytes()
+    # both runs take one path, so the pairwise oracle over a row per
+    # response anchors them
+    every_rows = [list(map(float, p)) for p in every]
+    k = len(rows)
+    if rule is SelectionRule.CENTROID:
+        oracle = reference_consensus(list(range(k)), texts, every_rows, eps, min_pts)
+        assert list(got.clustering.labels) == oracle["labels"]
+        assert list(got.consensus_members) == oracle["members"]
+        assert (got.representative, got.pseudo_label) == (
+            oracle["representative"], oracle["pseudo_label"]
+        )
+        assert got.fallback_all_outliers == oracle["fallback"]
+    elif rule is SelectionRule.GLOBAL_MEDOID:
+        assert (got.representative, got.pseudo_label) == reference_global_medoid(
+            list(range(k)), texts, every_rows
+        )
 
 
 # Spread offsets around a base: ties within TIE_TOL (at most 6e-13 apart,
