@@ -26,6 +26,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .clients import (
     Client,
@@ -52,9 +54,10 @@ from .privacy import load_ledgers_csv, total_budget
 from .protocol import (
     ConfigError,
     PublicPromptSet,
+    ResponseRecord,
     SessionParams,
     consensus_phase,
-    encode_responses,
+    encode_prompts,
     make_response,
     report_to_dict,
     run_session,
@@ -298,6 +301,17 @@ def _read_response_rows(path: Path) -> dict[str, dict[int, str]]:
     return grouped
 
 
+def _external_rows(
+    external: dict[str, np.ndarray], records: list[ResponseRecord]
+) -> tuple[list[np.ndarray], range]:
+    """One row per record: its vector in ``external``, keyed "prompt_id/client"."""
+    ids = [f"{r.prompt_id}/{r.client}" for r in records]
+    missing = [rid for rid in ids if rid not in external]
+    if missing:
+        raise ValueError(f"missing external embedding for {missing[0]!r}")
+    return [external[rid] for rid in ids], range(len(ids))
+
+
 def cmd_consensus(args: argparse.Namespace) -> int:
     grouped = _read_response_rows(Path(args.input))
     encoder_config = EncoderConfig(
@@ -315,20 +329,18 @@ def cmd_consensus(args: argparse.Namespace) -> int:
     if args.embeddings is not None:
         external = load_embeddings_jsonl(args.embeddings)
 
+    prompts = [
+        (pid, [make_response(client, pid, text) for client, text in sorted(grouped[pid].items())])
+        for pid in sorted(grouped)
+    ]
+    if external is None:
+        encoded = encode_prompts([records for _, records in prompts], encoder_config)
+    else:
+        encoded = (_external_rows(external, records) for _, records in prompts)
+
     results = []
-    for prompt_id in sorted(grouped):
-        answers = sorted(grouped[prompt_id].items())
-        records = [make_response(client, prompt_id, text) for client, text in answers]
-        if external is not None:
-            ids = [f"{prompt_id}/{r.client}" for r in records]
-            missing = [rid for rid in ids if rid not in external]
-            if missing:
-                raise ValueError(f"missing external embedding for {missing[0]!r}")
+    for (prompt_id, records), (raw_vectors, rows) in zip(prompts, encoded):
         try:
-            if external is None:
-                raw_vectors, rows = encode_responses(records, encoder_config)
-            else:
-                raw_vectors, rows = [external[rid] for rid in ids], range(len(ids))
             outcome, result, errors = consensus_phase(
                 prompt_id, records, raw_vectors, rows, params, strategy
             )

@@ -259,10 +259,9 @@ def dbscan(
     point join the lowest-numbered such cluster, found with one masked
     minimum over their whole rows; the rest are outliers.
 
-    The sums are one float32 product, read back as integers: a float32
-    sum of non-negative integers is exact to 2**24 and at least 2**24
-    beyond, so the test is exact while min_pts or the total count is at
-    most 2**24.
+    The sums are one matrix product, read back as integers: in float32
+    while the counts total at most 2**24, where every partial sum of
+    non-negative integers is exact, and in int64 above that.
     """
     dist = np.asarray(dist, dtype=np.float64)
     if dist.ndim != 2 or dist.shape[0] == 0 or dist.shape[0] != dist.shape[1]:
@@ -271,7 +270,8 @@ def dbscan(
     if counts.shape != dist.shape[:1]:
         raise ValueError(f"got {dist.shape[0]} points but counts of shape {counts.shape}")
     within = dist <= params.eps
-    sums = within.astype(np.float32) @ counts.astype(np.float32)
+    dtype = np.float32 if counts.sum() <= 1 << 24 else np.int64
+    sums = within.astype(dtype) @ counts.astype(dtype)
     core = sums.astype(np.int64) >= params.min_pts
 
     labels = np.full(dist.shape[0], OUTLIER)

@@ -23,9 +23,10 @@ keyed by (seed, dimension, n-gram size) and hold at most
 the signs of every text.  The vectors are bit-identical to hashing
 every n-gram afresh and adding the signs one at a time: every entry is
 a sum of +/-1.0, an integer far below 2**53, so it is exact in any
-order.  The server encodes each prompt's distinct response texts in
-one batch (``protocol.encode_responses``) and normalizes that matrix
-with one ``normalize_rows`` call.
+order.  The server dedups each prompt's response texts, encodes
+consecutive prompts' distinct texts in one batch of a bounded number
+of code points (``protocol.encode_prompts``), and normalizes each
+prompt's rows of it with one ``normalize_rows`` call.
 
 Distances between the unit vectors are not computed here: one
 pairwise matrix per prompt, built by ``consensus.cosine_distances``,

@@ -4,11 +4,12 @@ One round runs four phases: each client optionally retrains on its
 private data, every client answers every public prompt (one checked
 ``Client.generate_many`` call per run of consecutive clients of one
 class), the server embeds each prompt's distinct responses as one
-matrix, normalizes its rows once and runs consensus over those distinct
-rows, each standing for the clients that sent its text, and the
-resulting (prompt id, pseudo-label) pairs are broadcast back for a
-joint training pass; both training passes make one
-``Client.train_many`` call per run of consecutive clients of one class.
+matrix (consecutive prompts share one encoder call), normalizes its
+rows once and runs consensus over those distinct rows, each standing
+for the clients that sent its text, and the resulting (prompt id,
+pseudo-label) pairs are broadcast back for a joint training pass; both
+training passes make one ``Client.train_many`` call per run of
+consecutive clients of one class.
 Uploads are the UTF-8 byte lengths of the response payloads; downloads
 are the pseudo-label bytes times the number of receiving clients.
 Message framing, ids and serialization overhead are deliberately
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import compress, groupby, islice
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,7 +58,7 @@ __all__ = [
     "SessionReport",
     "meter_message",
     "make_response",
-    "encode_responses",
+    "encode_prompts",
     "consensus_phase",
     "run_round",
     "run_session",
@@ -201,17 +202,51 @@ class SessionReport:
     ledgers: tuple[PrivacyLedger, ...] | None
 
 
-def encode_responses(
-    records: Sequence[ResponseRecord], config: EncoderConfig
-) -> tuple[np.ndarray, list[int]]:
-    """Encode one prompt's distinct response texts in one batch.
+# Consecutive prompts share one encode_batch call while their distinct texts
+# total at most this many code points; a larger prompt is encoded alone.  A
+# call's fixed numpy cost dwarfs a scripted-replay prompt's ~870 distinct
+# code points, while batches past 2**16 made markov-federation sessions
+# slower; BENCH_35.json holds the sweep of 2**13..2**17 that picked this.
+ENCODE_BATCH_POINTS = 1 << 14
 
-    Returns the raw (not normalized) matrix with one row per distinct
-    text, in order of first appearance, and each record's row in it.
+
+def encode_prompts(
+    prompts: Iterable[Sequence[ResponseRecord]], config: EncoderConfig
+) -> Iterator[tuple[np.ndarray, list[int]]]:
+    """Encode each prompt's distinct response texts, consecutive prompts in one batch.
+
+    Yields, per prompt in order, the raw (not normalized) matrix with one
+    row per distinct text of that prompt, in order of first appearance,
+    and each record's row in it.  Texts are deduplicated within a prompt
+    only.  Consecutive prompts share one ``encode_batch`` call while their
+    distinct texts total at most ENCODE_BATCH_POINTS code points; a prompt
+    larger than that is encoded alone.  Each matrix is a view of its
+    batch's rows, and a batch is encoded when its first prompt is asked for.
     """
-    row_of: dict[str, int] = {}
-    rows = [row_of.setdefault(record.text, len(row_of)) for record in records]
-    return encode_batch(list(row_of), config), rows
+    batch: list[tuple[list[str], list[int]]] = []
+    points = 0
+    for records in prompts:
+        row_of: dict[str, int] = {}
+        rows = [row_of.setdefault(record.text, len(row_of)) for record in records]
+        size = sum(map(len, row_of))
+        if batch and points + size > ENCODE_BATCH_POINTS:
+            yield from _batch_rows(batch, config)
+            batch, points = [], 0
+        batch.append((list(row_of), rows))
+        points += size
+    if batch:
+        yield from _batch_rows(batch, config)
+
+
+def _batch_rows(
+    batch: list[tuple[list[str], list[int]]], config: EncoderConfig
+) -> Iterator[tuple[np.ndarray, list[int]]]:
+    """Encode a batch's texts in one call and hand each prompt its rows."""
+    matrix = encode_batch([text for texts, _ in batch for text in texts], config)
+    start = 0
+    for texts, rows in batch:
+        yield matrix[start : start + len(texts)], rows
+        start += len(texts)
 
 
 def consensus_phase(
@@ -225,14 +260,17 @@ def consensus_phase(
     """Normalize one prompt's raw vectors and run consensus.
 
     Record i's raw vector is row ``rows[i]`` of the matrix
-    ``raw_vectors``, as ``encode_responses`` returns them (rows numbered
-    by first use, ``range(len(records))`` for a row per record); each row
-    is normalized once.  A record whose vector is all zero (an empty or
-    too-short text) is dropped with a ``zero_embedding`` error; a prompt
-    left with no response gets a ``no_embeddable_responses`` error and
-    no outcome.  Consensus gets the non-zero unit rows themselves, not a
-    copy per record, and each usable record's row, renumbered past the
-    dropped rows so they stay numbered by first use.  Returns the
+    ``raw_vectors``, as ``encode_prompts`` yields them (rows numbered
+    by first use, ``range(len(records))`` for a row per record).  The
+    matrix holds this prompt's rows only, a view into a batch shared
+    with neighbouring prompts, and each row is normalized once, so no
+    other prompt's rows can change or fail this one.  A record whose
+    vector is all zero (an empty or too-short text) is dropped with a
+    ``zero_embedding`` error; a prompt left with no response gets a
+    ``no_embeddable_responses`` error and no outcome.  Consensus gets
+    the non-zero unit rows themselves, not a copy per record, and each
+    usable record's row, renumbered past the dropped rows so they stay
+    numbered by first use.  Returns the
     transcript entry, the full result (whose centroid, unless the rule
     chose by it, is computed when read), and the errors: any
     ``no_embeddable_responses`` first, then ``zero_embedding`` in record
@@ -331,9 +369,10 @@ def run_round(
     consensus_entries: list[PromptConsensus] = []
     errors: list[PromptError] = []
     pseudo_pairs: list[tuple[str, str]] = []
-    for p, (prompt_id, prompt_text) in enumerate(queries):
-        records = responses[p::m]  # responses are in (client, prompt) order
-        raw, rows = encode_responses(records, params.encoder)
+    # responses are in (client, prompt) order, so prompt p's are a stride
+    strides = [responses[p::m] for p in range(m)]
+    encoded = encode_prompts(strides, params.encoder)
+    for (prompt_id, prompt_text), records, (raw, rows) in zip(queries, strides, encoded):
         outcome, _, errs = consensus_phase(
             prompt_id, records, raw, rows, params.cluster, params.strategy
         )

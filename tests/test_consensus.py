@@ -301,6 +301,14 @@ def test_selection_over_rows_offers_the_first_member_of_each_row():
     assert select_representative([0, 2], points, texts, centroid, rows) == 0
 
 
+def test_dbscan_counts_above_2_to_the_24_are_exact():
+    # 2**24 + 1 is not a float32, so a float32 sum rounds it down to 2**24
+    params = ClusterParams(eps=0.5, min_pts=2**24 + 1)
+    clustering = dbscan(np.zeros((2, 2)), params, np.array([2**24, 1]))
+    assert clustering.labels == (0, 0)
+    assert dbscan(np.zeros((2, 2)), params, np.array([2**24 - 1, 1])).labels == (-1, -1)
+
+
 def test_dbscan_counts_must_give_one_count_per_point():
     dist = cosine_distances(np.eye(3))
     with pytest.raises(ValueError, match="^got 3 points but counts of shape \\(2,\\)$"):

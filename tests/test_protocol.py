@@ -198,7 +198,7 @@ TINY_EPS = ClusterParams(eps=1e-17, min_pts=2)
 
 def test_duplicate_responses_are_exactly_zero_apart_in_consensus_phase():
     records = [make_response(c, "p0", t) for c, t in enumerate([TWICE, TWICE, "water is wet"])]
-    raw, rows = protocol.encode_responses(records, EncoderConfig())
+    [(raw, rows)] = protocol.encode_prompts([records], EncoderConfig())
     outcome, result, errors = protocol.consensus_phase(
         "p0", records, raw, rows, TINY_EPS, SelectionStrategy()
     )
@@ -213,7 +213,7 @@ def test_duplicate_responses_on_rows_of_their_own_are_not_zero_apart():
     # One row per response keeps the product's rounding between copies,
     # so at this eps every response is an outlier and the set falls back.
     records = [make_response(c, "p0", t) for c, t in enumerate([TWICE, TWICE, "water is wet"])]
-    raw, rows = protocol.encode_responses(records, EncoderConfig())
+    [(raw, rows)] = protocol.encode_prompts([records], EncoderConfig())
     units, _ = normalize_rows(raw)
     result = consensus_for_prompt(records, units[rows], TINY_EPS)
     assert result.clustering.labels == (-1, -1, -1)
@@ -232,7 +232,7 @@ def test_consensus_phase_passes_the_distinct_rows_renumbered_past_zero_rows(monk
     monkeypatch.setattr(protocol, "consensus_for_prompt", recorded)
     texts = ["x", "water is wet", "x", "the sky is blue", "water is wet", "the sky is blue"]
     records = [make_response(c, "p0", t) for c, t in enumerate(texts)]
-    raw, rows = protocol.encode_responses(records, EncoderConfig())
+    [(raw, rows)] = protocol.encode_prompts([records], EncoderConfig())
     assert rows == [0, 1, 0, 2, 1, 2]
     outcome, _, errors = protocol.consensus_phase(
         "p0", records, raw, rows, ClusterParams(), SelectionStrategy()
@@ -562,9 +562,10 @@ def counting_encode(monkeypatch):
     return calls
 
 
-def per_record_encode(records, config):
-    """One separately encoded row per record: no dedup, no batch."""
-    return np.array([protocol.encode(r.text, config) for r in records]), range(len(records))
+def per_record_encode(prompts, config):
+    """One separately encoded row per record of each prompt: no dedup, no batch."""
+    for records in prompts:
+        yield np.array([protocol.encode(r.text, config) for r in records]), range(len(records))
 
 
 def test_round_encodes_each_distinct_text_once_per_prompt(monkeypatch):
@@ -584,7 +585,7 @@ def test_round_encodes_each_distinct_text_once_per_prompt(monkeypatch):
     assert sum(calls.values()) == len(distinct) < len(transcript.responses)
     assert any(e.reason == "zero_embedding" for e in transcript.errors)
 
-    monkeypatch.setattr(protocol, "encode_responses", per_record_encode)
+    monkeypatch.setattr(protocol, "encode_prompts", per_record_encode)
     reference = run_round(clients, prompts, SessionParams(), 1)
     assert transcript_to_dict(transcript) == transcript_to_dict(reference)
 
@@ -604,9 +605,76 @@ def test_consensus_cli_encodes_each_distinct_text_once_per_prompt(monkeypatch, t
     assert calls == Counter(text for _, text in distinct)
     assert sum(calls.values()) < len(rows)
 
-    monkeypatch.setattr(cli, "encode_responses", per_record_encode)
+    monkeypatch.setattr(cli, "encode_prompts", per_record_encode)
     assert cli.main(["consensus", "--input", str(path)]) == 0
     assert capsys.readouterr().out == deduped
+
+
+# "" and "x" encode to zero rows; LONG alone is larger than one prompt's
+# share of a small bound.
+LONG = "a much longer answer that rambles on about the colour of the sky " * 4
+POOL = ["", "x", "the sky is blue", "the sky is grey", "water is wet", "é ☁ 😀 sky", LONG]
+
+
+def one_prompt_per_call(prompts, config):
+    """Each prompt's distinct texts in an ``encode_batch`` call of their own."""
+    for records in prompts:
+        row_of = {}
+        rows = [row_of.setdefault(r.text, len(row_of)) for r in records]
+        yield protocol.encode_batch(list(row_of), config), rows
+
+
+@given(
+    grid=st.integers(1, 5).flatmap(
+        lambda k: st.lists(st.lists(st.sampled_from(POOL), min_size=k, max_size=k), min_size=1, max_size=6)
+    )
+)
+@example(
+    grid=[
+        ["", "x", ""],  # an all-empty prompt
+        ["water is wet", "", "water is wet"],  # an empty text, a text the next prompt repeats
+        ["water is wet", LONG, "the sky is blue"],  # larger than the first prompt's bound
+        ["the sky is blue", "the sky is blue", "é ☁ 😀 sky"],
+    ]
+)
+def test_batched_encode_matches_one_prompt_per_call(grid):
+    prompts = prompt_set(len(grid))
+    clients = [
+        ScriptedClient({(1, p.prompt_id): answers[c] for p, answers in zip(prompts.prompts, grid)})
+        for c in range(len(grid[0]))
+    ]
+    # prompt p's distinct texts, in order of first appearance
+    distinct = [list(dict.fromkeys(answers)) for answers in grid]
+    sizes = [sum(map(len, texts)) for texts in distinct]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "encode_prompts", one_prompt_per_call)
+        reference = transcript_json(run_round(clients, prompts, SessionParams(), 1))
+    for bound in (1, sizes[0], 2**62):
+        calls = []
+
+        def encode_batch(texts, config):
+            calls.append(list(texts))
+            return real(texts, config)
+
+        real = protocol.encode_batch
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "ENCODE_BATCH_POINTS", bound)
+            mp.setattr(protocol, "encode_batch", encode_batch)
+            assert transcript_json(run_round(clients, prompts, SessionParams(), 1)) == reference
+        # every call holds one or more whole consecutive prompts, and passes
+        # the bound only when it holds one; a call closes only when the next prompt
+        # would pass the bound
+        batches, p = [], 0
+        for texts in calls:
+            start = p
+            while p < len(grid) and sum(map(len, distinct[start:p])) < len(texts):
+                p += 1
+            assert p > start and texts == [t for prompt in distinct[start:p] for t in prompt]
+            assert sum(sizes[start:p]) <= bound or p - start == 1
+            batches.append((start, p))
+        assert p == len(grid)
+        for (start, end), (after, _) in zip(batches, batches[1:]):
+            assert sum(sizes[start:end]) + sizes[after] > bound
 
 
 def test_prompt_set_from_jsonl(tmp_path):
