@@ -38,7 +38,7 @@ from .clients import (
     load_private_datasets,
     load_scripted_clients,
 )
-from .consensus import ClusterParams, SelectionRule, SelectionStrategy
+from .consensus import ClusterParams, SelectionRule, SelectionStrategy, distinct_rows
 from .costmodel import (
     PRESETS,
     LoraCostSpec,
@@ -303,13 +303,17 @@ def _read_response_rows(path: Path) -> dict[str, dict[int, str]]:
 
 def _external_rows(
     external: dict[str, np.ndarray], records: list[ResponseRecord]
-) -> tuple[list[np.ndarray], range]:
-    """One row per record: its vector in ``external``, keyed "prompt_id/client"."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each record's vector in ``external``, keyed "prompt_id/client".
+
+    Records that repeat an earlier text with the same vector share its
+    row (``distinct_rows``), as ``consensus_for_prompt`` merges them.
+    """
     ids = [f"{r.prompt_id}/{r.client}" for r in records]
     missing = [rid for rid in ids if rid not in external]
     if missing:
         raise ValueError(f"missing external embedding for {missing[0]!r}")
-    return [external[rid] for rid in ids], range(len(ids))
+    return distinct_rows([r.text for r in records], np.array([external[rid] for rid in ids]))
 
 
 def cmd_consensus(args: argparse.Namespace) -> int:

@@ -34,14 +34,16 @@ by the matrix value.
 
 Every prompt runs over a row index: the embeddings are the prompt's
 distinct rows and ``rows`` gives each response's row (as
-``protocol.consensus_phase`` passes them); without ``rows`` the index
-is the identity, one row per response.  The matrix is built over the
-rows only, so responses that share a row are exactly 0 apart.  DBSCAN
-weighs each row by the number of responses on it and its labels are
-gathered to the responses; the medoid and the centroid rule score each
-distinct member row once and offer the first response on it.  The
-centroid still sums the member responses' rows one by one, in response
-order.
+``protocol.consensus_phase`` passes them).  Without ``rows`` the
+embeddings are one per response, and ``distinct_rows`` puts a response
+that repeats an earlier text with a bit-identical vector on that
+text's first row, so direct calls run over distinct rows too.  The
+matrix is built over the rows only, so responses that share a row are
+exactly 0 apart.  DBSCAN weighs each row by the number of responses on
+it and its labels are gathered to the responses; the medoid and the
+centroid rule score each distinct member row once and offer the first
+response on it.  The centroid still sums the member responses' rows
+one by one, in response order.
 
 Degenerate inputs are handled, not hidden:
 
@@ -78,6 +80,7 @@ __all__ = [
     "normalized_centroid",
     "select_representative",
     "medoid",
+    "distinct_rows",
     "consensus_for_prompt",
 ]
 
@@ -85,6 +88,8 @@ __all__ = [
 OUTLIER = -1
 # Absolute tolerance under which two distances count as tied.
 TIE_TOL = 1e-12
+# Repeated responses ``distinct_rows`` bit-checks per gather.
+MERGE_CHUNK = 32
 
 
 class ZeroSumError(ValueError):
@@ -169,8 +174,11 @@ class ConsensusResult:
     representative's own embedding when the members' sum cancels.  Only
     the CENTROID rule needs it to choose, so it comes in through
     ``_centroid``; otherwise it is computed from ``_points`` (the
-    prompt's unit rows, not a copy) and ``_rows`` (each response's row
-    index into them) when first read.
+    caller's unit rows, not a copy) and ``_rows`` (each response's row
+    index into them) when first read.  When the call merged repeated
+    responses itself, ``_points`` is the matrix it was given, one row
+    per response, and ``_rows`` the identity, so the centroid sums the
+    same bits as over the merged rows.
     """
 
     clustering: Clustering
@@ -475,8 +483,43 @@ def medoid(
     return _pick(members, member_rows, used, (dist @ weights)[used] / (n - 1), responses)
 
 
-def _row_index(rows: Sequence[int] | None, k: int, u: int) -> np.ndarray:
-    """Each of k responses' row among u embeddings; the identity without ``rows``.
+def distinct_rows(texts: Sequence[str], points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the rows of responses that repeat an earlier text with the same bits.
+
+    Response i's vector is row i of the float64 matrix ``points``; a
+    count mismatch raises ValueError.  A response shares the row of the
+    first response with the same text when their vectors are
+    bit-identical, compared as ``uint64`` so that ``-0.0`` and ``0.0``
+    differ; otherwise it keeps a row of its own.  Returns the distinct
+    rows and each response's row, numbered by first use, as
+    ``consensus_for_prompt`` takes them.  Responses on one row share
+    their text, so offering only a row's first response to the
+    byte-length tie-break picks what one row per response would.
+
+    The text heads come from one dict pass, and only the repeats are
+    bit-checked, MERGE_CHUNK at a time: a single gather of every repeat
+    and its head would allocate a copy of them all.  Without a repeated
+    text the rows are returned as given.
+    """
+    k = len(texts)
+    if k != len(points):
+        raise ValueError(f"got {k} responses but {len(points)} embeddings")
+    first: dict[str, int] = {}
+    owner = np.fromiter(map(first.setdefault, texts, range(k)), np.intp, k)
+    if len(first) == k:
+        return points, owner
+    repeats = np.flatnonzero(owner != np.arange(k))
+    for start in range(0, repeats.size, MERGE_CHUNK):
+        chunk = repeats[start : start + MERGE_CHUNK]
+        bits = points[chunk].view(np.uint64)
+        differ = ~(bits == points[owner[chunk]].view(np.uint64)).all(axis=1)
+        owner[chunk[differ]] = chunk[differ]
+    kept = owner == np.arange(k)
+    return points[kept], (np.cumsum(kept) - 1)[owner]
+
+
+def _row_index(rows: Sequence[int], k: int, u: int) -> np.ndarray:
+    """Each of k responses' row among u embeddings, checked.
 
     Every row must be used, and rows must be numbered by first use: the
     first response uses row 0, and every response uses a row already
@@ -485,10 +528,6 @@ def _row_index(rows: Sequence[int] | None, k: int, u: int) -> np.ndarray:
     finds the first fault of length, range, an unused row and order, in
     that order, and names it.
     """
-    if rows is None:
-        if k != u:
-            raise ValueError(f"got {k} responses but {u} embeddings")
-        return np.arange(k)
     valid = False
     if len(rows) == k:
         top = -1
@@ -537,18 +576,22 @@ def consensus_for_prompt(
     ``responses`` are records with ``client`` (strictly increasing ints),
     ``prompt_id`` (identical across the batch) and ``text`` fields.
     ``embeddings`` are unit rows, and response i's vector is
-    ``embeddings[rows[i]]``; without ``rows`` each response has its own
-    row, in order.  Supplying embeddings explicitly lets callers swap in
-    a real sentence encoder without touching this module.
+    ``embeddings[rows[i]]``.  Without ``rows`` response i's vector is
+    ``embeddings[i]``, and ``distinct_rows`` merges the responses that
+    repeat an earlier text with the same bits onto one row; a count
+    mismatch is raised before the merge.  Supplying embeddings
+    explicitly lets callers swap in a real sentence encoder without
+    touching this module.
 
-    Every row must be used, and rows are numbered by first use (row 0
-    first, each new row one past the highest before it); responses on
-    one row are taken to share their text.  The pairwise matrix is U x U
-    over the rows, ``dbscan`` weighs each row by its number of responses
-    and its row labels are gathered to the responses, so responses on
-    one row are exactly 0 apart.  A non-unit row is named by its
-    position when each response has a row of its own, and otherwise
-    with the first response that uses it.
+    A given ``rows`` is taken as it is: every row must be used, and rows
+    are numbered by first use (row 0 first, each new row one past the
+    highest before it); responses on one row are taken to share their
+    text.  The pairwise matrix is U x U over the rows, ``dbscan`` weighs
+    each row by its number of responses and its row labels are gathered
+    to the responses, so responses on one row are exactly 0 apart.  A
+    non-unit row is named by the position of its first response when
+    ``rows`` is omitted or each response has a row of its own, and
+    otherwise as a row, with the first response that uses it.
 
     Reported members and the representative are client ids.  Only
     CENTROID selection computes the centroid here; when its direction
@@ -563,15 +606,21 @@ def consensus_for_prompt(
     points = np.asarray(embeddings, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("embeddings must be equal-length vectors")
-    index = _row_index(rows, len(responses), len(points))
-    dist, squares = _pairwise(points)
+    texts = [r.text for r in responses]
+    if rows is None:
+        distinct, index = distinct_rows(texts, points)
+    else:
+        distinct, index = points, _row_index(rows, len(responses), len(points))
+    dist, squares = _pairwise(distinct)
     # A NaN squared norm fails the comparison, so it is not unit either.
     unit = np.abs(np.sqrt(squares) - 1.0) <= UNIT_NORM_TOL
     if not unit.all():
         bad = int(unit.argmin())
-        if len(points) == len(responses):
-            raise ValueError(f"embedding at position {bad} is not unit norm")
+        # Rows are numbered by first use, so the first user of the first
+        # bad row is the first response with a bad vector.
         user = int(np.argmax(index == bad))
+        if rows is None or len(distinct) == len(responses):
+            raise ValueError(f"embedding at position {user} is not unit norm")
         raise ValueError(
             f"embedding row {bad}, first used by the response at position {user}, is not unit norm"
         )
@@ -581,7 +630,6 @@ def consensus_for_prompt(
     prompt_ids = {r.prompt_id for r in responses}
     if len(prompt_ids) != 1:
         raise ValueError(f"responses span multiple prompts: {sorted(prompt_ids)}")
-    texts = [r.text for r in responses]
 
     by_row = dbscan(dist, params, np.bincount(index))
     labels = np.fromiter(by_row.labels, np.intp, len(by_row.labels))[index]
@@ -595,12 +643,12 @@ def consensus_for_prompt(
     centroid = None
     if strategy.rule is SelectionRule.CENTROID:
         try:
-            centroid = normalized_centroid(member_positions, points, index)
+            centroid = normalized_centroid(member_positions, distinct, index)
         except ZeroSumError:
             rep_pos = medoid(member_positions, dist, texts, index)
-            centroid = points[index[rep_pos]]
+            centroid = distinct[index[rep_pos]]
         else:
-            rep_pos = select_representative(member_positions, points, texts, centroid, index)
+            rep_pos = select_representative(member_positions, distinct, texts, centroid, index)
     elif strategy.rule is SelectionRule.RANDOM_IN_CLUSTER:
         prompt_id = next(iter(prompt_ids))
         rng = np.random.default_rng([strategy.seed, _text_u64(prompt_id)])
@@ -608,6 +656,11 @@ def consensus_for_prompt(
     else:  # GLOBAL_MEDOID
         rep_pos = medoid(member_positions, dist, texts, index)
 
+    # The result keeps the caller's matrix, not the merged copy: a copy
+    # held until the next call returns left glibc trimming the heap and
+    # refaulting about 100 pages a call (BENCH_36.json).
+    if rows is None:
+        index = np.arange(len(responses))
     return ConsensusResult(
         clustering=clustering,
         consensus_members=tuple(map(clients.__getitem__, member_positions)),

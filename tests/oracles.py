@@ -5,11 +5,12 @@ deliberately different code paths than the package: a per-text,
 per-n-gram encoder loop with no table, one ``np.linalg.norm`` per
 vector for normalization, a Markov client that trains position by
 position and samples with a linear scan, pure-Python distance loops
-and member sums, union-find clustering instead of BFS expansion, a
-JSONL reader that reads the whole file and runs ``json.loads`` on each
-line, and high-precision mpmath arithmetic for the closed-form bounds.
-Nothing imports from the modules under test, so agreement is evidence
-and not tautology.
+and member sums, a dict-and-bytes loop that merges repeated rows,
+union-find clustering instead of BFS expansion, a JSONL reader that
+reads the whole file and runs ``json.loads`` on each line, and
+high-precision mpmath arithmetic for the closed-form bounds.  Nothing
+imports from the modules under test, so agreement is evidence and not
+tautology.
 """
 
 from __future__ import annotations
@@ -148,6 +149,24 @@ def reference_member_sum(embeddings, members) -> np.ndarray:
         for c in range(len(sums)):
             sums[c] = sums[c] + float(embeddings[m][c])
     return np.array(sums)
+
+
+def reference_merge_rows(texts, points):
+    """The distinct rows and each response's row, by a plain loop.
+
+    A response shares the row of the first response with its text when
+    the two vectors' bytes are equal; otherwise it opens a row of its
+    own.  Rows are numbered in order of their first response.
+    """
+    first, rows, distinct = {}, [], []
+    for i, (text, vec) in enumerate(zip(texts, points)):
+        head = first.setdefault(text, i)
+        if head != i and np.asarray(points[head]).tobytes() == np.asarray(vec).tobytes():
+            rows.append(rows[head])
+        else:
+            rows.append(len(distinct))
+            distinct.append(np.asarray(vec))
+    return distinct, rows
 
 
 # ------------------------------------------------------------ dbscan

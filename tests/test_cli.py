@@ -409,6 +409,37 @@ def test_consensus_external_float_embeddings_print_the_per_row_result(tmp_path, 
     assert run_cli(capsys, *argv) == (0, out, "")
 
 
+def test_consensus_external_embeddings_merge_repeated_responses(tmp_path, capsys, monkeypatch):
+    # a text repeated with the same vector shares its first row; another
+    # vector, or the same vector under another text, keeps a row of its own
+    seen = []
+    real = cli.consensus_phase
+
+    def recorded(prompt_id, records, raw_vectors, rows, *args):
+        seen.append((np.shape(raw_vectors), list(rows)))
+        return real(prompt_id, records, raw_vectors, rows, *args)
+
+    monkeypatch.setattr(cli, "consensus_phase", recorded)
+    texts = ["yes", "yes", "yes", "no"]
+    vectors = [[0.1, 0.7, 0.3], [0.1, 0.7, 0.3], [0.1, 0.7, -0.3], [0.1, 0.7, 0.3]]
+    responses = write_jsonl(
+        tmp_path / "r.jsonl",
+        [{"prompt_id": "p", "client_id": c, "response": t} for c, t in enumerate(texts)],
+    )
+    embeddings = write_jsonl(
+        tmp_path / "e.jsonl",
+        [{"response_id": f"p/{c}", "embedding": v} for c, v in enumerate(vectors)],
+    )
+    report = run_json(
+        capsys, "consensus", "--input", str(responses), "--embeddings", str(embeddings),
+        "--eps", "1e-17",
+    )
+    assert seen == [((3, 3), [0, 0, 1, 2])]
+    (entry,) = report["outputs"]["prompts"]
+    assert entry["labels"][:3] == [0, 0, OUTLIER]
+    assert entry["pseudo_label"] == "yes"
+
+
 def test_consensus_missing_external_embedding_fails(tmp_path, capsys):
     responses = write_jsonl(
         tmp_path / "r.jsonl", [{"prompt_id": "p", "client_id": 0, "response": "yes"}]

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from oracles import (
     reference_dbscan,
     reference_global_medoid,
     reference_member_sum,
+    reference_merge_rows,
     reference_select_cluster,
 )
 from semfed.consensus import (
@@ -33,6 +35,7 @@ from semfed.consensus import (
     consensus_for_prompt,
     cosine_distances,
     dbscan,
+    distinct_rows,
     medoid,
     normalized_centroid,
     select_consensus_cluster,
@@ -661,6 +664,120 @@ def test_every_helper_call_gets_its_counts_or_rows(monkeypatch):
             assert is_unit(result.centroid)
     assert {name for name, _ in calls} == set(_INDEXED)
     assert [name for name, indexed in calls if not indexed] == []
+
+
+# ------------------------------------------------ repeated responses
+
+# How a repeat of an earlier response differs from it: an exact copy, one
+# ulp up in one entry, -0.0 where it has 0.0, or its vector under the
+# repeat's own text.
+_REPEAT_FORMS = ("copy", "ulp", "signed_zero", "other_text")
+
+
+def with_repeats(seed, k, families, noise, forms):
+    """``planted_families`` rows, with a trailing 0.0 entry, and repeats.
+
+    Each form in ``forms`` (up to k // 2 of them) copies one row onto
+    another position, both drawn without replacement, and all but
+    ``other_text`` give that position the copied row's text as well.
+    """
+    points, texts = planted_families(seed, k, families, noise, dup_share=0.3)
+    points = np.hstack([points, np.zeros((k, 1))])
+    rng = np.random.default_rng(seed)
+    n = min(k // 2, len(forms))
+    slots = rng.permutation(k)[: 2 * n].tolist()
+    for form, source, target in zip(forms, slots[:n], slots[n:]):
+        vec = points[source].copy()
+        if form == "ulp":
+            vec[0] = np.nextafter(vec[0], 2.0)
+        elif form == "signed_zero":
+            vec[-1] = -0.0
+        if form != "other_text":
+            texts[target] = texts[source]
+        points[target] = vec
+    return points, texts
+
+
+def outputs(result):
+    return (
+        result.clustering,
+        result.consensus_members,
+        result.representative,
+        result.pseudo_label,
+        result.fallback_all_outliers,
+        result.centroid.tobytes(),
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(8, 48),
+    families=st.integers(1, 4),
+    noise=st.sampled_from([0.0, 0.05, 0.3]),
+    extra=st.lists(st.sampled_from(_REPEAT_FORMS), max_size=20),
+    eps=st.sampled_from([1e-17, 0.05, 0.3, 0.9]),
+    min_pts=st.integers(1, 4),
+    rule=st.sampled_from(list(SelectionRule)),
+)
+def test_omitted_rows_run_on_the_reference_merge_of_repeated_responses(
+    seed, k, families, noise, extra, eps, min_pts, rule
+):
+    # every example holds each form once, so a merge keyed on the bits
+    # alone, on the text alone, or on float equality differs here
+    points, texts = with_repeats(seed, k, families, noise, [*_REPEAT_FORMS, *extra])
+    distinct, rows = reference_merge_rows(texts, points)
+    merged, index = distinct_rows(texts, points)
+    assert index.tolist() == rows
+    assert merged.tobytes() == np.array(distinct).tobytes()
+    assert len(distinct) < k
+
+    shapes = []
+    pairwise = consensus._pairwise
+
+    def recorded(rows_in):
+        dist, squares = pairwise(rows_in)
+        shapes.append(dist.shape)
+        return dist, squares
+
+    params, strategy = ClusterParams(eps=eps, min_pts=min_pts), SelectionStrategy(rule)
+    with mock.patch.object(consensus, "_pairwise", recorded):
+        got = consensus_for_prompt(records(texts), points, params, strategy)
+    assert shapes == [(len(distinct), len(distinct))]
+    want = consensus_for_prompt(records(texts), distinct, params, strategy, rows)
+    assert outputs(got) == outputs(want)
+
+
+def test_identical_vectors_under_different_texts_keep_their_rows():
+    # one row would offer only "r0" to the tie-break and skip the shorter "s"
+    points = np.array([unit(1.0, 0.0)] * 2 + [unit(0.0, 1.0)])
+    texts = ["r0", "s", "r1"]
+    merged, index = distinct_rows(texts, points)
+    assert merged is points and index.tolist() == [0, 1, 2]
+    result = consensus_for_prompt(records(texts), points, ClusterParams(eps=1e-17))
+    assert result.pseudo_label == "s"
+
+
+def test_a_repeated_non_unit_row_is_named_by_its_first_position():
+    texts = ["alpha bravo", "charlie delta", "alpha bravo", "echo foxtrot", "charlie delta"]
+    embs = [encode_normalized(t, CFG) for t in texts]
+    embs[1] = embs[4] = embs[1] * 2.0
+    with pytest.raises(ValueError, match="^embedding at position 1 is not unit norm$"):
+        consensus_for_prompt(records(texts), embs, ClusterParams())
+    # a repeat whose bits differ keeps its row, and is named by its own position
+    embs[1] = encode_normalized(texts[1], CFG)
+    with pytest.raises(ValueError, match="^embedding at position 4 is not unit norm$"):
+        consensus_for_prompt(records(texts), embs, ClusterParams())
+
+
+def test_a_count_mismatch_fails_before_any_merge(monkeypatch):
+    # the two distinct texts would fit the two embeddings after a merge
+    calls = []
+    monkeypatch.setattr(consensus, "_pairwise", lambda rows: calls.append(rows))
+    texts = ["alpha bravo", "alpha bravo", "charlie delta"]
+    embs = [encode_normalized(t, CFG) for t in ("alpha bravo", "charlie delta")]
+    with pytest.raises(ValueError, match="^got 3 responses but 2 embeddings$"):
+        consensus_for_prompt(records(texts), embs, ClusterParams())
+    assert calls == []
 
 
 # ------------------------------------------------------- strategies

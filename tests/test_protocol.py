@@ -209,13 +209,24 @@ def test_duplicate_responses_are_exactly_zero_apart_in_consensus_phase():
     assert outcome.pseudo_label == TWICE
 
 
-def test_duplicate_responses_on_rows_of_their_own_are_not_zero_apart():
-    # One row per response keeps the product's rounding between copies,
-    # so at this eps every response is an outlier and the set falls back.
+def test_duplicate_responses_without_rows_are_exactly_zero_apart():
+    # rows omitted, the two copies of TWICE are merged onto one row
     records = [make_response(c, "p0", t) for c, t in enumerate([TWICE, TWICE, "water is wet"])]
     [(raw, rows)] = protocol.encode_prompts([records], EncoderConfig())
     units, _ = normalize_rows(raw)
     result = consensus_for_prompt(records, units[rows], TINY_EPS)
+    assert result.clustering.labels == (0, 0, -1)
+    assert result.consensus_members == (0, 1)
+    assert not result.fallback_all_outliers
+
+
+def test_duplicate_responses_on_rows_of_their_own_are_not_zero_apart():
+    # An explicit row per response keeps the product's rounding between
+    # copies, so at this eps every response is an outlier and the set falls back.
+    records = [make_response(c, "p0", t) for c, t in enumerate([TWICE, TWICE, "water is wet"])]
+    [(raw, rows)] = protocol.encode_prompts([records], EncoderConfig())
+    units, _ = normalize_rows(raw)
+    result = consensus_for_prompt(records, units[rows], TINY_EPS, rows=range(3))
     assert result.clustering.labels == (-1, -1, -1)
     assert result.fallback_all_outliers
     assert result.consensus_members == (0, 1, 2)
