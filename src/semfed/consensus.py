@@ -88,8 +88,6 @@ __all__ = [
 OUTLIER = -1
 # Absolute tolerance under which two distances count as tied.
 TIE_TOL = 1e-12
-# Repeated responses ``distinct_rows`` bit-checks per gather.
-MERGE_CHUNK = 32
 
 
 class ZeroSumError(ValueError):
@@ -497,9 +495,7 @@ def distinct_rows(texts: Sequence[str], points: np.ndarray) -> tuple[np.ndarray,
     byte-length tie-break picks what one row per response would.
 
     The text heads come from one dict pass, and only the repeats are
-    bit-checked, MERGE_CHUNK at a time: a single gather of every repeat
-    and its head would allocate a copy of them all.  Without a repeated
-    text the rows are returned as given.
+    bit-checked.  Without a repeated text the rows are returned as given.
     """
     k = len(texts)
     if k != len(points):
@@ -509,11 +505,9 @@ def distinct_rows(texts: Sequence[str], points: np.ndarray) -> tuple[np.ndarray,
     if len(first) == k:
         return points, owner
     repeats = np.flatnonzero(owner != np.arange(k))
-    for start in range(0, repeats.size, MERGE_CHUNK):
-        chunk = repeats[start : start + MERGE_CHUNK]
-        bits = points[chunk].view(np.uint64)
-        differ = ~(bits == points[owner[chunk]].view(np.uint64)).all(axis=1)
-        owner[chunk[differ]] = chunk[differ]
+    bits = points[repeats].view(np.uint64)
+    differ = repeats[~(bits == points[owner[repeats]].view(np.uint64)).all(axis=1)]
+    owner[differ] = differ
     kept = owner == np.arange(k)
     return points[kept], (np.cumsum(kept) - 1)[owner]
 

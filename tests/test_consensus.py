@@ -1185,7 +1185,9 @@ def test_consensus_over_distinct_rows_matches_a_row_per_response(
     apart = np.array(rows)[:, None] != np.array(rows)[None, :]
     assume(not np.any(np.abs(dist[apart] - eps) <= 1e-9))
     params, strategy = ClusterParams(eps=eps, min_pts=min_pts), SelectionStrategy(rule)
-    want = consensus_for_prompt(records(texts), every, params, strategy)
+    # an explicit identity keeps a row per response; omitted rows would merge
+    # the repeats onto the same rows as ``got``
+    want = consensus_for_prompt(records(texts), every, params, strategy, range(len(rows)))
 
     # the scores each rule compares stay clear of the TIE_TOL boundary
     labels = np.array(want.clustering.labels)
