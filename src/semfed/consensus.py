@@ -132,6 +132,21 @@ class Clustering:
                 f"labels {self.labels} inconsistent with num_clusters={self.num_clusters}"
             )
 
+    @classmethod
+    def _of(cls, labels: np.ndarray, num_clusters: int) -> Clustering:
+        """The Clustering of an integer label array, which it keeps as ``_array``.
+
+        The caller hands the array over and writes to it no more.
+        """
+        clustering = cls(tuple(labels.tolist()), num_clusters)
+        clustering.__dict__["_array"] = labels
+        return clustering
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        """The labels as an integer array, built when first read unless ``_of`` kept one."""
+        return np.fromiter(self.labels, np.intp, len(self.labels))
+
 
 class SelectionRule(Enum):
     """How a representative is chosen once the consensus set is fixed."""
@@ -302,7 +317,7 @@ def dbscan(
         claim = np.where(core, labels, next_id)
         lowest = np.where(within[border], claim, next_id).min(axis=1)
         labels[border] = np.where(lowest < next_id, lowest, OUTLIER)
-    return Clustering(tuple(labels.tolist()), next_id)
+    return Clustering._of(labels, next_id)
 
 
 def average_pairwise_distance(members: Sequence[int], dist: np.ndarray) -> float:
@@ -334,7 +349,7 @@ def select_consensus_cluster(
     """
     if clustering.num_clusters == 0:
         return tuple(range(len(clustering.labels)))
-    labels = np.fromiter(clustering.labels, np.intp, len(clustering.labels))
+    labels = clustering._array
     sizes = np.bincount(labels + 1)[1:]
     tied = [np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == sizes.max()).tolist()]
     spreads = [0.0]
@@ -626,8 +641,9 @@ def consensus_for_prompt(
         raise ValueError(f"responses span multiple prompts: {sorted(prompt_ids)}")
 
     by_row = dbscan(dist, params, np.bincount(index))
-    labels = np.fromiter(by_row.labels, np.intp, len(by_row.labels))[index]
-    clustering = Clustering(tuple(labels.tolist()), by_row.num_clusters)
+    # dbscan's row labels gathered to the responses once, as an array that
+    # the cluster choice reads
+    clustering = Clustering._of(by_row._array[index], by_row.num_clusters)
     fallback = clustering.num_clusters == 0
     if strategy.rule is SelectionRule.GLOBAL_MEDOID:
         member_positions = tuple(range(len(responses)))

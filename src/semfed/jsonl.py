@@ -5,9 +5,10 @@ external embeddings all arrive as JSONL, and all of them are read by
 ``read_rows``.  Values are checked against their exact JSON type and
 never coerced: ``null`` is not the text "None" and ``0.9`` is not
 client 0.  A row whose values all have exactly their fields' types, with
-ASCII strings and no ``float`` field, is accepted by one test over the
-whole row; any other row goes through ``check_value`` field by field, so
-every error text comes from it.  Every failure is a ValueError that
+no ``float`` field, on an ASCII line without a backslash (so every string
+in it is ASCII) is accepted by one test over the whole row; any other
+row, or line, goes through ``check_value`` field by field, so every
+error text comes from it.  Every failure is a ValueError that
 starts ``path:lineno:``.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -64,14 +66,8 @@ def check_value(value, kind: type, what: str):
     return value
 
 
-def _parse_line(
-    raw: bytes, fields: dict[str, type], exact: tuple | None, texts: list[int]
-) -> tuple | None:
-    """The checked field values of one line, or None for a blank line.
-
-    ``exact`` is the fields' types (None when one is ``float``) and
-    ``texts`` the positions of the ``str`` fields.
-    """
+def _parse_line(raw: bytes, fields: dict[str, type]) -> tuple | None:
+    """The checked field values of one line, or None for a blank line."""
     line = raw.decode("utf-8").strip()
     if not line:
         return None
@@ -88,9 +84,6 @@ def _parse_line(
         values = tuple([row[name] for name in fields])
     except (KeyError, TypeError):  # a key is missing, or the row is not an object
         raise ValueError(f"expected keys {', '.join(fields)} in a JSON object") from None
-    # check_value's own first test, over the whole row at once
-    if tuple(map(type, values)) == exact and all([values[i].isascii() for i in texts]):
-        return values
     return tuple(
         [check_value(value, kind, name) for (name, kind), value in zip(fields.items(), values)]
     )
@@ -105,13 +98,32 @@ def read_rows(path: str | Path, **fields: type) -> Iterator[tuple[int, tuple]]:
     one of ``str``, ``int`` or ``list``; other keys are ignored.  Lines
     are read lazily, so a caller that stops early never parses the rest.
     """
+    names = tuple(fields)
     kinds = tuple(fields.values())
     exact = None if float in kinds else kinds
-    texts = [i for i, kind in enumerate(kinds) if kind is str]
+    # itemgetter of one name returns the bare value, not a 1-tuple
+    pick = itemgetter(*names) if len(names) > 1 else lambda row: tuple([row[name] for name in names])
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                values = _parse_line(raw, fields, exact, texts)
+                line = raw.decode("utf-8").strip()
+                row, end = _scan(line)
+                values = pick(row)
+            except (ValueError, RecursionError, KeyError, TypeError):
+                pass
+            else:
+                # check_value's own first test, over the whole row at once: a
+                # JSON string in an ASCII line without a backslash is ASCII
+                if (
+                    tuple(map(type, values)) == exact
+                    and end == len(line)
+                    and line.isascii()
+                    and "\\" not in line
+                ):
+                    yield lineno, values
+                    continue
+            try:
+                values = _parse_line(raw, fields)
             except ValueError as exc:  # UnicodeDecodeError included
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if values is not None:

@@ -66,6 +66,46 @@ def test_scripted_client_train_is_noop():
     assert client.generate("p0", "", 1, 4) == "x"
 
 
+class ShoutingScript(ScriptedClient):
+    """Answers through its own generate, which upper-cases the row."""
+
+    def generate(self, prompt_id, prompt_text, round_index, max_tokens):
+        return super().generate(prompt_id, prompt_text, round_index, max_tokens).upper()
+
+
+def test_scripted_generate_many_matches_per_call_generate():
+    keys = [(r, p) for r in (1, 2) for p in ("p0", "p1", "p2")]
+    tables = [{(r, p): f"client {c} round {r} {p}" for r, p in keys} for c in range(3)]
+    clients = [ScriptedClient(table) for table in tables]
+    queries = [("p2", "x"), ("p0", "y"), ("p1", "z")]
+    for round_index in (1, 2):
+        per_call = [[c.generate(pid, text, round_index, 8) for pid, text in queries] for c in clients]
+        assert ScriptedClient.generate_many(clients, queries, round_index, 8) == per_call
+    assert ScriptedClient.generate_many(clients, [], 1, 8) == [[], [], []]
+    assert ScriptedClient.generate_many([], queries, 1, 8) == []
+    # a run holding a client that overrides generate is answered through it
+    mixed = [ScriptedClient(tables[0]), ShoutingScript(tables[1])]
+    per_call = [[c.generate(pid, text, 1, 8) for pid, text in queries] for c in mixed]
+    assert per_call[1] == [f"CLIENT 1 ROUND 1 {pid.upper()}" for pid, _ in queries]
+    for kind in (ScriptedClient, ShoutingScript):
+        assert kind.generate_many(mixed, queries, 1, 8) == per_call
+
+
+def test_scripted_generate_many_names_the_first_missing_row_as_generate_does():
+    # client 0 lacks p1 and client 1 lacks p0: clients are answered in turn
+    clients = [ScriptedClient({(1, "p0"): "a"}), ScriptedClient({(1, "p1"): "b"})]
+    queries = [("p0", ""), ("p1", "")]
+    with pytest.raises(ValueError) as per_call:
+        Client.generate_many(clients, queries, 1, 8)
+    message = r"^scripted client has no response for round=1 prompt='p1'$"
+    with pytest.raises(ValueError, match=message) as batched:
+        ScriptedClient.generate_many(clients, queries, 1, 8)
+    assert str(batched.value) == str(per_call.value)
+    assert batched.value.__context__ is None
+    with pytest.raises(ValueError, match=r"^scripted client has no response for round=2 prompt='p0'$"):
+        ScriptedClient.generate_many(clients, queries, 2, 8)
+
+
 # ------------------------------------------------------------- markov
 
 
@@ -767,6 +807,10 @@ def test_index_gives_each_example_its_ids_in_training_order():
     assert index.pair_ids("a", "b a b c").tolist() == ids.tolist()
     assert index.pair_ids("", "a").tolist() == []
     assert len(index) == 6
+    # a batch's new words get the next ids in first-seen order, across its
+    # examples; known words keep theirs
+    index.intern([("zeta c", "a yak zeta"), ("b", "xi yak ant")])
+    assert index.words == ["", "a", "b", "c", "zeta", "yak", "xi", "ant"]
 
 
 def test_repeated_non_dyadic_weights_sum_in_reference_order():

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 import tempfile
 from collections import Counter
 from contextlib import redirect_stdout
@@ -85,6 +87,23 @@ def test_response_record_byte_length_is_checked():
         type(rec)(client=0, prompt_id="p0", text="héllo", byte_len=6)
 
 
+def test_response_record_is_a_frozen_slotted_dataclass():
+    rec = make_response(3, "p0", "héllo")
+    assert not hasattr(rec, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.text = "hello"
+    fields = [(f.name, f.type, f.init) for f in dataclasses.fields(rec)]
+    assert fields == [("client", "int", True), ("prompt_id", "str", True), ("text", "str", True),
+                      ("byte_len", "int", False)]
+    # equality and hash read all four fields, in order
+    assert rec == make_response(3, "p0", "héllo") != make_response(4, "p0", "héllo")
+    assert hash(rec) == hash((3, "p0", "héllo", 6))
+    assert repr(rec) == "ResponseRecord(client=3, prompt_id='p0', text='héllo', byte_len=6)"
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(rec, proto))
+        assert copy == rec and copy.byte_len == 6 and not hasattr(copy, "__dict__")
+
+
 # ------------------------------------------------------------- rounds
 
 
@@ -166,6 +185,31 @@ def test_round_calls_consensus_for_prompt_once_per_embeddable_prompt(monkeypatch
     # p00 has no embeddable response, so it never reaches consensus
     assert seen == [("p01", (0, 2)), ("p02", (0, 1, 2))]
     assert [pid for pid, _ in transcript.broadcast] == ["p01", "p02"]
+
+
+def test_round_builds_every_record_through_protocol_make_response(monkeypatch):
+    # perfbench's tracer wraps protocol.make_response as protocol.meter_s, so
+    # every record of a round must be built through that module attribute,
+    # once per (client, prompt), whatever runs of client classes answer
+    made = []
+    real = protocol.make_response
+
+    def counted(client, prompt_id, text):
+        made.append(real(client, prompt_id, text))
+        return made[-1]
+
+    monkeypatch.setattr(protocol, "make_response", counted)
+    prompts = prompt_set(4)
+    markov = [MarkovToyClient(order=1, seed=s) for s in range(2)]
+    for client in markov:
+        client.train(PrivateDataset((("", "a shared answer a shared answer"),), 0), [], TrainingWeights())
+    scripted = scripted_uniform(2, prompts, 2, "a shared answer")
+    clients = [scripted[0], *markov, scripted[1], RecordingClient(scripted[0])]
+    for round_index in (1, 2):
+        made.clear()
+        transcript = run_round(clients, prompts, SessionParams(max_tokens=6), round_index)
+        assert len(made) == len(clients) * len(prompts)
+        assert all(a is b for a, b in zip(transcript.responses, made, strict=True))
 
 
 def test_a_missing_scripted_row_is_named_at_the_lowest_prompt_id():
